@@ -26,7 +26,7 @@ Guarantees (proved by the classic arguments, asserted in tests):
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from ..net.graph import Graph, NodeId
 from .cluster import ClusterTree, bfs_cluster_tree
@@ -37,12 +37,55 @@ def build_ap_cover(graph: Graph, d: int) -> SparseCover:
     """Sparse d-cover with stretch O(log n) and membership O(log n)."""
     if d < 1:
         raise ValueError("radius must be >= 1")
+    _require_connected(graph)
+    layers = (graph.bfs_layers(v, d) for v in graph.nodes)
+    return _grow_cover(graph, d, _balls(graph, layers, d))
+
+
+def build_ap_layered_cover(graph: Graph, d: int) -> LayeredCover:
+    """Layered sparse d-cover: one AP cover per power of two up to d.
+
+    Every level's balls are prefixes of one BFS per node, truncated at the
+    top radius, so the graph is searched once rather than once per level.
+    """
+    top = required_top_level(d)
+    _require_connected(graph)
+    layers = [graph.bfs_layers(v, 1 << top) for v in graph.nodes]
+    return LayeredCover(
+        levels={
+            j: _grow_cover(graph, 1 << j, _balls(graph, layers, 1 << j))
+            for j in range(top + 1)
+        }
+    )
+
+
+def _require_connected(graph: Graph) -> None:
     if not graph.is_connected():
         raise ValueError("sparse covers require a connected graph")
 
-    balls: Dict[NodeId, frozenset] = {
-        v: graph.ball(v, d) for v in graph.nodes
-    }
+
+def _balls(
+    graph: Graph, layers: Iterable[Tuple[List[NodeId], List[int]]], d: int
+) -> Dict[NodeId, FrozenSet[NodeId]]:
+    """``B(v, d)`` for every node ``v``, sliced from its BFS order.
+
+    ``layers`` yields ``graph.bfs_layers(v, depth)`` for ``v = 0, 1, ...``
+    with ``depth >= d``.  Every ball that is the whole (connected) graph,
+    i.e. ``d >= ecc(v)``, shares one frozenset.
+    """
+    n = graph.num_nodes
+    everything = frozenset(graph.nodes)
+    balls: Dict[NodeId, FrozenSet[NodeId]] = {}
+    for v, (order, ends) in enumerate(layers):
+        size = ends[min(d, len(ends) - 1)]
+        balls[v] = everything if size == n else frozenset(order[:size])
+    return balls
+
+
+def _grow_cover(
+    graph: Graph, d: int, balls: Dict[NodeId, FrozenSet[NodeId]]
+) -> SparseCover:
+    """The greedy ball-of-balls coarsening over precomputed d-balls."""
     remaining: Set[NodeId] = set(graph.nodes)
     clusters: List[ClusterTree] = []
     home: Dict[NodeId, int] = {}
@@ -81,14 +124,6 @@ def build_ap_cover(graph: Graph, d: int) -> SparseCover:
             remaining -= absorbed
 
     return SparseCover.from_clusters(d, clusters, home)
-
-
-def build_ap_layered_cover(graph: Graph, d: int) -> LayeredCover:
-    """Layered sparse d-cover: one AP cover per power of two up to d."""
-    top = required_top_level(d)
-    return LayeredCover(
-        levels={j: build_ap_cover(graph, 1 << j) for j in range(top + 1)}
-    )
 
 
 def ap_membership_bound(n: int) -> int:

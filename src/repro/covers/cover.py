@@ -32,6 +32,11 @@ class SparseCover:
     clusters: Tuple[ClusterTree, ...]
     clusters_of: Dict[NodeId, Tuple[int, ...]]
     home_cluster: Dict[NodeId, int]
+    # Id -> cluster index for :meth:`cluster`; derived from ``clusters``, so
+    # it takes no part in equality.
+    by_id: Dict[int, ClusterTree] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @classmethod
     def from_clusters(
@@ -53,13 +58,11 @@ class SparseCover:
             clusters=cluster_tuple,
             clusters_of={v: tuple(sorted(ids)) for v, ids in membership.items()},
             home_cluster=dict(home_cluster),
+            by_id=by_id,
         )
 
     def cluster(self, cluster_id: int) -> ClusterTree:
-        for c in self.clusters:
-            if c.cluster_id == cluster_id:
-                return c
-        raise KeyError(cluster_id)
+        return self.by_id[cluster_id]
 
     @property
     def max_membership(self) -> int:

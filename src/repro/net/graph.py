@@ -201,10 +201,42 @@ class Graph:
     def eccentricity(self, u: NodeId) -> float:
         return max(self.bfs_distances(u))
 
+    def bfs_layers(
+        self, source: NodeId, max_depth: float = INFINITY
+    ) -> Tuple[List[NodeId], List[int]]:
+        """BFS pop order from ``source`` and its layer ends, as ``(order, ends)``.
+
+        ``order`` lists every node within ``max_depth`` hops in nondecreasing
+        distance, and ``order[:ends[k]]`` is exactly the ball ``B(source, k)``
+        for ``k < len(ends)``.  The search stops after layer ``max_depth`` or
+        at the first empty layer, so ``len(ends) - 1`` is the largest
+        distance reached and no farther node is ever touched.
+        """
+        if not (0 <= source < self._n):
+            raise ValueError(f"source {source} outside 0..{self._n - 1}")
+        adj = self._adj
+        seen = bytearray(self._n)
+        seen[source] = 1
+        order = [source]
+        ends = [1]
+        start = 0
+        while len(ends) <= max_depth:
+            end = len(order)
+            for u in order[start:end]:
+                for v in adj[u]:
+                    if not seen[v]:
+                        seen[v] = 1
+                        order.append(v)
+            if len(order) == end:
+                break
+            start = end
+            ends.append(len(order))
+        return order, ends
+
     def ball(self, center: NodeId, radius: int) -> FrozenSet[NodeId]:
         """All nodes within hop distance ``radius`` of ``center``."""
-        dist = self.bfs_distances(center)
-        return frozenset(v for v in range(self._n) if dist[v] <= radius)
+        order, _ = self.bfs_layers(center, radius)
+        return frozenset(order) if radius >= 0 else frozenset()
 
     def is_connected(self) -> bool:
         return INFINITY not in self.bfs_distances(0)

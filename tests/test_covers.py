@@ -1,5 +1,6 @@
 """Tests for sparse covers: data structures, AP construction, validation."""
 
+import hashlib
 import math
 
 import pytest
@@ -224,3 +225,100 @@ def test_ap_cover_property(n, p, seed, d):
     g = topology.erdos_renyi_graph(n, p, seed)
     cover = build_ap_cover(g, d)
     validate_cover(g, cover, max_membership=ap_membership_bound(n))
+
+
+def cover_digest(cover):
+    """Canonical digest of a cover: every cluster's id, root, members and
+    tree, in cluster order, plus the home-cluster map."""
+    h = hashlib.sha256()
+    for c in cover.clusters:
+        h.update(repr((
+            c.cluster_id, c.root, sorted(c.members), sorted(c.parent.items()),
+        )).encode())
+    h.update(repr(sorted(cover.home_cluster.items())).encode())
+    return h.hexdigest()[:16]
+
+
+# Per-level digests of build_ap_layered_cover(g, 2 * diameter), recorded on
+# the per-level-BFS builder; the top levels have radius >= the diameter.
+AP_COVER_DIGESTS = [
+    ("cycle", lambda: topology.cycle_graph(24), 12, [
+        "4899249260ed4634", "0356b5762f8c6cdc", "b54552e7b721a3b3",
+        "e46febb8caacf0ae", "e46febb8caacf0ae", "e46febb8caacf0ae"]),
+    ("path", lambda: topology.path_graph(20), 19, [
+        "82eb52d7f5b89b35", "8e62865bdde3b9a3", "b3239c3865441df1",
+        "a9fb0c46f48c0e9e", "fe5eb3cbc6492390", "fe5eb3cbc6492390",
+        "fe5eb3cbc6492390"]),
+    ("grid", lambda: topology.grid_graph(5, 6), 9, [
+        "8d925cfb296d442b", "73807cbf49f3d262", "27c350f7ad3747f0",
+        "498879eafbfd9fa7", "498879eafbfd9fa7", "498879eafbfd9fa7"]),
+    ("torus", lambda: topology.torus_graph(4, 5), 4, [
+        "8e9235b9dc347da1", "9ccf8358eca653f5", "9ccf8358eca653f5",
+        "9ccf8358eca653f5"]),
+    ("star", lambda: topology.star_graph(12), 2, [
+        "c86a6e700589dd8f", "c86a6e700589dd8f", "c86a6e700589dd8f"]),
+    ("complete", lambda: topology.complete_graph(8), 1, [
+        "92bfa7487fea104f", "92bfa7487fea104f"]),
+    ("hypercube", lambda: topology.hypercube_graph(4), 4, [
+        "ec27792adb8353a6", "8747bc8c5a760fa1", "8747bc8c5a760fa1",
+        "8747bc8c5a760fa1"]),
+    ("barbell", lambda: topology.barbell_graph(5, 4), 7, [
+        "ee8d47dad5e52e09", "8b03c550ac2ee7a5", "d29679524148f468",
+        "d29679524148f468", "d29679524148f468"]),
+    ("lollipop", lambda: topology.lollipop_graph(5, 6), 7, [
+        "e1977a298bc9ffc3", "2efc62b08ff3564f", "cd35e55008915b1e",
+        "cd35e55008915b1e", "cd35e55008915b1e"]),
+    ("random_tree", lambda: topology.random_tree(30, 3), 11, [
+        "eefd89bf207ac558", "4ca69e8d62fffae5", "1c659e009d0c1a75",
+        "1c659e009d0c1a75", "1c659e009d0c1a75", "1c659e009d0c1a75"]),
+    ("erdos_renyi", lambda: topology.erdos_renyi_graph(30, 0.12, 7), 4, [
+        "0af876509d7ca0b0", "a15497beb93a1798", "a15497beb93a1798",
+        "a15497beb93a1798"]),
+]
+
+
+class TestApCoverIdentity:
+    @pytest.mark.parametrize(
+        "make, diameter, digests",
+        [case[1:] for case in AP_COVER_DIGESTS],
+        ids=[case[0] for case in AP_COVER_DIGESTS],
+    )
+    def test_pinned_digests(self, make, diameter, digests):
+        g = make()
+        assert g.diameter() == diameter
+        layered = build_ap_layered_cover(g, 2 * diameter)
+        levels = range(len(digests))
+        assert sorted(layered.levels) == list(levels)
+        assert [cover_digest(layered.levels[j]) for j in levels] == digests
+        assert [cover_digest(build_ap_cover(g, 1 << j)) for j in levels] == digests
+
+    def test_grid_32x64_shape(self):
+        g = topology.grid_graph(32, 64)
+        layered = build_ap_layered_cover(g, 1024)
+        levels = [layered.levels[j] for j in sorted(layered.levels)]
+        assert [len(c.clusters) for c in levels] == [
+            432, 89, 29, 9, 3, 2, 1, 1, 1, 1, 1]
+        assert [c.max_membership for c in levels] == [
+            5, 5, 4, 4, 3, 2, 1, 1, 1, 1, 1]
+        assert [cover_digest(c) for c in levels] == [
+            "ade40625f66de3a4", "33aea35a5e0d57d3", "ef0a0751e37b5ee5",
+            "034d5be9bd016637", "0c75e19e356ff85c", "bb1113b2c0b12879",
+        ] + ["fbfc752e382e5562"] * 5
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=24),
+    p=st.floats(min_value=0.0, max_value=0.4),
+    seed=st.integers(min_value=0, max_value=500),
+    d=st.integers(min_value=1, max_value=48),
+)
+def test_layered_levels_equal_single_level_builds(n, p, seed, d):
+    # d ranges past every diameter (< n), so top levels see whole-graph balls.
+    g = topology.erdos_renyi_graph(n, p, seed)
+    layered = build_ap_layered_cover(g, d)
+    assert sorted(layered.levels) == list(range(required_top_level(d) + 1))
+    for j, cover in layered.levels.items():
+        single = build_ap_cover(g, 1 << j)
+        assert cover == single
+        assert cover_digest(cover) == cover_digest(single)
