@@ -47,18 +47,17 @@ else gets a bare :data:`~repro.net.events.EV_ACK` 3-tuple whose dispatch
 is nothing but "free the link, drain the outbox" — no callback or
 interest checks per acknowledgment.
 
-Delay randomness is drawn in *blocks*: when the delay model exposes
-``block_stream`` (all shipped models do), each link's next
-:data:`~repro.net.delays.BLOCK_PAIRS` (message delay, ack delay) pairs are
-filled into one flat per-runtime float array in a single closure call, and
-a send consumes two list loads instead of calling into the model at all.
+Delay randomness is drawn in *blocks*, the one draw shape of the
+transport: each link's next :data:`~repro.net.delays.BLOCK_PAIRS`
+(message delay, ack delay) pairs are filled into one flat per-runtime
+float array in a single closure call, and a send consumes two list loads
+instead of calling into the model at all.  The fill is the model's own
+``block_stream`` (all shipped models have one) or, for any other model,
+:func:`~repro.net.delays.call_block_stream` over its plain ``__call__``.
 Per-link injection numbers are strictly sequential, so a block is always
 consumed in order and refilled exactly at its boundary; sweeps pass one
 shared buffer across replays (:mod:`repro.net.sweep`) so the allocation is
-paid once per sweep.  Models exposing only ``pair_stream`` keep the
-one-closure-call-per-message path, and models with neither keep the
-historical draw-at-delivery path, so time-dependent custom models observe
-identical ``now`` values on both engines.
+paid once per sweep.
 
 A message usually costs no acknowledgment event at all: when nobody waits
 on an ack (no ``on_delivered`` interest, nothing queued or outstanding on
@@ -87,7 +86,13 @@ from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, MutableSequence, Optional, Tuple
 from weakref import WeakKeyDictionary
 
-from .delays import BLOCK_PAIRS, DelayModel, InvalidDelayError, TAU
+from .delays import (
+    BLOCK_PAIRS,
+    DelayModel,
+    InvalidDelayError,
+    TAU,
+    call_block_stream,
+)
 from .faults import DETECT_TIMEOUT, FaultSchedule
 from .events import (
     CODE_ACK,
@@ -126,7 +131,7 @@ def make_block_buffer(num_links: int) -> MutableSequence[float]:
 
     A plain list: fills store the float objects they compute, and the send
     path reads them back by reference — two float allocations per message,
-    exactly what the per-message ``pair_stream`` call paid.  (An
+    exactly what a per-message (delay, ack) draw would pay.  (An
     ``array('d')`` was measured and rejected: unboxing on fill plus
     re-boxing on read doubles the float allocations per message, which
     costs more than the raw-double layout saves — and with
@@ -136,20 +141,33 @@ def make_block_buffer(num_links: int) -> MutableSequence[float]:
     return [0.0] * (BLOCK_SPAN * num_links)
 
 
-def _fill_checked(fill, buf, base: int, seq: int, pairs: int) -> None:
-    """Run one block fill, then validate every delay it produced.
+def _fill_checked(
+    fill, buf, base: int, seq: int, lid: LinkId, skeleton: "LinkSkeleton",
+) -> None:
+    """Run one block fill for link ``lid``, then validate every delay.
 
     A per-element loop on purpose: ``min``/``max`` reductions can skip NaN
     (every comparison with NaN is False), which is exactly the value that
     must not reach the heap.  Runs once per :data:`~repro.net.delays.
     BLOCK_PAIRS` messages, so the validation cost is amortized to a couple
-    of float comparisons per send.
+    of float comparisons per send.  The error names the slot and its
+    directed link; the link is looked up only when a value is bad.
     """
-    fill(buf, base, seq, pairs)
-    for x in buf[base:base + 2 * pairs]:
+    fill(buf, base, seq, BLOCK_PAIRS)
+    for x in buf[base:base + BLOCK_SPAN]:
         if not 0.0 < x <= TAU:
+            off = next(j for j in range(BLOCK_SPAN)
+                       if not 0.0 < buf[base + j] <= TAU)
+            u = skeleton.lu[lid]
+            v = skeleton.lv[lid]
+            k = seq + off // 2
+            if off % 2:
+                link, slot = f"{v}->{u}", f"ack of {u}->{v} injection {k}"
+            else:
+                link, slot = f"{u}->{v}", f"message, injection {k}"
             raise InvalidDelayError(
-                f"block stream produced delay {x!r} outside (0, {TAU}]"
+                f"delay model produced {x!r} outside (0, {TAU}] on {link}"
+                f" ({slot})"
             )
 
 
@@ -550,7 +568,7 @@ class ScheduleController:
     redraws are drawn exactly as always, so a replayed choice sequence
     reproduces the execution bit-for-bit — but it no longer *orders*
     anything.  With no controller installed this machinery is never
-    touched and the fast dispatch loops are byte-identical.
+    touched and the fault-free dispatch loop is byte-identical.
 
     ``crashable`` folds fail-stop branch points into the schedule space:
     every node listed here contributes a ``crash`` action to the enabled
@@ -598,7 +616,7 @@ class AsyncRuntime(EventQueue):
     * ``_busy[lid]`` — the Appendix B in-flight slot;
     * ``_outbox[lid]`` — the priority outbox heap (``None`` until first used);
     * ``_seq[lid]`` — outbox FIFO tiebreaker;
-    * ``_injected[lid]`` — injection counter (drives the delay streams and
+    * ``_injected[lid]`` — injection counter (drives the block fills and
       recovers ``messages`` at run end);
     * ``_pending[lid]`` — scheduled transport records outstanding for the
       link.  Normally alternates 1 -> 1 -> 0; an ``on_delivered`` callback
@@ -617,10 +635,9 @@ class AsyncRuntime(EventQueue):
     * ``_delivered[lid]`` / ``_ack_prefix[lid]`` — the sender's overridden
       ``on_delivered`` (or ``None``) and its interest prefix;
     * ``_blk_fill[lid]`` / ``_blk_i[lid]`` (+ the flat ``_blk_buf``) —
-      per-link block-fill closures and cursors when the delay model
-      exposes ``block_stream``; ``_pair[lid]`` / ``_draw[lid]`` /
-      ``_ack_draw[lid]`` — the per-message stream fallbacks (``_ack_draw``
-      is bound lazily, only for links that ever re-draw an ack);
+      per-link block-fill closures and cursors: the model's own
+      ``block_stream``, or :func:`~repro.net.delays.call_block_stream`
+      over its ``__call__``;
     * ``_free_at[lid]`` / ``_reserved[lid]`` — fused-acknowledgment state:
       when a delivery needs no callback and the outbox is empty, no ack
       event is pushed at all; the ack's (time, seq) identity is *reserved*
@@ -632,8 +649,7 @@ class AsyncRuntime(EventQueue):
         "_skeleton", "_lu", "_lv", "_out", "_busy", "_outbox", "_seq",
         "_injected", "_pending", "_slot_payload", "_slot_ack",
         "_deliver", "_table", "_delivered",
-        "_ack_prefix", "_draw", "_ack_draw", "_pair", "_stream_factory",
-        "_blk_fill", "_blk_buf", "_blk_i", "_free_at",
+        "_ack_prefix", "_blk_fill", "_blk_buf", "_blk_i", "_free_at",
         "_reserved", "_send_on", "_enqueue_from", "_inject_link",
         "messages", "acks", "_fused", "outputs",
         "output_time", "_time_to_output", "processes", "_active_seq",
@@ -667,15 +683,15 @@ class AsyncRuntime(EventQueue):
         from the per-graph cache.  ``block_buffer`` is the flat delay-block
         array (``num_links * BLOCK_SPAN`` floats) — sweeps pass one shared
         buffer so the allocation is paid once per sweep; it is pure scratch
-        (every value is re-derived from the delay model's pure streams on
+        (every value is re-derived from the delay model's pure fills on
         refill), but the caller must not run two runtimes sharing one
         buffer concurrently.  By default each runtime allocates its own.
         ``faults`` is an optional :class:`~repro.net.faults.FaultSchedule`;
         an empty schedule is normalized to ``None`` so it provably cannot
-        perturb the fault-free schedule (the fast dispatch loops are only
-        entered when no schedule is active).  ``detect_timeout`` is how long
-        after a neighbor's crash its failure detector fires (sound for any
-        value > 2*TAU; see :data:`~repro.net.faults.DETECT_TIMEOUT`).
+        perturb the fault-free schedule (the fault-free dispatch loop is
+        only entered when no schedule is active).  ``detect_timeout`` is
+        how long after a neighbor's crash its failure detector fires (sound
+        for any value > 2*TAU; see :data:`~repro.net.faults.DETECT_TIMEOUT`).
         """
         super().__init__()
         self.graph = graph
@@ -691,8 +707,8 @@ class AsyncRuntime(EventQueue):
         self._out = skeleton.out
         n_links = skeleton.num_links
         if faults is not None and faults.is_empty():
-            # Empty schedules normalize to "no faults": the fast dispatch
-            # loops run and existing schedules/metrics stay byte-identical.
+            # Empty schedules normalize to "no faults": the fault-free
+            # loop runs and existing schedules/metrics stay byte-identical.
             faults = None
         if controller is not None and faults is not None:
             # Controlled runs model fail-stop crashes as controller-chosen
@@ -755,46 +771,17 @@ class AsyncRuntime(EventQueue):
         self._free_at = [0.0] * n_links
         self._reserved: List[Optional[int]] = [None] * n_links
         block_factory = getattr(delay_model, "block_stream", None)
-        stream_factory = getattr(delay_model, "link_stream", None)
-        pair_factory = getattr(delay_model, "pair_stream", None)
-        # Lazily binds reverse streams for re-drawn acknowledgments only
-        # (see _ack_delay); None when the model has no link_stream.
-        self._stream_factory = stream_factory
-        self._ack_draw: List[Optional[Callable[[int], float]]] = [None] * n_links
-        if block_factory is not None:
-            # Block path: delays come from the flat buffer; the pair/draw
-            # slots stay empty.  Cursors start at the exclusive region end,
-            # so the first send on a link triggers a fill at its injection
-            # number (blocks therefore stay aligned even across run() calls
-            # on a buffer another replay has dirtied).
-            self._blk_fill = [
-                block_factory(lu[i], lv[i]) for i in range(n_links)
-            ]
-            if block_buffer is None:
-                block_buffer = make_block_buffer(n_links)
-            self._blk_buf: Optional[MutableSequence[float]] = block_buffer
-            self._blk_i: Optional[List[int]] = list(skeleton.blk_lims)
-            self._pair: List[Optional[Callable]] = [None] * n_links
-            self._draw: List[Optional[Callable[[int], float]]] = [None] * n_links
-        else:
-            self._blk_fill = None
-            self._blk_buf = None
-            self._blk_i = None
-            if pair_factory is not None:
-                # The fused draw covers injection; ``_draw`` is never
-                # consulted.
-                self._pair = [
-                    pair_factory(lu[i], lv[i]) for i in range(n_links)
-                ]
-                self._draw = [None] * n_links
-            elif stream_factory is not None:
-                self._pair = [None] * n_links
-                self._draw = [
-                    stream_factory(lu[i], lv[i]) for i in range(n_links)
-                ]
-            else:
-                self._pair = [None] * n_links
-                self._draw = [None] * n_links
+        if block_factory is None:
+            block_factory = partial(call_block_stream, delay_model)
+        # Delays come from the flat block buffer.  Cursors start at the
+        # exclusive region end, so the first send on a link triggers a fill
+        # at its injection number (blocks therefore stay aligned even
+        # across run() calls on a buffer another replay has dirtied).
+        self._blk_fill = [block_factory(lu[i], lv[i]) for i in range(n_links)]
+        if block_buffer is None:
+            block_buffer = make_block_buffer(n_links)
+        self._blk_buf: MutableSequence[float] = block_buffer
+        self._blk_i: List[int] = list(skeleton.blk_lims)
         self.messages = 0
         self.acks = 0
         self._fused = 0
@@ -858,46 +845,24 @@ class AsyncRuntime(EventQueue):
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    def _enqueue(
-        self, u: NodeId, v: NodeId, payload: Payload,
-        priority: Priority = DEFAULT_PRIORITY,
-    ) -> None:
-        links = self._out.get(u)
-        if links is None:
-            raise UnknownLinkError(u, v)
-        self._enqueue_from(links, u, v, payload, priority)
-
     def _make_senders(
         self,
     ) -> Tuple[Callable[..., None], Callable[..., None], Callable[..., None]]:
-        """Build the three enqueue fast paths as sibling closures.
+        """Build the three enqueue paths as sibling closures.
 
-        ``send_on(lid, payload, priority)`` is the int-indexed path bound to
-        ``ProcessContext.send_link``; ``enqueue_from(links, u, v, payload,
-        priority)`` is the node-id path behind ``ProcessContext.send`` (one
-        dict probe, then the same body); ``inject(lid, payload)`` is the
+        ``inject(lid, payload)`` puts one message on the wire: it is the
         outbox-drain tail the acknowledgment dispatch calls for queued
-        messages.  The link-table arrays, the side slots, the block state,
-        the heap, and the sequence counter are captured in cells: a protocol
-        send then costs one Python frame with cell loads instead of
-        attribute traffic (this is the hottest code in a synchronizer run
-        after the dispatch loop itself — the body is deliberately duplicated
-        across the closures rather than shared through a second frame).
-        Only the loop-mutated scalars (``_now``, ``_active_seq``,
-        ``_fused``) go through ``self``.
-
-        Two closure families exist: the block family (delay model exposes
-        ``block_stream``; delays are two flat-buffer loads per send) and
-        the stream family (historical ``pair_stream``/``link_stream``/
-        generic fallbacks, one closure call per message).  The choice is
-        made once here, so the per-send body carries no "has blocks?"
-        branch.
+        messages, and the tail of every send.  ``send_on(lid, payload,
+        priority)`` is the int-indexed path bound to
+        ``ProcessContext.send_link``: it queues behind a busy link or calls
+        ``inject``.  ``enqueue_from(links, u, v, payload, priority)`` is the
+        node-id path behind ``ProcessContext.send``: one dict probe, then
+        ``send_on``.  The link-table arrays, the side slots, the block
+        state, the heap, and the sequence counter are captured in cells, so
+        a send pays cell loads instead of attribute traffic.  Only the
+        loop-mutated scalars (``_now``, ``_active_seq``, ``_fused``) go
+        through ``self``.
         """
-        if self._blk_fill is not None:
-            return self._make_block_senders()
-        return self._make_stream_senders()
-
-    def _make_block_senders(self):
         busy_a = self._busy
         outbox_a = self._outbox
         seq_a = self._seq
@@ -915,14 +880,49 @@ class AsyncRuntime(EventQueue):
         acode_a = skeleton.ack_codes
         fcode_a = skeleton.fat_codes
         span = BLOCK_SPAN
-        mask = BLOCK_SPAN - 1  # span is a power of two (asserted below)
-        pairs = BLOCK_PAIRS
+        mask = BLOCK_SPAN - 1  # span is a power of two (checked at import)
         fill_checked = _fill_checked
         heap = self._heap
         counter = self._counter
         push = heappush
         pop = heappop
         rt = self
+
+        def inject(lid: LinkId, payload: Payload) -> None:
+            """Put ``payload`` on the free link ``lid``.
+
+            ``messages`` is not incremented here: it is recovered at run
+            end as the sum of the per-link injection counters.  The (delay,
+            ack) pair comes from the link's block region, refilled at its
+            boundary; the payload and pre-drawn ack go to the side slots
+            when this is the link's only outstanding record, else to a fat
+            record (which stales the slot's pre-drawn ack — the historical
+            redraw rule).
+            """
+            busy_a[lid] = True
+            seq = injected_a[lid] + 1
+            injected_a[lid] = seq
+            i = blk_i_a[lid]
+            if not i & mask:
+                # Block exhausted: cursors sit at a region boundary exactly
+                # when all pairs of the previous cycle are consumed (regions
+                # are power-of-two sized), so no per-link limit is loaded.
+                i -= span
+                fill_checked(blk_fill_a[lid], buf, i, seq, lid, skeleton)
+            blk_i_a[lid] = i + 2
+            p = pending_a[lid]
+            pending_a[lid] = p + 1
+            if p == 0:
+                slot_p_a[lid] = payload
+                slot_ack_a[lid] = buf[i + 1]
+                push(heap, (rt._now + buf[i], next(counter), dcode_a[lid]))
+                return
+            slot_ack_a[lid] = None
+            push(
+                heap,
+                (rt._now + buf[i], next(counter), fcode_a[lid], payload,
+                 seq, buf[i + 1]),
+            )
 
         def send_on(
             lid: LinkId, payload: Payload,
@@ -972,44 +972,13 @@ class AsyncRuntime(EventQueue):
                 seq_a[lid] = seq + 1
                 push(ob, (priority, seq, payload))
                 payload = pop(ob)[2]
-            # Inject, inlined (this is the per-send hot path; the frame
-            # matters).  ``messages`` is not incremented here: it is
-            # recovered at run end as the sum of the per-link injection
-            # counters.  The (delay, ack) pair comes from the link's block
-            # region, refilled at its boundary; the payload and pre-drawn
-            # ack go to the side slots when this is the link's only
-            # outstanding record, else to a fat record (which stales the
-            # slot's pre-drawn ack — the historical redraw rule).
-            busy_a[lid] = True
-            seq = injected_a[lid] + 1
-            injected_a[lid] = seq
-            i = blk_i_a[lid]
-            if not i & mask:
-                # Block exhausted: cursors sit at a region boundary exactly
-                # when all pairs of the previous cycle are consumed (regions
-                # are power-of-two sized), so no per-link limit is loaded.
-                i -= span
-                fill_checked(blk_fill_a[lid], buf, i, seq, pairs)
-            blk_i_a[lid] = i + 2
-            p = pending_a[lid]
-            pending_a[lid] = p + 1
-            if p == 0:
-                slot_p_a[lid] = payload
-                slot_ack_a[lid] = buf[i + 1]
-                push(heap, (rt._now + buf[i], next(counter), dcode_a[lid]))
-                return
-            slot_ack_a[lid] = None
-            push(
-                heap,
-                (rt._now + buf[i], next(counter), fcode_a[lid], payload,
-                 seq, buf[i + 1]),
-            )
+            inject(lid, payload)
 
         def enqueue_from(
             links: Mapping[NodeId, LinkId], u: NodeId, v: NodeId,
             payload: Payload, priority: Priority = DEFAULT_PRIORITY,
         ) -> None:
-            """Node-id send path: one dict probe, then the same body."""
+            """Node-id send path: one dict probe, then ``send_on``."""
             lid = links.get(v)
             if lid is None:
                 # Raised at the send site with both endpoints named: an
@@ -1017,367 +986,29 @@ class AsyncRuntime(EventQueue):
                 # loudly here, not as a bare KeyError deep in the link
                 # table.
                 raise UnknownLinkError(u, v)
-            if busy_a[lid]:
-                rs = reserved_a[lid]
-                if rs is None:
-                    ob = outbox_a[lid]
-                    if ob is None:
-                        ob = outbox_a[lid] = []
-                    seq = seq_a[lid]
-                    seq_a[lid] = seq + 1
-                    push(ob, (priority, seq, payload))
-                    return
-                free_at = free_at_a[lid]
-                now = rt._now
-                if free_at > now or (free_at == now and rs > rt._active_seq):
-                    # See send_on: materialize the reserved drain event.
-                    reserved_a[lid] = None
-                    pending_a[lid] += 1
-                    rt._fused -= 1
-                    push(heap, (free_at, rs, acode_a[lid]))
-                    ob = outbox_a[lid]
-                    if ob is None:
-                        ob = outbox_a[lid] = []
-                    seq = seq_a[lid]
-                    seq_a[lid] = seq + 1
-                    push(ob, (priority, seq, payload))
-                    return
-                reserved_a[lid] = None
-            elif outbox_a[lid]:
-                ob = outbox_a[lid]
-                seq = seq_a[lid]
-                seq_a[lid] = seq + 1
-                push(ob, (priority, seq, payload))
-                payload = pop(ob)[2]
-            busy_a[lid] = True
-            seq = injected_a[lid] + 1
-            injected_a[lid] = seq
-            i = blk_i_a[lid]
-            if not i & mask:
-                # Block exhausted: cursors sit at a region boundary exactly
-                # when all pairs of the previous cycle are consumed (regions
-                # are power-of-two sized), so no per-link limit is loaded.
-                i -= span
-                fill_checked(blk_fill_a[lid], buf, i, seq, pairs)
-            blk_i_a[lid] = i + 2
-            p = pending_a[lid]
-            pending_a[lid] = p + 1
-            if p == 0:
-                slot_p_a[lid] = payload
-                slot_ack_a[lid] = buf[i + 1]
-                push(heap, (rt._now + buf[i], next(counter), dcode_a[lid]))
-                return
-            slot_ack_a[lid] = None
-            push(
-                heap,
-                (rt._now + buf[i], next(counter), fcode_a[lid], payload,
-                 seq, buf[i + 1]),
-            )
-
-        def inject(lid: LinkId, payload: Payload) -> None:
-            """Outbox-drain tail: the link is known free (ack just fired)."""
-            busy_a[lid] = True
-            seq = injected_a[lid] + 1
-            injected_a[lid] = seq
-            i = blk_i_a[lid]
-            if not i & mask:
-                # Block exhausted: cursors sit at a region boundary exactly
-                # when all pairs of the previous cycle are consumed (regions
-                # are power-of-two sized), so no per-link limit is loaded.
-                i -= span
-                fill_checked(blk_fill_a[lid], buf, i, seq, pairs)
-            blk_i_a[lid] = i + 2
-            p = pending_a[lid]
-            pending_a[lid] = p + 1
-            if p == 0:
-                slot_p_a[lid] = payload
-                slot_ack_a[lid] = buf[i + 1]
-                push(heap, (rt._now + buf[i], next(counter), dcode_a[lid]))
-                return
-            slot_ack_a[lid] = None
-            push(
-                heap,
-                (rt._now + buf[i], next(counter), fcode_a[lid], payload,
-                 seq, buf[i + 1]),
-            )
+            send_on(lid, payload, priority)
 
         return send_on, enqueue_from, inject
-
-    def _make_stream_senders(self):
-        """The per-message-closure family (pair/draw/generic fallbacks)."""
-        busy_a = self._busy
-        outbox_a = self._outbox
-        seq_a = self._seq
-        injected_a = self._injected
-        pending_a = self._pending
-        slot_p_a = self._slot_payload
-        slot_ack_a = self._slot_ack
-        pair_a = self._pair
-        draw_a = self._draw
-        free_at_a = self._free_at
-        reserved_a = self._reserved
-        skeleton = self._skeleton
-        dcode_a = skeleton.deliver_codes
-        acode_a = skeleton.ack_codes
-        fcode_a = skeleton.fat_codes
-        heap = self._heap
-        counter = self._counter
-        push = heappush
-        pop = heappop
-        rt = self
-
-        def send_on(
-            lid: LinkId, payload: Payload,
-            priority: Priority = DEFAULT_PRIORITY,
-        ) -> None:
-            """Enqueue on a directed link by dense id (DESIGN.md §8)."""
-            if busy_a[lid]:
-                rs = reserved_a[lid]
-                if rs is None:
-                    ob = outbox_a[lid]
-                    if ob is None:
-                        ob = outbox_a[lid] = []
-                    seq = seq_a[lid]
-                    seq_a[lid] = seq + 1
-                    push(ob, (priority, seq, payload))
-                    return
-                free_at = free_at_a[lid]
-                now = rt._now
-                if free_at > now or (free_at == now and rs > rt._active_seq):
-                    # Materialize the reserved drain event (see the block
-                    # family's send_on for the full story).
-                    reserved_a[lid] = None
-                    pending_a[lid] += 1
-                    rt._fused -= 1
-                    push(heap, (free_at, rs, acode_a[lid]))
-                    ob = outbox_a[lid]
-                    if ob is None:
-                        ob = outbox_a[lid] = []
-                    seq = seq_a[lid]
-                    seq_a[lid] = seq + 1
-                    push(ob, (priority, seq, payload))
-                    return
-                reserved_a[lid] = None
-            elif outbox_a[lid]:
-                ob = outbox_a[lid]
-                seq = seq_a[lid]
-                seq_a[lid] = seq + 1
-                push(ob, (priority, seq, payload))
-                payload = pop(ob)[2]
-            busy_a[lid] = True
-            seq = injected_a[lid] + 1
-            injected_a[lid] = seq
-            pair = pair_a[lid]
-            if pair is not None:
-                delay, ack = pair(seq)
-                if not (0.0 < delay <= TAU and 0.0 < ack <= TAU):
-                    raise InvalidDelayError(
-                        f"pair stream produced ({delay!r}, {ack!r}) outside"
-                        f" (0, {TAU}]"
-                    )
-            else:
-                draw = draw_a[lid]
-                if draw is None:
-                    rt._inject_generic(lid, payload, seq)
-                    return
-                delay = draw(seq)
-                if not 0.0 < delay <= TAU:
-                    raise InvalidDelayError(
-                        f"link stream produced delay {delay!r} outside"
-                        f" (0, {TAU}]"
-                    )
-                ack = None
-            p = pending_a[lid]
-            pending_a[lid] = p + 1
-            if p == 0:
-                slot_p_a[lid] = payload
-                slot_ack_a[lid] = ack
-                push(heap, (rt._now + delay, next(counter), dcode_a[lid]))
-                return
-            slot_ack_a[lid] = None
-            push(
-                heap,
-                (rt._now + delay, next(counter), fcode_a[lid], payload,
-                 seq, ack),
-            )
-
-        def enqueue_from(
-            links: Mapping[NodeId, LinkId], u: NodeId, v: NodeId,
-            payload: Payload, priority: Priority = DEFAULT_PRIORITY,
-        ) -> None:
-            """Node-id send path: one dict probe, then the same body."""
-            lid = links.get(v)
-            if lid is None:
-                raise UnknownLinkError(u, v)
-            if busy_a[lid]:
-                rs = reserved_a[lid]
-                if rs is None:
-                    ob = outbox_a[lid]
-                    if ob is None:
-                        ob = outbox_a[lid] = []
-                    seq = seq_a[lid]
-                    seq_a[lid] = seq + 1
-                    push(ob, (priority, seq, payload))
-                    return
-                free_at = free_at_a[lid]
-                now = rt._now
-                if free_at > now or (free_at == now and rs > rt._active_seq):
-                    reserved_a[lid] = None
-                    pending_a[lid] += 1
-                    rt._fused -= 1
-                    push(heap, (free_at, rs, acode_a[lid]))
-                    ob = outbox_a[lid]
-                    if ob is None:
-                        ob = outbox_a[lid] = []
-                    seq = seq_a[lid]
-                    seq_a[lid] = seq + 1
-                    push(ob, (priority, seq, payload))
-                    return
-                reserved_a[lid] = None
-            elif outbox_a[lid]:
-                ob = outbox_a[lid]
-                seq = seq_a[lid]
-                seq_a[lid] = seq + 1
-                push(ob, (priority, seq, payload))
-                payload = pop(ob)[2]
-            busy_a[lid] = True
-            seq = injected_a[lid] + 1
-            injected_a[lid] = seq
-            pair = pair_a[lid]
-            if pair is not None:
-                delay, ack = pair(seq)
-                if not (0.0 < delay <= TAU and 0.0 < ack <= TAU):
-                    raise InvalidDelayError(
-                        f"pair stream produced ({delay!r}, {ack!r}) outside"
-                        f" (0, {TAU}]"
-                    )
-            else:
-                draw = draw_a[lid]
-                if draw is None:
-                    rt._inject_generic(lid, payload, seq)
-                    return
-                delay = draw(seq)
-                if not 0.0 < delay <= TAU:
-                    raise InvalidDelayError(
-                        f"link stream produced delay {delay!r} outside"
-                        f" (0, {TAU}]"
-                    )
-                ack = None
-            p = pending_a[lid]
-            pending_a[lid] = p + 1
-            if p == 0:
-                slot_p_a[lid] = payload
-                slot_ack_a[lid] = ack
-                push(heap, (rt._now + delay, next(counter), dcode_a[lid]))
-                return
-            slot_ack_a[lid] = None
-            push(
-                heap,
-                (rt._now + delay, next(counter), fcode_a[lid], payload,
-                 seq, ack),
-            )
-
-        def inject(lid: LinkId, payload: Payload) -> None:
-            """Outbox-drain tail: the link is known free (ack just fired)."""
-            busy_a[lid] = True
-            seq = injected_a[lid] + 1
-            injected_a[lid] = seq
-            pair = pair_a[lid]
-            if pair is not None:
-                delay, ack = pair(seq)
-                if not (0.0 < delay <= TAU and 0.0 < ack <= TAU):
-                    raise InvalidDelayError(
-                        f"pair stream produced ({delay!r}, {ack!r}) outside"
-                        f" (0, {TAU}]"
-                    )
-            else:
-                draw = draw_a[lid]
-                if draw is None:
-                    rt._inject_generic(lid, payload, seq)
-                    return
-                delay = draw(seq)
-                if not 0.0 < delay <= TAU:
-                    raise InvalidDelayError(
-                        f"link stream produced delay {delay!r} outside"
-                        f" (0, {TAU}]"
-                    )
-                ack = None
-            p = pending_a[lid]
-            pending_a[lid] = p + 1
-            if p == 0:
-                slot_p_a[lid] = payload
-                slot_ack_a[lid] = ack
-                push(heap, (rt._now + delay, next(counter), dcode_a[lid]))
-                return
-            slot_ack_a[lid] = None
-            push(
-                heap,
-                (rt._now + delay, next(counter), fcode_a[lid], payload,
-                 seq, ack),
-            )
-
-        return send_on, enqueue_from, inject
-
-    def _inject_generic(self, lid: LinkId, payload: Payload, seq: int) -> None:
-        """Draw from an arbitrary DelayModel callable, with bound checks."""
-        now = self._now
-        u = self._lu[lid]
-        v = self._lv[lid]
-        delay = self.delay_model(u, v, seq, now)
-        # Membership-style test: NaN fails every comparison, so non-finite
-        # draws land here too instead of corrupting heap order downstream.
-        if not 0.0 < delay <= TAU:
-            raise InvalidDelayError(
-                f"delay model produced {delay!r} outside (0, {TAU}] on {u}->{v}"
-            )
-        skeleton = self._skeleton
-        p = self._pending[lid]
-        self._pending[lid] = p + 1
-        if p == 0:
-            self._slot_payload[lid] = payload
-            self._slot_ack[lid] = None
-            heappush(
-                self._heap,
-                (now + delay, next(self._counter), skeleton.deliver_codes[lid]),
-            )
-            return
-        self._slot_ack[lid] = None
-        heappush(
-            self._heap,
-            (now + delay, next(self._counter), skeleton.fat_codes[lid],
-             payload, seq, None),
-        )
 
     def _ack_delay(self, lid: LinkId) -> float:
-        """Ack delay drawn at delivery time, as the reference engine does.
+        """Ack delay redrawn at delivery time, as the reference engine does.
 
         Uses ``-injected`` (the link's latest injection number): if an
         ``on_delivered`` callback slipped an extra injection in before this
         delivery's acknowledgment was scheduled, the draw must see it —
         byte-for-byte reproducibility against the pre-rework engine depends
         on this detail (fat injections invalidate the slot's pre-drawn ack
-        precisely to route those deliveries here).  Reverse streams are
-        bound lazily, one per link that ever re-draws (the block and pair
-        fast paths pre-draw virtually all acknowledgments, so most replays
-        bind none).
+        precisely to route those deliveries here).  Every other
+        acknowledgment is pre-drawn by the block fill, so this runs for a
+        few hundred messages per run at most.
         """
-        ack_draw = self._ack_draw[lid]
-        if ack_draw is None:
-            factory = self._stream_factory
-            if factory is not None:
-                ack_draw = self._ack_draw[lid] = factory(
-                    self._lv[lid], self._lu[lid]
-                )
-        if ack_draw is not None:
-            ack_delay = ack_draw(-self._injected[lid])
-        else:
-            ack_delay = self.delay_model(
-                self._lv[lid], self._lu[lid], -self._injected[lid], self._now
-            )
+        u = self._lu[lid]
+        v = self._lv[lid]
+        ack_delay = self.delay_model(v, u, -self._injected[lid], self._now)
         if not 0.0 < ack_delay <= TAU:
             raise InvalidDelayError(
                 f"delay model produced ack delay {ack_delay!r} outside"
-                f" (0, {TAU}] on {self._lv[lid]}->{self._lu[lid]}"
+                f" (0, {TAU}] on {v}->{u}"
             )
         return ack_delay
 
@@ -1586,7 +1217,7 @@ class AsyncRuntime(EventQueue):
 
         One unbatched, unfused variant (``run`` delegates here only when a
         non-empty :class:`~repro.net.faults.FaultSchedule` is active, so the
-        fault-free fast loops are untouched).  Per record:
+        fault-free loop is untouched).  Per record:
 
         * **delivery** (packed or fat) — receiver crashed: the message
           vanishes (``dropped``) and the sender's link jams (no ack ever;
@@ -1611,8 +1242,7 @@ class AsyncRuntime(EventQueue):
         for v in self.graph.nodes:  # ``nodes`` is an ascending range
             if crash_t[v] > 0.0:
                 self.schedule(0.0, processes[v].on_start)
-        if self._blk_i is not None:
-            self._blk_i[:] = self._skeleton.blk_lims
+        self._blk_i[:] = self._skeleton.blk_lims
         self._schedule_detectors()
         for v in self.graph.nodes:
             t_rejoin = rejoin_t[v]
@@ -1842,8 +1472,7 @@ class AsyncRuntime(EventQueue):
             seq = next(counter)
             push(heap, (0.0, seq, EV_CALLBACK, processes[v].on_start))
             cb_node[seq] = v
-        if self._blk_i is not None:
-            self._blk_i[:] = self._skeleton.blk_lims
+        self._blk_i[:] = self._skeleton.blk_lims
 
         crashable = tuple(controller.crashable)
         rejoinable = tuple(getattr(controller, "rejoinable", ()))
@@ -2157,13 +1786,12 @@ class AsyncRuntime(EventQueue):
         processes = self.processes
         for v in self.graph.nodes:  # ``nodes`` is an ascending range
             self.schedule(0.0, processes[v].on_start)
-        if self._blk_i is not None:
-            # Force a refill on every link: a shared block buffer may have
-            # been dirtied by another replay since construction (sweeps
-            # hand one buffer across replays).  Refills re-derive the same
-            # values from the model's pure streams, so this is free for a
-            # fresh runtime and correct for a resumed one.
-            self._blk_i[:] = self._skeleton.blk_lims
+        # Force a refill on every link: a shared block buffer may have been
+        # dirtied by another replay since construction (sweeps hand one
+        # buffer across replays).  Refills re-derive the same values from
+        # the model's pure fills, so this is free for a fresh runtime and
+        # correct for a resumed one.
+        self._blk_i[:] = self._skeleton.blk_lims
 
         # The dispatch loop, inlined: every construct here is deliberate —
         # record pops, per-kind branches, and the ack push run without any
@@ -2217,223 +1845,125 @@ class AsyncRuntime(EventQueue):
         # Latest fused-ack time never materialized as an event; quiescence
         # still accounts for it (Appendix B pays for acknowledgments).
         horizon = 0.0
+        deadline = inf if max_time is None else max_time
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            if trace is None and max_time is None:
-                # Fast variant: no deadline or trace checks per event.
-                while heap:
-                    if budget == 0:
-                        stop_reason = "max_events"
-                        break
-                    budget -= 1
-                    record = pop(heap)
-                    self._now = now = record[0]
-                    self._active_seq = record[1]
-                    code = record[2]
-                    if code >= CODE_DELIVER:
-                        lid = code - CODE_DELIVER
-                        dst = lv[lid]
-                        table = table_a[lid]
-                        # Same-time batch: keep consuming heap-top records
-                        # while they are packed deliveries at this instant
-                        # for this destination (strict (time, seq) order —
-                        # any other record ends the batch).
-                        while True:
-                            payload = slot_p_a[lid]
-                            acks += 1
-                            # Pre-drawn ack delay; a fat injection racing
-                            # this delivery invalidated it, so None covers
-                            # both draw-at-delivery models and the
-                            # historical double-inject redraw.
-                            ack = slot_ack_a[lid]
-                            if ack is None:
-                                # Redraw path: a generic draw-at-delivery
-                                # model, or a fat injection raced this
-                                # delivery (it invalidates the slot ack) —
-                                # only then can other records be outstanding
-                                # or the link be free, so only here does the
-                                # materialize test need the full condition.
-                                ack = self._ack_delay(lid)
-                                mat = (outbox_a[lid] or pending_a[lid] - 1
-                                       or not busy_a[lid])
-                            else:
-                                # Packed-delivery invariant: a live slot ack
-                                # means nothing else happened on the link —
-                                # exactly one outstanding record (this one),
-                                # still busy, every send queued — so the
-                                # outbox load alone decides.  The kind split
-                                # is decided here so ack dispatch re-checks
-                                # nothing.
-                                mat = outbox_a[lid]
-                            delivered = delivered_a[lid]
-                            if delivered is not None and (
-                                prefix_a[lid] is None
-                                or payload[0] == prefix_a[lid]
-                            ):
-                                # The sender wants this payload's callback:
-                                # the ack materializes regardless of mat.
-                                push(heap, (now + ack, next(counter),
-                                            apcode_a[lid], payload))
-                            elif mat:
-                                push(heap, (now + ack, next(counter),
-                                            acode_a[lid]))
-                            else:
-                                # Fuse: no callback, nothing queued,
-                                # nothing else outstanding — reserve the
-                                # ack's identity instead of pushing an
-                                # event.
-                                pending_a[lid] = 0
-                                fused += 1
-                                t_ack = now + ack
-                                free_at_a[lid] = t_ack
-                                reserved_a[lid] = next(counter)
-                                if t_ack > horizon:
-                                    horizon = t_ack
-                            if table is not None:
-                                table[payload[0]](lu[lid], payload)
-                            else:
-                                deliver_a[lid](lu[lid], payload)
-                            if not heap:
-                                break
-                            nxt = heap[0]
-                            if nxt[0] != now or nxt[2] < CODE_DELIVER:
-                                break
-                            lid = nxt[2] - CODE_DELIVER
-                            if lv[lid] != dst:
-                                break
-                            if budget == 0:
-                                break
-                            budget -= 1
-                            record = pop(heap)
-                            self._active_seq = record[1]
-                    elif code >= CODE_ACK:
-                        # Bare acknowledgment: free the link, drain the
-                        # outbox — no callback or interest checks.
-                        lid = code - CODE_ACK
-                        pending_a[lid] -= 1
-                        busy_a[lid] = False
-                        ob = outbox_a[lid]
-                        if ob:
-                            inject(lid, heappop(ob)[2])
-                    elif code >= CODE_ACK_PAYLOAD:
-                        # The sender wants this payload's on_delivered
-                        # (decided at delivery time — nothing re-checked).
-                        lid = code - CODE_ACK_PAYLOAD
-                        pending_a[lid] -= 1
-                        busy_a[lid] = False
-                        delivered_a[lid](lv[lid], record[3])
-                        ob = outbox_a[lid]
-                        if ob:
-                            inject(lid, heappop(ob)[2])
-                    elif code >= CODE_DELIVER_PAYLOAD:
+            while heap:
+                if heap[0][0] > deadline:
+                    stop_reason = "max_time"
+                    break
+                if budget == 0:
+                    stop_reason = "max_events"
+                    break
+                budget -= 1
+                record = pop(heap)
+                self._now = now = record[0]
+                self._active_seq = record[1]
+                code = record[2]
+                if code >= CODE_DELIVER:
+                    lid = code - CODE_DELIVER
+                    dst = lv[lid]
+                    table = table_a[lid]
+                    # Same-time batch: keep consuming heap-top records
+                    # while they are packed deliveries at this instant for
+                    # this destination (strict (time, seq) order — any
+                    # other record ends the batch).
+                    while True:
+                        payload = slot_p_a[lid]
+                        if trace is not None:
+                            trace(now, lu[lid], dst, payload)
                         acks += 1
-                        h = self._deliver_fat(record, now)
-                        if h:
+                        # Pre-drawn ack delay; a fat injection racing this
+                        # delivery invalidated it.
+                        ack = slot_ack_a[lid]
+                        if ack is None:
+                            # Redraw path: only after a fat injection can
+                            # other records be outstanding or the link be
+                            # free, so only here does the materialize test
+                            # need the full condition.
+                            ack = self._ack_delay(lid)
+                            mat = (outbox_a[lid] or pending_a[lid] - 1
+                                   or not busy_a[lid])
+                        else:
+                            # Packed-delivery invariant: a live slot ack
+                            # means nothing else happened on the link —
+                            # exactly one outstanding record (this one),
+                            # still busy, every send queued — so the outbox
+                            # load alone decides.  The kind split is decided
+                            # here so ack dispatch re-checks nothing.
+                            mat = outbox_a[lid]
+                        delivered = delivered_a[lid]
+                        if delivered is not None and (
+                            prefix_a[lid] is None
+                            or payload[0] == prefix_a[lid]
+                        ):
+                            # The sender wants this payload's callback: the
+                            # ack materializes regardless of mat.
+                            push(heap, (now + ack, next(counter),
+                                        apcode_a[lid], payload))
+                        elif mat:
+                            push(heap, (now + ack, next(counter),
+                                        acode_a[lid]))
+                        else:
+                            # Fuse: no callback, nothing queued, nothing
+                            # else outstanding — reserve the ack's identity
+                            # instead of pushing an event.
+                            pending_a[lid] = 0
                             fused += 1
-                            if h > horizon:
-                                horizon = h
-                    else:
-                        record[3]()
-            else:
-                deadline = float("inf") if max_time is None else max_time
-                while heap:
-                    if heap[0][0] > deadline:
-                        stop_reason = "max_time"
-                        break
-                    if budget == 0:
-                        stop_reason = "max_events"
-                        break
-                    budget -= 1
-                    record = pop(heap)
-                    self._now = now = record[0]
-                    self._active_seq = record[1]
-                    code = record[2]
-                    if code >= CODE_DELIVER:
-                        lid = code - CODE_DELIVER
-                        dst = lv[lid]
-                        table = table_a[lid]
-                        while True:
-                            payload = slot_p_a[lid]
-                            if trace is not None:
-                                trace(now, lu[lid], dst, payload)
-                            acks += 1
-                            ack = slot_ack_a[lid]
-                            if ack is None:
-                                # See the fast variant: redraw implies the
-                                # full materialize test.
-                                ack = self._ack_delay(lid)
-                                mat = (outbox_a[lid] or pending_a[lid] - 1
-                                       or not busy_a[lid])
-                            else:
-                                # Packed-delivery invariant: the outbox
-                                # load alone decides.
-                                mat = outbox_a[lid]
-                            delivered = delivered_a[lid]
-                            if delivered is not None and (
-                                prefix_a[lid] is None
-                                or payload[0] == prefix_a[lid]
-                            ):
-                                push(heap, (now + ack, next(counter),
-                                            apcode_a[lid], payload))
-                            elif mat:
-                                push(heap, (now + ack, next(counter),
-                                            acode_a[lid]))
-                            else:
-                                # Fuse: reserve the ack's identity
-                                # instead of pushing an event (see the
-                                # fast variant).
-                                pending_a[lid] = 0
-                                fused += 1
-                                t_ack = now + ack
-                                free_at_a[lid] = t_ack
-                                reserved_a[lid] = next(counter)
-                                if t_ack > horizon:
-                                    horizon = t_ack
-                            if table is not None:
-                                table[payload[0]](lu[lid], payload)
-                            else:
-                                deliver_a[lid](lu[lid], payload)
-                            # Same-time batch (records at ``now`` passed the
-                            # deadline check with the batch head).
-                            if not heap:
-                                break
-                            nxt = heap[0]
-                            if nxt[0] != now or nxt[2] < CODE_DELIVER:
-                                break
-                            lid = nxt[2] - CODE_DELIVER
-                            if lv[lid] != dst:
-                                break
-                            if budget == 0:
-                                break
-                            budget -= 1
-                            record = pop(heap)
-                            self._active_seq = record[1]
-                    elif code >= CODE_ACK:
-                        lid = code - CODE_ACK
-                        pending_a[lid] -= 1
-                        busy_a[lid] = False
-                        ob = outbox_a[lid]
-                        if ob:
-                            inject(lid, heappop(ob)[2])
-                    elif code >= CODE_ACK_PAYLOAD:
-                        lid = code - CODE_ACK_PAYLOAD
-                        pending_a[lid] -= 1
-                        busy_a[lid] = False
-                        delivered_a[lid](lv[lid], record[3])
-                        ob = outbox_a[lid]
-                        if ob:
-                            inject(lid, heappop(ob)[2])
-                    elif code >= CODE_DELIVER_PAYLOAD:
-                        acks += 1
-                        h = self._deliver_fat(record, now)
-                        if h:
-                            fused += 1
-                            if h > horizon:
-                                horizon = h
-                    else:
-                        record[3]()
+                            t_ack = now + ack
+                            free_at_a[lid] = t_ack
+                            reserved_a[lid] = next(counter)
+                            if t_ack > horizon:
+                                horizon = t_ack
+                        if table is not None:
+                            table[payload[0]](lu[lid], payload)
+                        else:
+                            deliver_a[lid](lu[lid], payload)
+                        # Records at ``now`` passed the deadline check with
+                        # the batch head.
+                        if not heap:
+                            break
+                        nxt = heap[0]
+                        if nxt[0] != now or nxt[2] < CODE_DELIVER:
+                            break
+                        lid = nxt[2] - CODE_DELIVER
+                        if lv[lid] != dst:
+                            break
+                        if budget == 0:
+                            break
+                        budget -= 1
+                        record = pop(heap)
+                        self._active_seq = record[1]
+                elif code >= CODE_ACK:
+                    # Bare acknowledgment: free the link, drain the outbox —
+                    # no callback or interest checks.
+                    lid = code - CODE_ACK
+                    pending_a[lid] -= 1
+                    busy_a[lid] = False
+                    ob = outbox_a[lid]
+                    if ob:
+                        inject(lid, heappop(ob)[2])
+                elif code >= CODE_ACK_PAYLOAD:
+                    # The sender wants this payload's on_delivered (decided
+                    # at delivery time — nothing re-checked).
+                    lid = code - CODE_ACK_PAYLOAD
+                    pending_a[lid] -= 1
+                    busy_a[lid] = False
+                    delivered_a[lid](lv[lid], record[3])
+                    ob = outbox_a[lid]
+                    if ob:
+                        inject(lid, heappop(ob)[2])
+                elif code >= CODE_DELIVER_PAYLOAD:
+                    acks += 1
+                    h = self._deliver_fat(record, now)
+                    if h:
+                        fused += 1
+                        if h > horizon:
+                            horizon = h
+                else:
+                    record[3]()
         finally:
             if gc_was_enabled:
                 gc.enable()

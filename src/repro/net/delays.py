@@ -102,52 +102,44 @@ def _unit(base: int, seq: int) -> float:
 
 
 class DelayModel(Protocol):
-    """Callable assigning a delay in ``(0, TAU]`` to one message injection."""
+    """Callable assigning a delay in ``(0, TAU]`` to one message injection.
+
+    A delay is a pure function of ``(u, v, seq)``: the same triple always
+    yields the same float.  ``now`` is not a time source — models must not
+    read it, and the transport passes ``0.0`` when it draws delays ahead of
+    time in blocks (see :func:`call_block_stream`).
+    """
 
     def __call__(self, u: NodeId, v: NodeId, seq: int, now: float) -> float:
         """Delay for the ``seq``-th message injected on the link u -> v."""
 
 
-# Models may additionally expose ``link_stream(u, v) -> Callable[[int], float]``
-# returning a single-argument draw function with the per-link base already
-# bound.  The transport caches one stream per directed link and calls it per
-# injection, skipping the (u, v) dict probe and the ``now`` plumbing — only
-# valid for models whose delays do not depend on ``now``, which the stream
-# contract asserts.  Stream results MUST lie in (0, TAU]; the transport
-# trusts them without re-validating.
-#
-# Models may further expose ``pair_stream(u, v) -> Callable[[int], (float,
-# float)]`` drawing the message delay *and* its acknowledgment delay in one
-# call: ``pair(seq)`` must equal ``(link_stream(u, v)(seq),
-# link_stream(v, u)(-seq))`` bit-for-bit (the transport draws acknowledgments
-# as the reverse link's stream at the negated injection number).  One closure
-# call per message replaces two, and both draws share the closure's captured
-# bases.  The transport still keeps ``link_stream`` bound as a fallback for
-# the rare delivery whose link acquired an extra in-flight injection (see
-# ``AsyncRuntime``): such acks must be re-drawn at the link's *latest*
-# injection number to stay byte-identical with the reference engine.
-#
-# Finally, models may expose ``block_stream(u, v) -> fill`` where
+# The transport pre-draws every delay through one shape, ``block_stream(u,
+# v) -> fill`` (only the rare delivery-time ack redraw calls ``__call__``
+# directly), where
 #
 #     fill(buf, base, start, n) -> None
 #
 # writes the (message delay, ack delay) pairs for injection numbers
 # ``start, start+1, ..., start+n-1`` into the flat float buffer ``buf`` at
-# ``buf[base + 2*k]`` / ``buf[base + 2*k + 1]`` — exactly the values
-# ``pair_stream(u, v)(start + k)`` would return, bit-for-bit (pinned by
-# ``tests/test_delays.py`` over 10k triples including block boundaries).
-# ``buf`` is any index-assignable float sequence — the transport passes a
-# plain list (see ``make_block_buffer``; an ``array('d')`` was measured
-# and rejected there), but fills must stick to indexed stores rather than
-# list-slice assignment so array-like buffers keep working too.  The
-# transport refills one
-# block of :data:`BLOCK_PAIRS` pairs per call and then serves
+# ``buf[base + 2*k]`` / ``buf[base + 2*k + 1]``: exactly
+# ``model(u, v, start + k, now)`` and ``model(v, u, -(start + k), now)``,
+# bit-for-bit (acknowledgments are the reverse link's draw at the negated
+# injection number; pinned by ``tests/test_delays.py`` over 10k triples
+# including block boundaries).  Every shipped model implements it with its
+# per-link bases bound once; :func:`call_block_stream` derives it from a
+# plain ``__call__`` for any other model.  ``buf`` is any index-assignable
+# float sequence — the transport passes a plain list (see
+# ``make_block_buffer``; an ``array('d')`` was measured and rejected
+# there), but fills must stick to indexed stores rather than list-slice
+# assignment so array-like buffers keep working too.  The transport
+# refills one block of :data:`BLOCK_PAIRS` pairs per call and then serves
 # :data:`BLOCK_PAIRS` consecutive injections from two indexed loads each,
-# eliminating the per-message closure call (and its result tuple) from the
-# send hot path; per-link injection numbers are strictly sequential, so
-# blocks are always drawn in order and never re-queried.  A block is
-# filled eagerly — a link that sends fewer than BLOCK_PAIRS messages
-# wastes the tail draws — which is why the block is small.
+# so the send hot path makes no per-message model call; per-link injection
+# numbers are strictly sequential, so blocks are always drawn in order and
+# never re-queried.  A block is filled eagerly — a link that sends fewer
+# than BLOCK_PAIRS messages wastes the tail draws — which is why the block
+# is small.
 
 #: Pairs per block fill.  Small on purpose: a block is drawn eagerly, so a
 #: link that sends m messages wastes ``(-m) % BLOCK_PAIRS`` tail draws, and
@@ -157,6 +149,24 @@ class DelayModel(Protocol):
 #: footprint (16 floats per active link) negligible while still cutting the
 #: per-message model call to one-eighth.
 BLOCK_PAIRS = 8
+
+
+def call_block_stream(model: DelayModel, u: NodeId, v: NodeId):
+    """The block fill of ``model``'s link u -> v, drawn through ``__call__``.
+
+    The transport's adapter for models without a ``block_stream`` of their
+    own (plain functions included): one model call per slot, the message
+    at ``seq`` and its acknowledgment on the reverse link at ``-seq``.
+    """
+
+    def fill(buf, base: int, start: int, n: int) -> None:
+        i = base
+        for k in range(start, start + n):
+            buf[i] = model(u, v, k, 0.0)
+            buf[i + 1] = model(v, u, -k, 0.0)
+            i += 2
+
+    return fill
 
 
 class ConstantDelay:
@@ -169,14 +179,6 @@ class ConstantDelay:
 
     def __call__(self, u: NodeId, v: NodeId, seq: int, now: float) -> float:
         return self.value
-
-    def link_stream(self, u: NodeId, v: NodeId):
-        value = self.value
-        return lambda seq: value
-
-    def pair_stream(self, u: NodeId, v: NodeId):
-        pair = (self.value, self.value)
-        return lambda seq: pair
 
     def block_stream(self, u: NodeId, v: NodeId):
         value = self.value
@@ -199,8 +201,7 @@ class UniformDelay:
     when the *pattern* of slow messages is what the experiment stresses.
     """
 
-    __slots__ = ("seed", "low", "high", "_span", "_seed64", "_links", "_streams",
-                 "_pairs", "_blocks")
+    __slots__ = ("seed", "low", "high", "_span", "_seed64", "_links", "_blocks")
 
     def __init__(self, seed: int, low: float = _MIN_DELAY, high: float = TAU) -> None:
         if not 0 < low <= high <= TAU:
@@ -211,8 +212,6 @@ class UniformDelay:
         self._span = high - low
         self._seed64 = _model_seed("uniform", seed)
         self._links: Dict[Tuple[NodeId, NodeId], float] = {}
-        self._streams: Dict[Tuple[NodeId, NodeId], object] = {}
-        self._pairs: Dict[Tuple[NodeId, NodeId], object] = {}
         self._blocks: Dict[Tuple[NodeId, NodeId], object] = {}
 
     def __call__(self, u: NodeId, v: NodeId, seq: int, now: float) -> float:
@@ -220,43 +219,9 @@ class UniformDelay:
         base = links.get((u, v))
         if base is None:
             base = links[(u, v)] = _link_base(self._seed64, u, v) * _INV_2_32
-        # Identical expression to the stream below — the two paths must
+        # Identical expression to the block fill below — the two paths must
         # produce bit-equal floats (the equivalence tests rely on it).
         return self.low + self._span * ((base + seq * _WEYL) % 1.0)
-
-    def link_stream(self, u: NodeId, v: NodeId):
-        stream = self._streams.get((u, v))
-        if stream is not None:
-            return stream
-        base = _link_base(self._seed64, u, v) * _INV_2_32
-        low = self.low
-        span = self._span
-
-        def draw(seq: int) -> float:
-            return low + span * ((base + seq * _WEYL) % 1.0)
-
-        self._streams[(u, v)] = draw
-        return draw
-
-    def pair_stream(self, u: NodeId, v: NodeId):
-        stream = self._pairs.get((u, v))
-        if stream is not None:
-            return stream
-        fwd = _link_base(self._seed64, u, v) * _INV_2_32
-        rev = _link_base(self._seed64, v, u) * _INV_2_32
-        low = self.low
-        span = self._span
-
-        def pair(seq: int) -> Tuple[float, float]:
-            # Both expressions are verbatim copies of the single-stream draw
-            # (ack at the negated seq) so the two APIs are bit-equal.
-            return (
-                low + span * ((fwd + seq * _WEYL) % 1.0),
-                low + span * ((rev + (-seq) * _WEYL) % 1.0),
-            )
-
-        self._pairs[(u, v)] = pair
-        return pair
 
     def block_stream(self, u: NodeId, v: NodeId):
         fill = self._blocks.get((u, v))
@@ -268,9 +233,9 @@ class UniformDelay:
         span = self._span
 
         def fill(buf, base: int, start: int, n: int) -> None:
-            # Same expressions as pair_stream's draw, seq by seq (the ack at
-            # the negated seq: ``rev - k*phi`` equals ``rev + (-k)*phi``
-            # bit-for-bit under IEEE negation), so the three APIs agree.
+            # Same expressions as __call__, seq by seq (the ack at the
+            # negated seq: ``rev - k*phi`` equals ``rev + (-k)*phi``
+            # bit-for-bit under IEEE negation), so the two paths agree.
             i = base
             for k in range(start, start + n):
                 buf[i] = low + span * ((fwd + k * _WEYL) % 1.0)
@@ -281,10 +246,9 @@ class UniformDelay:
         return fill
 
     def __reduce__(self):
-        # The stream/pair/block closures memoized on the instance are pure
-        # functions of (seed, link) and don't pickle; a shipped model
-        # rebuilds from its constructor state and re-derives bit-equal
-        # streams on demand (shard workers rely on this — DESIGN.md §14).
+        # The block closures memoized on the instance are pure functions
+        # of (seed, link) and don't pickle; a shipped model rebuilds from
+        # its constructor state and re-derives bit-equal fills on demand (shard workers rely on this — DESIGN.md §14).
         return (UniformDelay, (self.seed, self.low, self.high))
 
     def __repr__(self) -> str:
@@ -323,63 +287,6 @@ class BimodalDelay:
         d = self.fast * _unit(bases[1], seq)
         return d if d > _MIN_DELAY else _MIN_DELAY
 
-    def link_stream(self, u: NodeId, v: NodeId):
-        pick_base = _link_base(self._pick64, u, v)
-        fast_base = _link_base(self._fast64, u, v)
-        slow_fraction = self.slow_fraction
-        fast = self.fast
-
-        def draw(seq: int) -> float:
-            # Integer hashing on purpose: the slow/fast pattern must stay
-            # i.i.d.-like (see module docstring).
-            if _unit(pick_base, seq) <= slow_fraction:
-                return TAU
-            d = fast * _unit(fast_base, seq)
-            return d if d > _MIN_DELAY else _MIN_DELAY
-
-        return draw
-
-    def pair_stream(self, u: NodeId, v: NodeId):
-        pick_f = _link_base(self._pick64, u, v)
-        fast_f = _link_base(self._fast64, u, v)
-        pick_r = _link_base(self._pick64, v, u)
-        fast_r = _link_base(self._fast64, v, u)
-        slow_fraction = self.slow_fraction
-        fast = self.fast
-
-        def pair(seq: int) -> Tuple[float, float]:
-            # _unit inlined (identical arithmetic, bit-equal results): the
-            # pair draw makes up to four unit draws per message, and the
-            # function-call overhead dominated the Bimodal sweep replay.
-            x = (pick_f ^ (seq * _K1)) & _MASK32
-            x = (((x >> 16) ^ x) * _C1) & _MASK32
-            x = (((x >> 16) ^ x) * _C1) & _MASK32
-            if (((x >> 16) ^ x) + 1) * _INV_2_32 <= slow_fraction:
-                d = TAU
-            else:
-                x = (fast_f ^ (seq * _K1)) & _MASK32
-                x = (((x >> 16) ^ x) * _C1) & _MASK32
-                x = (((x >> 16) ^ x) * _C1) & _MASK32
-                d = fast * ((((x >> 16) ^ x) + 1) * _INV_2_32)
-                if d <= _MIN_DELAY:
-                    d = _MIN_DELAY
-            rs = -seq
-            x = (pick_r ^ (rs * _K1)) & _MASK32
-            x = (((x >> 16) ^ x) * _C1) & _MASK32
-            x = (((x >> 16) ^ x) * _C1) & _MASK32
-            if (((x >> 16) ^ x) + 1) * _INV_2_32 <= slow_fraction:
-                a = TAU
-            else:
-                x = (fast_r ^ (rs * _K1)) & _MASK32
-                x = (((x >> 16) ^ x) * _C1) & _MASK32
-                x = (((x >> 16) ^ x) * _C1) & _MASK32
-                a = fast * ((((x >> 16) ^ x) + 1) * _INV_2_32)
-                if a <= _MIN_DELAY:
-                    a = _MIN_DELAY
-            return d, a
-
-        return pair
-
     def block_stream(self, u: NodeId, v: NodeId):
         pick_f = _link_base(self._pick64, u, v)
         fast_f = _link_base(self._fast64, u, v)
@@ -389,7 +296,11 @@ class BimodalDelay:
         fast = self.fast
 
         def fill(buf, base: int, start: int, n: int) -> None:
-            # _unit inlined, identical arithmetic to pair_stream (bit-equal).
+            # _unit inlined (identical arithmetic to __call__, bit-equal):
+            # a pair makes up to four unit draws, and the function-call
+            # overhead dominated the Bimodal sweep replay.  Integer hashing
+            # on purpose: the slow/fast pattern must stay i.i.d.-like (see
+            # module docstring).
             i = base
             for k in range(start, start + n):
                 x = (pick_f ^ (k * _K1)) & _MASK32
@@ -457,7 +368,7 @@ class SlowEdgesDelay:
         # hashed pick are keyed on the *canonical* (sorted) edge, so a link's
         # acknowledgment always shares its message's speed class.  The
         # property test in tests/test_delays.py pins this invariant — the
-        # pair_stream fast path and the fused-ack horizon both rely on it.
+        # slow block fill and the fused-ack horizon both rely on it.
         key = edge_key(u, v)
         if self._edges is not None:
             return key in self._edges
@@ -475,47 +386,6 @@ class SlowEdgesDelay:
         d = self.fast * _unit(entry[1], seq)
         return d if d > _MIN_DELAY else _MIN_DELAY
 
-    def link_stream(self, u: NodeId, v: NodeId):
-        if self._is_slow(u, v):
-            return lambda seq: TAU
-        fast_base = _link_base(self._fast64, u, v)
-        fast = self.fast
-
-        def draw(seq: int) -> float:
-            d = fast * _unit(fast_base, seq)
-            return d if d > _MIN_DELAY else _MIN_DELAY
-
-        return draw
-
-    def pair_stream(self, u: NodeId, v: NodeId):
-        if self._is_slow(u, v):
-            # The slow class is symmetric (see _is_slow), so the ack
-            # direction is maximally slow too.
-            pair = (TAU, TAU)
-            return lambda seq: pair
-        fast_f = _link_base(self._fast64, u, v)
-        fast_r = _link_base(self._fast64, v, u)
-        fast = self.fast
-
-        def pair(seq: int) -> Tuple[float, float]:
-            # _unit inlined (identical arithmetic, bit-equal results).
-            x = (fast_f ^ (seq * _K1)) & _MASK32
-            x = (((x >> 16) ^ x) * _C1) & _MASK32
-            x = (((x >> 16) ^ x) * _C1) & _MASK32
-            d = fast * ((((x >> 16) ^ x) + 1) * _INV_2_32)
-            if d <= _MIN_DELAY:
-                d = _MIN_DELAY
-            rs = -seq
-            x = (fast_r ^ (rs * _K1)) & _MASK32
-            x = (((x >> 16) ^ x) * _C1) & _MASK32
-            x = (((x >> 16) ^ x) * _C1) & _MASK32
-            a = fast * ((((x >> 16) ^ x) + 1) * _INV_2_32)
-            if a <= _MIN_DELAY:
-                a = _MIN_DELAY
-            return d, a
-
-        return pair
-
     def block_stream(self, u: NodeId, v: NodeId):
         if self._is_slow(u, v):
             # The slow class is symmetric (see _is_slow): message and ack
@@ -530,7 +400,7 @@ class SlowEdgesDelay:
         fast = self.fast
 
         def fill(buf, base: int, start: int, n: int) -> None:
-            # _unit inlined, identical arithmetic to pair_stream (bit-equal).
+            # _unit inlined, identical arithmetic to __call__ (bit-equal).
             i = base
             for k in range(start, start + n):
                 x = (fast_f ^ (k * _K1)) & _MASK32
@@ -580,24 +450,6 @@ class AlternatingDelay:
         fast_turn = (seq % 2 == 0) == phase
         return 0.01 if fast_turn else TAU
 
-    def link_stream(self, u: NodeId, v: NodeId):
-        phase = _unit(_link_base(self._seed64, u, v), 0) < 0.5
-        return lambda seq: 0.01 if (seq % 2 == 0) == phase else TAU
-
-    def pair_stream(self, u: NodeId, v: NodeId):
-        phase_f = _unit(_link_base(self._seed64, u, v), 0) < 0.5
-        phase_r = _unit(_link_base(self._seed64, v, u), 0) < 0.5
-
-        def pair(seq: int) -> Tuple[float, float]:
-            # (-seq) % 2 == seq % 2, so the ack's parity equals the message's.
-            even = seq % 2 == 0
-            return (
-                0.01 if even == phase_f else TAU,
-                0.01 if even == phase_r else TAU,
-            )
-
-        return pair
-
     def block_stream(self, u: NodeId, v: NodeId):
         phase_f = _unit(_link_base(self._seed64, u, v), 0) < 0.5
         phase_r = _unit(_link_base(self._seed64, v, u), 0) < 0.5
@@ -606,7 +458,7 @@ class AlternatingDelay:
 
         def fill(buf, base: int, start: int, n: int) -> None:
             # (-k) % 2 == k % 2 in sign-magnitude parity terms, so the ack
-            # shares the message's parity — same as pair_stream.
+            # shares the message's parity — same as __call__.
             i = base
             for k in range(start, start + n):
                 even = k % 2 == 0
@@ -636,17 +488,6 @@ class DirectionalSkewDelay:
         toward_higher_id = v > u
         slow = toward_higher_id == self.slow_up
         return TAU if slow else 0.02
-
-    def link_stream(self, u: NodeId, v: NodeId):
-        delay = TAU if (v > u) == self.slow_up else 0.02
-        return lambda seq: delay
-
-    def pair_stream(self, u: NodeId, v: NodeId):
-        pair = (
-            TAU if (v > u) == self.slow_up else 0.02,
-            TAU if (u > v) == self.slow_up else 0.02,
-        )
-        return lambda seq: pair
 
     def block_stream(self, u: NodeId, v: NodeId):
         d = TAU if (v > u) == self.slow_up else 0.02

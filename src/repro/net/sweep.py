@@ -19,7 +19,7 @@ What is and is not shared (the contract the equivalence tests pin):
   once), the accounting flags, and — as pure scratch — one flat delay-block
   buffer (DESIGN.md §9) whose *allocation* is amortized across replays
   while its contents are refilled per replay from each model's pure
-  streams;
+  block fills;
 * rebuilt per replay: every piece of mutable state — link slots, side
   slots, block cursors, outboxes, the event heap, process instances — so
   each replay is byte-identical to a standalone ``AsyncRuntime`` run under
@@ -128,12 +128,10 @@ class AsyncSweep:
         # DESIGN.md §9) handed to every replay, so the sweep pays the
         # allocation once instead of once per delay model.  Pure scratch:
         # each replay resets its per-link cursors and refills from its own
-        # model's pure streams, so replay order cannot leak through it —
+        # model's pure block fills, so replay order cannot leak through it —
         # replays only must not run concurrently, which ``run_all`` (and
         # every other sequential driver) satisfies by construction.
-        # Allocated lazily on first use: models without ``block_stream``
-        # never need it.
-        self._block_buffer = None
+        self._block_buffer = make_block_buffer(self._skeleton.num_links)
 
     def __getstate__(self):
         """Pickle state for shard workers (repro.net.shard, DESIGN.md §14).
@@ -160,17 +158,10 @@ class AsyncSweep:
         # Make the shipped assignment authoritative for this graph copy in
         # the unpickling process, then share whichever table the cache holds.
         self._skeleton = adopt_skeleton(self.graph, skeleton)
-        self._block_buffer = None
+        self._block_buffer = make_block_buffer(self._skeleton.num_links)
 
     def runtime(self, delay_model: DelayModel, trace: Optional[TraceFn] = None) -> AsyncRuntime:
         """A fresh runtime over the shared skeleton (one replay's engine)."""
-        block_buffer = None
-        if getattr(delay_model, "block_stream", None) is not None:
-            block_buffer = self._block_buffer
-            if block_buffer is None:
-                block_buffer = self._block_buffer = make_block_buffer(
-                    self._skeleton.num_links
-                )
         return AsyncRuntime(
             self.graph,
             self.process_factory,
@@ -179,7 +170,7 @@ class AsyncSweep:
             trace=trace,
             count_fused_acks=self.count_fused_acks,
             skeleton=self._skeleton,
-            block_buffer=block_buffer,
+            block_buffer=self._block_buffer,
             faults=self.faults,
             detect_timeout=self.detect_timeout,
         )

@@ -6,7 +6,9 @@ import pytest
 
 from repro.net import (
     AsyncRuntime,
+    AsyncSweep,
     ConstantDelay,
+    FaultSchedule,
     Graph,
     Process,
     UniformDelay,
@@ -443,3 +445,92 @@ class TestDeterminism:
 
         with pytest.raises(ValueError, match="outside"):
             run_asynchronous(g, Echo, bad_delay)
+
+
+class ResendGossip(Process):
+    """Max-flood that also re-sends from ``on_delivered``.
+
+    Every node opens with two messages per neighbor, so an acknowledgment
+    usually finds the outbox non-empty: the callback's send and the drain
+    then both inject (the double-inject race), and the second delivery's
+    ack is redrawn through ``AsyncRuntime._ack_delay``.
+    """
+
+    def on_start(self):
+        self.best = self.ctx.node_id
+        self.resent = 0
+        for v in self.ctx.neighbors:
+            self.ctx.send(v, ("g", self.best))
+            self.ctx.send(v, ("h", self.best))
+
+    def on_message(self, sender, payload):
+        if payload[1] > self.best:
+            self.best = payload[1]
+            self.ctx.set_output(self.best)
+            for v in self.ctx.neighbors:
+                self.ctx.send(v, ("g", self.best))
+
+    def on_delivered(self, to, payload):
+        if self.resent < 3:
+            self.resent += 1
+            self.ctx.send(to, ("x", self.resent))
+
+
+def _plain(model, redraws):
+    """``model`` as a bare function: no ``block_stream`` to find.
+
+    Counts the draws made with a nonzero ``now``: block fills pass 0.0,
+    so those are exactly the delivery-time ack redraws.
+    """
+
+    def delay(u, v, seq, now):
+        if now:
+            redraws.append((u, v, seq))
+        return model(u, v, seq, now)
+
+    return delay
+
+
+_FAULTS = {
+    "fault-free": None,
+    "drops+downs": FaultSchedule(seed=3, drop_rate=0.2, down_rate=0.3),
+}
+
+
+@pytest.mark.parametrize("faults", sorted(_FAULTS))
+@pytest.mark.parametrize("model_idx", range(8))
+def test_plain_function_model_matches_native(model_idx, faults):
+    """A standard adversary wrapped as a plain function runs through the
+    ``__call__`` block adapter and yields the same trace and result as the
+    native ``block_stream``, bit for bit — standalone and as a sweep
+    replay, fault-free and under drops and down intervals."""
+    graph = topology.grid_graph(3, 4)
+    schedule = _FAULTS[faults]
+
+    def run(model, sweep=False):
+        trace = []
+
+        def record(t, u, v, p):
+            trace.append((t, u, v, p))
+
+        if sweep:
+            result = AsyncSweep(graph, ResendGossip, faults=schedule).run(
+                model, trace=record
+            )
+        else:
+            result = AsyncRuntime(
+                graph, ResendGossip, model, faults=schedule, trace=record
+            ).run()
+        return repr(trace), result
+
+    native_trace, native = run(standard_adversaries(4)[model_idx])
+    redraws = []
+    plain = _plain(standard_adversaries(4)[model_idx], redraws)
+    assert not hasattr(plain, "block_stream")
+    plain_trace, plain_result = run(plain)
+    assert plain_trace == native_trace
+    assert repr(plain_result) == repr(native)
+    assert redraws, "no ack was redrawn through __call__"
+    sweep_trace, sweep_result = run(plain, sweep=True)
+    assert sweep_trace == native_trace
+    assert repr(sweep_result) == repr(native)

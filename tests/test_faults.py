@@ -440,7 +440,7 @@ def test_sweep_replays_pin_faulty_schedules():
 # draw-time delay validation (InvalidDelayError)
 # ----------------------------------------------------------------------
 class _BadGeneric:
-    """No stream attributes: exercises the generic injection path."""
+    """No ``block_stream``: exercises the ``__call__`` block adapter."""
 
     def __init__(self, value):
         self.value = value
@@ -450,7 +450,8 @@ class _BadGeneric:
 
 
 class _BadPair:
-    """pair_stream producing an invalid forward delay."""
+    """Legacy ``pair_stream``/``link_stream`` shapes the transport no longer
+    reads: the invalid delay must still be caught through ``__call__``."""
 
     def __init__(self, delay, ack=0.5):
         self._pair = (delay, ack)
@@ -499,6 +500,21 @@ class _Sender(Process):
         pass
 
 
+class _BadAckBlock:
+    """block_stream with valid message slots and NaN acknowledgment slots."""
+
+    def __call__(self, u, v, seq, now):
+        return 0.5 if seq > 0 else nan
+
+    def block_stream(self, u, v):
+        def fill(buf, base, start, n):
+            for i in range(base, base + 2 * n, 2):
+                buf[i] = 0.5
+                buf[i + 1] = nan
+
+        return fill
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, nan, inf, 1.0000001])
 def test_generic_path_rejects_bad_delay(bad):
     with pytest.raises(InvalidDelayError):
@@ -511,16 +527,26 @@ def test_pair_stream_path_rejects_bad_delay(bad):
         AsyncRuntime(topology.path_graph(2), _Sender, _BadPair(bad)).run()
 
 
-def test_pair_stream_path_rejects_bad_ack():
-    with pytest.raises(InvalidDelayError):
-        AsyncRuntime(
-            topology.path_graph(2), _Sender, _BadPair(0.5, ack=nan)
-        ).run()
+def test_block_stream_path_rejects_bad_ack():
+    # The ack of the 0->1 message travels 1->0; the error names both.
+    with pytest.raises(InvalidDelayError, match=r"on 1->0 \(ack of 0->1"):
+        AsyncRuntime(topology.path_graph(2), _Sender, _BadAckBlock()).run()
+
+
+def test_fill_error_names_first_bad_slot():
+    # Valid until injection 3: the first fill covers injections 1..8, so
+    # it fails there and names the message slot of injection 3.
+    def late_bad(u, v, seq, now):
+        return 0.5 if abs(seq) < 3 else 1.5
+
+    with pytest.raises(InvalidDelayError,
+                       match=r"1\.5 .* on 0->1 \(message, injection 3\)"):
+        AsyncRuntime(topology.path_graph(2), _Sender, late_bad).run()
 
 
 @pytest.mark.parametrize("bad", [0.0, nan, inf])
 def test_block_stream_path_rejects_bad_delay(bad):
-    with pytest.raises(InvalidDelayError):
+    with pytest.raises(InvalidDelayError, match=r"on 0->1 \(message"):
         AsyncRuntime(topology.path_graph(2), _Sender, _BadBlock(bad)).run()
 
 
