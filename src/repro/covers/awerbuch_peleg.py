@@ -26,7 +26,7 @@ Guarantees (proved by the classic arguments, asserted in tests):
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, List, Set
 
 from ..net.graph import Graph, NodeId
 from .cluster import ClusterTree, bfs_cluster_tree
@@ -38,24 +38,15 @@ def build_ap_cover(graph: Graph, d: int) -> SparseCover:
     if d < 1:
         raise ValueError("radius must be >= 1")
     _require_connected(graph)
-    layers = (graph.bfs_layers(v, d) for v in graph.nodes)
-    return _grow_cover(graph, d, _balls(graph, layers, d))
+    return _grow_cover(graph, d)
 
 
 def build_ap_layered_cover(graph: Graph, d: int) -> LayeredCover:
-    """Layered sparse d-cover: one AP cover per power of two up to d.
-
-    Every level's balls are prefixes of one BFS per node, truncated at the
-    top radius, so the graph is searched once rather than once per level.
-    """
+    """Layered sparse d-cover: one AP cover per power of two up to d."""
     top = required_top_level(d)
     _require_connected(graph)
-    layers = [graph.bfs_layers(v, 1 << top) for v in graph.nodes]
     return LayeredCover(
-        levels={
-            j: _grow_cover(graph, 1 << j, _balls(graph, layers, 1 << j))
-            for j in range(top + 1)
-        }
+        levels={j: _grow_cover(graph, 1 << j) for j in range(top + 1)}
     )
 
 
@@ -64,28 +55,14 @@ def _require_connected(graph: Graph) -> None:
         raise ValueError("sparse covers require a connected graph")
 
 
-def _balls(
-    graph: Graph, layers: Iterable[Tuple[List[NodeId], List[int]]], d: int
-) -> Dict[NodeId, FrozenSet[NodeId]]:
-    """``B(v, d)`` for every node ``v``, sliced from its BFS order.
+def _grow_cover(graph: Graph, d: int) -> SparseCover:
+    """The greedy ball-of-balls coarsening at radius ``d``.
 
-    ``layers`` yields ``graph.bfs_layers(v, depth)`` for ``v = 0, 1, ...``
-    with ``depth >= d``.  Every ball that is the whole (connected) graph,
-    i.e. ``d >= ecc(v)``, shares one frozenset.
+    No per-node ball is ever built.  Hop distance is symmetric, so the
+    centers ``w`` whose ball ``B(w, d)`` touches the cluster are exactly
+    those in ``B(nodes, d)``, and absorbing a set ``T`` of centers adds
+    ``B(T, d)``: one growth round is two truncated multi-source BFS runs.
     """
-    n = graph.num_nodes
-    everything = frozenset(graph.nodes)
-    balls: Dict[NodeId, FrozenSet[NodeId]] = {}
-    for v, (order, ends) in enumerate(layers):
-        size = ends[min(d, len(ends) - 1)]
-        balls[v] = everything if size == n else frozenset(order[:size])
-    return balls
-
-
-def _grow_cover(
-    graph: Graph, d: int, balls: Dict[NodeId, FrozenSet[NodeId]]
-) -> SparseCover:
-    """The greedy ball-of-balls coarsening over precomputed d-balls."""
     remaining: Set[NodeId] = set(graph.nodes)
     clusters: List[ClusterTree] = []
     home: Dict[NodeId, int] = {}
@@ -98,20 +75,14 @@ def _grow_cover(
         while unprocessed:
             seed = min(unprocessed)
             absorbed: Set[NodeId] = {seed}
-            nodes: Set[NodeId] = set(balls[seed])
+            nodes: Set[NodeId] = set(graph.ball_around((seed,), d))
             while True:
-                touching = {
-                    w
-                    for w in unprocessed
-                    if w not in absorbed and not nodes.isdisjoint(balls[w])
-                }
+                touching = (graph.ball_around(nodes, d) & unprocessed) - absorbed
                 if len(touching) <= len(absorbed):
                     boundary = touching
                     break
                 absorbed |= touching
-                # Union of unions: order-free, sorted() for determinism.
-                for w in sorted(touching):
-                    nodes |= balls[w]
+                nodes |= graph.ball_around(touching, d)
             tree = bfs_cluster_tree(
                 graph, next_id, members=nodes, root=seed, allowed=frozenset(nodes)
             )

@@ -238,6 +238,42 @@ class Graph:
         order, _ = self.bfs_layers(center, radius)
         return frozenset(order) if radius >= 0 else frozenset()
 
+    def ball_around(
+        self, sources: Iterable[NodeId], radius: float
+    ) -> FrozenSet[NodeId]:
+        """All nodes within hop distance ``radius`` of some node in ``sources``.
+
+        Hop distance is symmetric, so this is both the union of
+        ``ball(s, radius)`` over the sources and the set of nodes whose own
+        ``radius``-ball meets ``sources`` — from one multi-source BFS that
+        stops after layer ``radius``.
+        """
+        n = self._n
+        adj = self._adj
+        seen = bytearray(n)
+        frontier: List[NodeId] = []
+        for s in sorted(sources):
+            if not (0 <= s < n):
+                raise ValueError(f"source {s} outside 0..{n - 1}")
+            if not seen[s]:
+                seen[s] = 1
+                frontier.append(s)
+        if radius < 0:
+            return frozenset()
+        reached = list(frontier)
+        depth = 0
+        while frontier and depth + 1 <= radius:
+            depth += 1
+            layer: List[NodeId] = []
+            for u in frontier:
+                for v in adj[u]:
+                    if not seen[v]:
+                        seen[v] = 1
+                        layer.append(v)
+            reached += layer
+            frontier = layer
+        return frozenset(reached)
+
     def is_connected(self) -> bool:
         return INFINITY not in self.bfs_distances(0)
 

@@ -305,6 +305,75 @@ class TestApCoverIdentity:
             "034d5be9bd016637", "0c75e19e356ff85c", "bb1113b2c0b12879",
         ] + ["fbfc752e382e5562"] * 5
 
+    def test_grid_64x64_shape(self):
+        # The grid half of the ms4096 sweep cell, at the radius it builds.
+        g = topology.grid_graph(64, 64)
+        layered = build_ap_layered_cover(g, 1024)
+        levels = [layered.levels[j] for j in sorted(layered.levels)]
+        assert [len(c.clusters) for c in levels] == [
+            905, 178, 44, 14, 6, 3, 1, 1, 1, 1, 1]
+        assert [c.max_membership for c in levels] == [
+            5, 5, 4, 4, 4, 3, 1, 1, 1, 1, 1]
+        assert [cover_digest(c) for c in levels] == [
+            "5b9ca607f3b49d9f", "79519d78c7293dcb", "4005d3c48a11edbb",
+            "6bc607222dbd2fe2", "ace878b35d97004a", "a3bd3776b676f3b3",
+        ] + ["db18aca48a4d02b3"] * 5
+
+
+def _ball_scan_cover(graph, d):
+    """Reference AP growth loop: every node's ball built up front, and each
+    round scans the unprocessed centers for balls that touch the cluster."""
+    balls = {v: graph.ball(v, d) for v in graph.nodes}
+    remaining = set(graph.nodes)
+    clusters, home, next_id = [], {}, 0
+    while remaining:
+        unprocessed = set(remaining)
+        while unprocessed:
+            seed = min(unprocessed)
+            absorbed = {seed}
+            nodes = set(balls[seed])
+            while True:
+                touching = {
+                    w
+                    for w in unprocessed
+                    if w not in absorbed and not nodes.isdisjoint(balls[w])
+                }
+                if len(touching) <= len(absorbed):
+                    boundary = touching
+                    break
+                absorbed |= touching
+                for w in sorted(touching):
+                    nodes |= balls[w]
+            clusters.append(bfs_cluster_tree(
+                graph, next_id, members=nodes, root=seed, allowed=frozenset(nodes)
+            ))
+            for w in sorted(absorbed):
+                home[w] = next_id
+            next_id += 1
+            unprocessed -= absorbed
+            unprocessed -= boundary
+            remaining -= absorbed
+    return SparseCover.from_clusters(d, clusters, home)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["erdos_renyi", "random_tree"]),
+    n=st.integers(min_value=2, max_value=32),
+    p=st.floats(min_value=0.0, max_value=0.4),
+    seed=st.integers(min_value=0, max_value=500),
+    d=st.integers(min_value=1, max_value=64),
+)
+def test_growth_loop_matches_ball_scan(family, n, p, seed, d):
+    # d ranges past every diameter (< n), so whole-graph balls are covered.
+    if family == "erdos_renyi":
+        g = topology.erdos_renyi_graph(n, p, seed)
+    else:
+        g = topology.random_tree(n, seed)
+    assert cover_digest(build_ap_cover(g, d)) == cover_digest(
+        _ball_scan_cover(g, d)
+    )
+
 
 @settings(max_examples=30, deadline=None)
 @given(
