@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..net.async_runtime import AsyncRuntime, ProcessContext
+from ..net.async_runtime import AsyncRuntime
 from ..net.delays import DelayModel
 from ..net.faults import DETECT_TIMEOUT, FaultSchedule
 from ..net.graph import Graph, NodeId
@@ -74,28 +74,13 @@ class RecoverySynchronizerProcess(SynchronizerProcess):
 
     Subclass per run via :func:`run_churn` (the same ``type(...)`` binding
     pattern as :func:`~repro.core.synchronizer.run_synchronized`).
+    Deliveries keep the opcode-table fast path: the fail-stop guard
+    against a pruned sender's stragglers lives in the transport's link
+    table (:meth:`~repro.net.async_runtime.ProcessContext.mute`), so it
+    costs nothing per delivered message.
     """
 
     recovery = True
-
-    def __init__(self, ctx: ProcessContext) -> None:
-        super().__init__(ctx)
-        # Fail-stop enforcement: once a neighbor is pruned, nothing it said
-        # may reach the modules — a pre-crash message deferred across a
-        # down interval can arrive arbitrarily late.  The guard costs one
-        # set probe per delivered message, so the opcode-table fast path is
-        # disabled for recovery runs.
-        node = self.node
-        inner = node.handle
-        pruned = node._pruned
-
-        def guarded(sender: NodeId, payload: Tuple) -> None:
-            if sender in pruned:
-                return
-            inner(sender, payload)
-
-        self.on_message = guarded
-        self.on_message_table = None
 
     def on_start(self) -> None:
         if self.ctx.now > 0.0:
@@ -113,8 +98,12 @@ class RecoverySynchronizerProcess(SynchronizerProcess):
     def on_neighbor_dead(self, neighbor: NodeId) -> None:
         # Clear the jammed link first (a send into the crashed node never
         # acks, wedging the outbox), then detach the neighbor from every
-        # protocol wait set.
+        # protocol wait set.  Fail-stop enforcement: once the neighbor is
+        # pruned nothing it said may reach the modules — a pre-crash
+        # message deferred across a down interval can arrive arbitrarily
+        # late — so its incoming link is muted.
         self.ctx.reset_link(neighbor)
+        self.ctx.mute(neighbor)
         self.node.prune_neighbor(neighbor)
 
     def on_neighbor_alive(self, neighbor: NodeId) -> None:
@@ -122,6 +111,7 @@ class RecoverySynchronizerProcess(SynchronizerProcess):
         # every pre-rejoin message on the shared link has been delivered or
         # voided, so readmitting the neighbor cannot let a stale word from
         # its previous incarnation slip past the pruned-sender guard.
+        self.ctx.unmute(neighbor)
         self.node.readmit_neighbor(neighbor)
 
 

@@ -63,16 +63,13 @@ A message usually costs no acknowledgment event at all: when nobody waits
 on an ack (no ``on_delivered`` interest, nothing queued or outstanding on
 the link), the ack's ``(time, seq)`` identity is merely *reserved* and the
 event is materialized only if a later send actually has to wait on it.
-
-Same-time deliveries to one destination are *batched*: after dispatching a
-delivery the loop keeps consuming heap-top records as long as they are
-packed deliveries at the same instant for the same node, reusing the
-hoisted ``on_message`` binding without re-entering the outer per-event
-bookkeeping.  Records are still consumed strictly in ``(time, seq)`` order
-— any interleaved record (another destination, an acknowledgment, a
-callback, a fat delivery) ends the batch — so the schedule is
-byte-identical to the unbatched loop (pinned by
-``tests/test_engine_equivalence.py``).
+Same-time packed deliveries to one destination are *batched* without
+re-entering the outer per-event bookkeeping, still strictly in
+``(time, seq)`` order (any other record ends the batch), so the schedule
+is byte-identical to the unbatched loop (pinned by
+``tests/test_engine_equivalence.py``).  Under a fault schedule the same
+loop runs unbatched, every transport record passes the fault checks, and
+only acks whose firing would be a no-op are fused (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -139,6 +136,10 @@ def make_block_buffer(num_links: int) -> MutableSequence[float]:
     stays a few hundred KB even at n=1024.)
     """
     return [0.0] * (BLOCK_SPAN * num_links)
+
+
+def _drop_delivery(sender: NodeId, payload: Payload) -> None:
+    """Receive handler of a muted link (see :meth:`ProcessContext.mute`)."""
 
 
 def _fill_checked(
@@ -454,6 +455,33 @@ class ProcessContext:
         """
         self._runtime._reset_link(self.links[to])
 
+    def mute(self, neighbor: NodeId) -> None:
+        """Discard every later delivery from ``neighbor`` (recovery hook).
+
+        Swaps the incoming link's link-table entries for a drop handler, so
+        the transport discards a pruned sender's stragglers (a pre-crash
+        message deferred across a down interval can arrive arbitrarily
+        late) while every other delivery keeps its opcode-table dispatch.
+        Acknowledgments still return.  A rejoin of this node clears its
+        mutes (the fresh incarnation is wired unmuted).
+        """
+        lid = self._in_link(neighbor)
+        self._runtime._table[lid] = None
+        self._runtime._deliver[lid] = _drop_delivery
+
+    def unmute(self, neighbor: NodeId) -> None:
+        """Undo :meth:`mute`: deliveries from ``neighbor`` reach this node's
+        current handlers again.  A no-op for a link that is not muted."""
+        lid = self._in_link(neighbor)
+        proc = self._runtime.processes[self.node_id]
+        self._runtime._table[lid] = proc.on_message_table
+        self._runtime._deliver[lid] = proc.on_message
+
+    def _in_link(self, neighbor: NodeId) -> LinkId:
+        if neighbor not in self.links:
+            raise UnknownLinkError(self.node_id, neighbor)
+        return self._runtime._out[neighbor][self.node_id]
+
     def set_output(self, value: Any) -> None:
         self._runtime._record_output(self.node_id, value)
 
@@ -561,14 +589,14 @@ class ScheduleController:
 
     When an instance is passed to :class:`AsyncRuntime`, ``run()`` enters
     :meth:`AsyncRuntime._run_controlled` instead of the clock-driven
-    dispatch loops: the heap becomes an unordered bag of *enabled* events,
+    dispatch loop: the heap becomes an unordered bag of *enabled* events,
     and at every step the controller is shown all of them (plus the
     synthetic crash/detect actions below) and picks which one fires next.
     The delay model still runs — record timestamps and acknowledgment
     redraws are drawn exactly as always, so a replayed choice sequence
     reproduces the execution bit-for-bit — but it no longer *orders*
     anything.  With no controller installed this machinery is never
-    touched and the fault-free dispatch loop is byte-identical.
+    touched and the clock-driven dispatch loop is byte-identical.
 
     ``crashable`` folds fail-stop branch points into the schedule space:
     every node listed here contributes a ``crash`` action to the enabled
@@ -631,7 +659,8 @@ class AsyncRuntime(EventQueue):
       invalidate the slot ack to trigger exactly the historical
       double-inject redraws);
     * ``_deliver[lid]`` / ``_table[lid]`` — the receiver's bound
-      ``on_message`` and optional opcode dispatch table;
+      ``on_message`` and optional opcode dispatch table (a drop handler
+      and ``None`` while muted);
     * ``_delivered[lid]`` / ``_ack_prefix[lid]`` — the sender's overridden
       ``on_delivered`` (or ``None``) and its interest prefix;
     * ``_blk_fill[lid]`` / ``_blk_i[lid]`` (+ the flat ``_blk_buf``) —
@@ -688,8 +717,8 @@ class AsyncRuntime(EventQueue):
         buffer concurrently.  By default each runtime allocates its own.
         ``faults`` is an optional :class:`~repro.net.faults.FaultSchedule`;
         an empty schedule is normalized to ``None`` so it provably cannot
-        perturb the fault-free schedule (the fault-free dispatch loop is
-        only entered when no schedule is active).  ``detect_timeout`` is
+        perturb the fault-free schedule (the dispatch loop's fault branches
+        are only taken when a schedule is active).  ``detect_timeout`` is
         how long after a neighbor's crash its failure detector fires (sound
         for any value > 2*TAU; see :data:`~repro.net.faults.DETECT_TIMEOUT`).
         """
@@ -793,46 +822,51 @@ class AsyncRuntime(EventQueue):
         self.output_time: Dict[NodeId, float] = {}
         self._time_to_output = 0.0
         self.processes: Dict[NodeId, Process] = {}
+        self._deliver: List[Optional[Callable]] = [None] * n_links
+        self._table: List[Optional[Tuple[Callable, ...]]] = [None] * n_links
+        self._delivered: List[Optional[Callable]] = [None] * n_links
+        self._ack_prefix: List[Any] = [None] * n_links
         for v in graph.nodes:
             self.processes[v] = process_factory(ProcessContext(self, v))
-        processes = self.processes
-        base_delivered = Process.on_delivered
-        deliver = self._deliver = [None] * n_links
-        table = self._table = [None] * n_links
-        delivered = self._delivered = [None] * n_links
-        ack_prefix = self._ack_prefix = [None] * n_links
-        # One-time per-process table validation: the dispatch loops call
-        # ``table[payload[0]]`` unguarded (in-simulation traffic is
-        # trusted), so a short table or a ``None`` gap must fail loudly
-        # here, at wiring time, not as an ``IndexError``/``TypeError``
-        # mid-run.
-        for node, proc in processes.items():
-            tab = proc.on_message_table
-            if tab is None:
-                continue
-            expected = type(proc).NUM_OPCODES
-            if expected is not None and len(tab) != expected:
+        for v, proc in self.processes.items():
+            self._wire(v, proc)
+
+    def _wire(self, v: NodeId, proc: Process) -> None:
+        """Bind ``proc``'s handlers into node ``v``'s link-table entries.
+
+        Incoming links get its ``on_message`` and opcode table, outgoing
+        ones its ``on_delivered`` interest (``None`` unless overridden).
+        The table is validated here, once: the dispatch loops call
+        ``table[payload[0]]`` unguarded (in-simulation traffic is trusted),
+        so a short table or a ``None`` gap must fail loudly at wiring time,
+        not as an ``IndexError``/``TypeError`` mid-run.
+        """
+        cls = type(proc)
+        tab = proc.on_message_table
+        if tab is not None:
+            if cls.NUM_OPCODES is not None and len(tab) != cls.NUM_OPCODES:
                 raise ValueError(
-                    f"node {node}: {type(proc).__name__}.on_message_table"
+                    f"node {v}: {cls.__name__}.on_message_table"
                     f" has {len(tab)} entries but the class declares"
-                    f" NUM_OPCODES = {expected}"
+                    f" NUM_OPCODES = {cls.NUM_OPCODES}"
                 )
             for op, handler in enumerate(tab):
                 if not callable(handler):
                     raise ValueError(
-                        f"node {node}: {type(proc).__name__}"
+                        f"node {v}: {cls.__name__}"
                         f".on_message_table[{op}] is not callable"
                         f" ({handler!r}); every slot in the opcode range"
                         f" must be a bound handler"
                     )
-        for lid in range(n_links):
-            dst = processes[lv[lid]]
-            src = processes[lu[lid]]
-            deliver[lid] = dst.on_message
-            table[lid] = dst.on_message_table
-            if type(src).on_delivered is not base_delivered:
-                delivered[lid] = src.on_delivered
-                ack_prefix[lid] = type(src).ACK_INTEREST_PREFIX
+        overrides = cls.on_delivered is not Process.on_delivered
+        delivered = proc.on_delivered if overrides else None
+        prefix = cls.ACK_INTEREST_PREFIX if overrides else None
+        for w, lid_out in self._out[v].items():
+            lid_in = self._out[w][v]
+            self._deliver[lid_in] = proc.on_message
+            self._table[lid_in] = tab
+            self._delivered[lid_out] = delivered
+            self._ack_prefix[lid_out] = prefix
 
     # ------------------------------------------------------------------
     def _record_output(self, node: NodeId, value: Any) -> None:
@@ -1012,55 +1046,6 @@ class AsyncRuntime(EventQueue):
             )
         return ack_delay
 
-    def _deliver_fat(self, record: Tuple, now: float) -> float:
-        """Dispatch one fat delivery record (the double-inject race only).
-
-        Returns the fused-ack time when the acknowledgment was fused, else
-        0.0 (the caller folds it into its quiescence horizon).  Mirrors the
-        packed-delivery branch of the run loop exactly, reading the payload
-        / injection number / pre-drawn ack from the record instead of the
-        side slots; rare enough that attribute traffic does not matter.
-        """
-        lid = record[2] - CODE_DELIVER_PAYLOAD
-        payload = record[3]
-        if self.trace is not None:
-            self.trace(now, self._lu[lid], self._lv[lid], payload)
-        ack = record[5]
-        if ack is None or self._injected[lid] != record[4]:
-            ack = self._ack_delay(lid)
-        pending_a = self._pending
-        p_cnt = pending_a[lid] - 1
-        delivered = self._delivered[lid]
-        fused_at = 0.0
-        if delivered is not None and (
-            self._ack_prefix[lid] is None
-            or payload[0] == self._ack_prefix[lid]
-        ):
-            heappush(
-                self._heap,
-                (now + ack, next(self._counter),
-                 self._skeleton.ack_payload_codes[lid], payload),
-            )
-        elif self._outbox[lid] or p_cnt or not self._busy[lid]:
-            heappush(
-                self._heap,
-                (now + ack, next(self._counter),
-                 self._skeleton.ack_codes[lid]),
-            )
-        else:
-            # The caller (run loop) counts the fuse when it sees the
-            # nonzero return — ``fused`` is a loop local there.
-            pending_a[lid] = 0
-            fused_at = now + ack
-            self._free_at[lid] = fused_at
-            self._reserved[lid] = next(self._counter)
-        table = self._table[lid]
-        if table is not None:
-            table[payload[0]](self._lu[lid], payload)
-        else:
-            self._deliver[lid](self._lu[lid], payload)
-        return fused_at
-
     # ------------------------------------------------------------------
     # fault mode (DESIGN.md §11)
     # ------------------------------------------------------------------
@@ -1071,18 +1056,56 @@ class AsyncRuntime(EventQueue):
         crashed receiver never acknowledges, so without this the Appendix B
         discipline would queue the live sender's messages forever.  Any
         record already in flight on the link stays scheduled — its fate is
-        decided at fire time by the fault checks.
+        decided at fire time by the fault checks — and so does a fused ack:
+        its reservation goes (a leftover one would let a later send inject
+        while a message is in flight), materialized first, as ``send_on``
+        does, if the ack has not logically fired yet.
         """
         self._busy[lid] = False
         ob = self._outbox[lid]
         if ob:
             ob.clear()
         self._slot_ack[lid] = None
+        rs = self._reserved[lid]
+        if rs is not None:
+            self._reserved[lid] = None
+            free_at = self._free_at[lid]
+            now = self._now
+            if free_at > now or (free_at == now and rs > self._active_seq):
+                self._pending[lid] += 1
+                self._fused -= 1
+                heappush(self._heap,
+                         (free_at, rs, self._skeleton.ack_codes[lid]))
 
-    def _schedule_detectors(self) -> None:
-        """Schedule the perfect-failure-detector callbacks (DESIGN.md §11).
+    def _ack_held(self, record: Tuple, lid: LinkId, now: float) -> bool:
+        """Fault checks of one ack record (DESIGN.md §11); True if consumed:
+        *void* (in flight across an endpoint's rejoin: only the pending
+        count drains; checked before deferral so a void record is never
+        re-sequenced past the watermark), *deferred* to the end of a down
+        interval, or for a *dead sender* (the link frees, but no
+        ``on_delivered`` and no outbox drain: its queue dies with it).
+        """
+        if record[1] < self._stale_seq[lid]:
+            self._pending[lid] -= 1
+            return True
+        down = self._down_fn[lid]
+        if down is not None:
+            end = down(now)
+            if end > 0.0:
+                heappush(self._heap, (end, next(self._counter)) + record[2:])
+                return True
+        sender = self._lu[lid]
+        if self._crash_t[sender] <= now < self._rejoin_t[sender]:
+            self._pending[lid] -= 1
+            self._busy[lid] = False
+            return True
+        return False
 
-        Every live neighbor of a crashed node learns of the crash exactly
+    def _schedule_faults(self) -> None:
+        """Schedule the fault callbacks: failure detectors, then re-joins.
+
+        The failure detectors are perfect (DESIGN.md §11): every live
+        neighbor of a crashed node learns of the crash exactly
         ``detect_timeout`` after it happens.  This is the abstraction of a
         missing acknowledgment/Go-Ahead timeout: any message in flight
         toward (or from) a node that crashes at ``t`` resolves by
@@ -1121,6 +1144,12 @@ class AsyncRuntime(EventQueue):
                 # gets the callback (same object as ``proc`` on any
                 # schedule without rejoins).
                 self.schedule_at(t_fire, partial(self._fire_dead, u, c))
+        for v in self.graph.nodes:
+            if rejoin_t[v] < inf:
+                # Setup-scheduled, so the callback's sequence number is
+                # below every transport record's: at equal timestamps the
+                # rejoin fires first and same-time traffic is void.
+                self.schedule_at(rejoin_t[v], partial(self._rejoin_node, v))
 
     def _fire_dead(self, observer: NodeId, corpse: NodeId) -> None:
         """Deliver ``on_neighbor_dead`` to whoever holds ``observer`` *now*."""
@@ -1134,37 +1163,17 @@ class AsyncRuntime(EventQueue):
         """Rebuild node ``v`` with fresh protocol state and re-arm its links.
 
         The engine-agnostic half of a re-join (DESIGN.md §15): a fresh
-        process from the original factory replaces the corpse, every
-        incident directed link is re-wired to the new incarnation's
-        handlers (incoming: ``on_message``/dispatch table; outgoing:
-        ``on_delivered`` interest), and both directions are reset — the
-        jam a crashed receiver left behind clears, queued traffic toward
-        the corpse is discarded.  Timing-specific bookkeeping (stale-seq
-        watermarks / bag removal, ``on_start``, alive detectors) stays
-        with the caller.
+        process from the original factory replaces the corpse and is wired
+        into every incident link (unmuted), and both directions are reset.
+        Timing-specific bookkeeping (stale-seq watermarks / bag removal,
+        ``on_start``, alive detectors) stays with the caller.
         """
         proc = self._process_factory(ProcessContext(self, v))
         self.processes[v] = proc
-        base_delivered = Process.on_delivered
-        deliver = self._deliver
-        table = self._table
-        delivered = self._delivered
-        ack_prefix = self._ack_prefix
-        out = self._out
-        overrides = type(proc).on_delivered is not base_delivered
-        for w in self.graph.neighbors(v):
-            lid_out = out[v][w]
-            lid_in = out[w][v]
-            deliver[lid_in] = proc.on_message
-            table[lid_in] = proc.on_message_table
-            if overrides:
-                delivered[lid_out] = proc.on_delivered
-                ack_prefix[lid_out] = type(proc).ACK_INTEREST_PREFIX
-            else:
-                delivered[lid_out] = None
-                ack_prefix[lid_out] = None
+        self._wire(v, proc)
+        for w, lid_out in self._out[v].items():
             self._reset_link(lid_out)
-            self._reset_link(lid_in)
+            self._reset_link(self._out[w][v])
         return proc
 
     def _rejoin_node(self, v: NodeId) -> None:
@@ -1208,230 +1217,6 @@ class AsyncRuntime(EventQueue):
                 continue
             self.schedule_at(t_fire, partial(self._fire_alive, u, v))
 
-    def _run_faulty(
-        self,
-        max_time: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> AsyncResult:
-        """The fault-mode dispatch loop: every record passes the fault gauntlet.
-
-        One unbatched, unfused variant (``run`` delegates here only when a
-        non-empty :class:`~repro.net.faults.FaultSchedule` is active, so the
-        fault-free loop is untouched).  Per record:
-
-        * **delivery** (packed or fat) — receiver crashed: the message
-          vanishes (``dropped``) and the sender's link jams (no ack ever;
-          recovery uses :meth:`ProcessContext.reset_link`); edge down: the
-          record is *deferred* to the interval's end as a fat record —
-          link-layer retention, nothing is lost; dropped by the schedule
-          (keyed to the link's latest injection number, matching the
-          reference engine's delivery-time read): the payload is lost
-          receiver-side but the link-layer acknowledgment still returns, so
-          the sender's pipeline keeps moving; otherwise a normal delivery.
-        * **acknowledgment** — edge down: deferred likewise; sender
-          crashed: the link state is updated but the corpse takes no step
-          (no ``on_delivered``, no outbox drain — its queued messages die
-          with it); otherwise normal.
-
-        Acks are never fused here: fusing's reservation bookkeeping assumes
-        the ack always logically fires, which crashed senders violate.
-        """
-        processes = self.processes
-        crash_t = self._crash_t
-        rejoin_t = self._rejoin_t
-        for v in self.graph.nodes:  # ``nodes`` is an ascending range
-            if crash_t[v] > 0.0:
-                self.schedule(0.0, processes[v].on_start)
-        self._blk_i[:] = self._skeleton.blk_lims
-        self._schedule_detectors()
-        for v in self.graph.nodes:
-            t_rejoin = rejoin_t[v]
-            if t_rejoin < inf:
-                # Setup-scheduled, so the callback's sequence number is
-                # below every transport record's: at equal timestamps the
-                # rejoin fires first and same-time traffic is voided.
-                self.schedule_at(t_rejoin, partial(self._rejoin_node, v))
-
-        heap = self._heap
-        pop = heappop
-        push = heappush
-        counter = self._counter
-        trace = self.trace
-        lu = self._lu
-        lv = self._lv
-        busy_a = self._busy
-        outbox_a = self._outbox
-        pending_a = self._pending
-        slot_p_a = self._slot_payload
-        slot_ack_a = self._slot_ack
-        deliver_a = self._deliver
-        table_a = self._table
-        delivered_a = self._delivered
-        prefix_a = self._ack_prefix
-        injected_a = self._injected
-        down_a = self._down_fn
-        drop_a = self._drop_fn
-        stale_a = self._stale_seq
-        acode_a = self._skeleton.ack_codes
-        apcode_a = self._skeleton.ack_payload_codes
-        fcode_a = self._skeleton.fat_codes
-        inject = self._inject_link
-        budget = (1 << 62) if max_events is None else max_events
-        budget0 = budget
-        stop_reason = "quiescent"
-        acks = self.acks
-        dropped = self.dropped
-        deadline = float("inf") if max_time is None else max_time
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            while heap:
-                if heap[0][0] > deadline:
-                    stop_reason = "max_time"
-                    break
-                if budget == 0:
-                    stop_reason = "max_events"
-                    break
-                budget -= 1
-                record = pop(heap)
-                self._now = now = record[0]
-                self._active_seq = record[1]
-                code = record[2]
-                if code >= CODE_DELIVER:
-                    lid = code - CODE_DELIVER
-                    payload = slot_p_a[lid]
-                    inj = injected_a[lid]
-                    ack = slot_ack_a[lid]
-                elif code >= CODE_ACK:
-                    lid = code - CODE_ACK
-                    if record[1] < stale_a[lid]:
-                        # Void: in flight when an incident endpoint
-                        # re-joined (checked before down-deferral so a
-                        # deferred void record is never re-sequenced past
-                        # the watermark).  Only the pending count drains —
-                        # the link state belongs to the new incarnation.
-                        pending_a[lid] -= 1
-                        continue
-                    down = down_a[lid]
-                    if down is not None:
-                        end = down(now)
-                        if end > 0.0:
-                            push(heap, (end, next(counter), code))
-                            continue
-                    pending_a[lid] -= 1
-                    busy_a[lid] = False
-                    ob = outbox_a[lid]
-                    sender = lu[lid]
-                    if ob and (crash_t[sender] > now
-                               or rejoin_t[sender] <= now):
-                        inject(lid, heappop(ob)[2])
-                    continue
-                elif code >= CODE_ACK_PAYLOAD:
-                    lid = code - CODE_ACK_PAYLOAD
-                    if record[1] < stale_a[lid]:
-                        pending_a[lid] -= 1
-                        continue
-                    down = down_a[lid]
-                    if down is not None:
-                        end = down(now)
-                        if end > 0.0:
-                            push(heap, (end, next(counter), code, record[3]))
-                            continue
-                    pending_a[lid] -= 1
-                    busy_a[lid] = False
-                    sender = lu[lid]
-                    if crash_t[sender] <= now < rejoin_t[sender]:
-                        # The sender is dead: no callback, no drain.
-                        continue
-                    delivered_a[lid](lv[lid], record[3])
-                    ob = outbox_a[lid]
-                    if ob:
-                        inject(lid, heappop(ob)[2])
-                    continue
-                elif code >= CODE_DELIVER_PAYLOAD:
-                    lid = code - CODE_DELIVER_PAYLOAD
-                    payload = record[3]
-                    inj = record[4]
-                    ack = record[5]
-                else:
-                    record[3]()
-                    continue
-                # ---- delivery flow (packed or fat record) ----
-                if record[1] < stale_a[lid]:
-                    # Void: the record was in flight when an incident
-                    # endpoint re-joined.  The message vanishes without an
-                    # acknowledgment — but unlike the crash jam the link
-                    # was already reset at the rejoin, so nothing stays
-                    # stuck (DESIGN.md §15).
-                    dropped += 1
-                    pending_a[lid] -= 1
-                    continue
-                dst = lv[lid]
-                if crash_t[dst] <= now < rejoin_t[dst]:
-                    # Receiver crashed: the message vanishes and the link
-                    # jams (no acknowledgment; fail-stop nodes never answer).
-                    dropped += 1
-                    pending_a[lid] -= 1
-                    continue
-                down = down_a[lid]
-                if down is not None:
-                    end = down(now)
-                    if end > 0.0:
-                        # Edge down: defer to the interval's end (half-open,
-                        # so the re-fire makes progress).  Fat form keeps
-                        # payload/injection/ack with the record regardless
-                        # of what the side slots do meanwhile.
-                        push(heap, (end, next(counter), fcode_a[lid],
-                                    payload, inj, ack))
-                        continue
-                drop = drop_a[lid]
-                if drop is not None and drop(injected_a[lid]):
-                    # Receiver-side loss: no trace, no handler, but the
-                    # link-layer acknowledgment still frees the sender.
-                    dropped += 1
-                    acks += 1
-                    if ack is None or injected_a[lid] != inj:
-                        ack = self._ack_delay(lid)
-                    push(heap, (now + ack, next(counter), acode_a[lid]))
-                    continue
-                if trace is not None:
-                    trace(now, lu[lid], dst, payload)
-                acks += 1
-                if ack is None or injected_a[lid] != inj:
-                    ack = self._ack_delay(lid)
-                delivered = delivered_a[lid]
-                if delivered is not None and (
-                    prefix_a[lid] is None or payload[0] == prefix_a[lid]
-                ):
-                    push(heap, (now + ack, next(counter), apcode_a[lid],
-                                payload))
-                else:
-                    push(heap, (now + ack, next(counter), acode_a[lid]))
-                table = table_a[lid]
-                if table is not None:
-                    table[payload[0]](lu[lid], payload)
-                else:
-                    deliver_a[lid](lu[lid], payload)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            self._fired += budget0 - budget
-            self.acks = acks
-            self.dropped = dropped
-            self.messages = sum(self._injected)
-        return AsyncResult(
-            time_to_output=self._time_to_output,
-            time_to_quiescence=self._now,
-            messages=self.messages,
-            acks=self.acks if self.count_acks else 0,
-            outputs=dict(self.outputs),
-            output_time=dict(self.output_time),
-            events_fired=self._fired,
-            stop_reason=stop_reason,
-            dropped=dropped,
-        )
-
     # ------------------------------------------------------------------
     # controlled mode (repro.check; DESIGN.md §13)
     # ------------------------------------------------------------------
@@ -1451,8 +1236,8 @@ class AsyncRuntime(EventQueue):
         choice sequence, which is what makes serialized counterexample
         traces replay bit-exactly.
 
-        Crash semantics mirror ``_run_faulty``'s fail-stop rules, keyed on
-        the dynamic ``crashed`` set instead of precomputed crash times:
+        Crash semantics mirror the timed fault mode's fail-stop rules, keyed
+        on the dynamic ``crashed`` set instead of precomputed crash times:
         deliveries to a corpse vanish and jam the link, a dead sender's
         acknowledgment still frees the link state but the corpse takes no
         step, and a crashed node's scheduled callbacks are elided.
@@ -1781,32 +1566,34 @@ class AsyncRuntime(EventQueue):
     ) -> AsyncResult:
         if self.controller is not None:
             return self._run_controlled(max_events=max_events)
-        if self._crash_t is not None:
-            return self._run_faulty(max_time=max_time, max_events=max_events)
-        processes = self.processes
+        crash_t = self._crash_t
+        rejoin_t = self._rejoin_t
+        faulty = crash_t is not None
         for v in self.graph.nodes:  # ``nodes`` is an ascending range
-            self.schedule(0.0, processes[v].on_start)
+            if not faulty or crash_t[v] > 0.0:
+                self.schedule(0.0, self.processes[v].on_start)
         # Force a refill on every link: a shared block buffer may have been
         # dirtied by another replay since construction (sweeps hand one
         # buffer across replays).  Refills re-derive the same values from
         # the model's pure fills, so this is free for a fresh runtime and
         # correct for a resumed one.
         self._blk_i[:] = self._skeleton.blk_lims
+        if faulty:
+            self._schedule_faults()
 
-        # The dispatch loop, inlined: every construct here is deliberate —
-        # record pops, per-kind branches, and the ack push run without any
-        # per-event closure or method-resolution cost.  The link table is
-        # hoisted into locals (flat list indexing beats attribute traffic on
-        # a per-link object), and a record's kind is decided by comparing
-        # its packed code against the kind bases (packed deliveries — the
-        # hottest kind — in a single comparison, bare acknowledgments in
-        # two).  ``fired`` and ``acks`` live in locals and are written back
-        # in the ``finally`` so metrics survive early exits and protocol
-        # exceptions alike.  Cyclic GC is paused for the duration (a
-        # discrete-event loop allocates tuples at a rate that trips gen-0
-        # collection constantly and creates no cycles of its own); the
-        # ``try/finally`` guarantees the prior GC state is restored even
-        # when a ``Process`` handler raises mid-run.
+        # The dispatch loop, inlined: record pops, per-kind branches, and
+        # the ack push run without any per-event closure or method lookup.
+        # The link table is hoisted into locals, and a record's kind is
+        # decided by comparing its packed code against the kind bases
+        # (packed deliveries — the hottest kind — in one comparison).
+        # Counters live in locals, written back in the ``finally`` so
+        # metrics survive early exits and protocol exceptions alike.
+        # Cyclic GC is paused for the duration (the loop allocates tuples
+        # at a rate that trips gen-0 collection constantly and creates no
+        # cycles of its own) and restored even when a handler raises.
+        # Under a fault schedule (``faulty``) every transport record also
+        # passes the fault checks of DESIGN.md §11 and same-time batching
+        # is off; the fault-free path pays only the ``faulty`` tests.
         heap = self._heap
         pop = heappop
         push = heappush
@@ -1823,24 +1610,27 @@ class AsyncRuntime(EventQueue):
         table_a = self._table
         delivered_a = self._delivered
         prefix_a = self._ack_prefix
+        injected_a = self._injected
         free_at_a = self._free_at
         reserved_a = self._reserved
+        stale_a = self._stale_seq
+        down_a = self._down_fn
+        drop_a = self._drop_fn
         acode_a = self._skeleton.ack_codes
         apcode_a = self._skeleton.ack_payload_codes
+        fcode_a = self._skeleton.fat_codes
         inject = self._inject_link
-        # One counter meters both the event budget and ``events_fired``:
-        # each dispatched record decrements ``budget`` exactly once (batch
-        # included), so the fired count is recovered at exit as the number
-        # of decrements — one bignum increment per event instead of two.
-        # The sentinel for "unbounded" is a value no run can exhaust.
+        ack_held = self._ack_held
+        # One counter meters both the event budget and ``events_fired``
+        # (recovered at exit as the number of decrements); the "unbounded"
+        # sentinel is a value no run can exhaust.
         budget = (1 << 62) if max_events is None else max_events
         budget0 = budget
         stop_reason = "quiescent"
         acks = self.acks
-        # Fuses counted in a local (one add per fused message instead of an
-        # attribute read-modify-write); the send paths' rare materializations
-        # decrement ``self._fused`` directly, and the two are combined in
-        # the ``finally``.
+        dropped = self.dropped
+        # Fuses counted locally; materializations (``send_on``,
+        # ``_reset_link``) decrement ``self._fused``, combined at exit.
         fused = 0
         # Latest fused-ack time never materialized as an event; quiescence
         # still accounts for it (Appendix B pays for acknowledgments).
@@ -1864,111 +1654,169 @@ class AsyncRuntime(EventQueue):
                 code = record[2]
                 if code >= CODE_DELIVER:
                     lid = code - CODE_DELIVER
-                    dst = lv[lid]
-                    table = table_a[lid]
-                    # Same-time batch: keep consuming heap-top records
-                    # while they are packed deliveries at this instant for
-                    # this destination (strict (time, seq) order — any
-                    # other record ends the batch).
-                    while True:
+                    ack = slot_ack_a[lid]
+                    if faulty or ack is None:
+                        # To the delivery flow below, unbatched: the fault
+                        # checks, or the redraw that a fat injection racing
+                        # this delivery forces (it staled the slot ack).
                         payload = slot_p_a[lid]
-                        if trace is not None:
-                            trace(now, lu[lid], dst, payload)
-                        acks += 1
-                        # Pre-drawn ack delay; a fat injection racing this
-                        # delivery invalidated it.
-                        ack = slot_ack_a[lid]
-                        if ack is None:
-                            # Redraw path: only after a fat injection can
-                            # other records be outstanding or the link be
-                            # free, so only here does the materialize test
-                            # need the full condition.
-                            ack = self._ack_delay(lid)
-                            mat = (outbox_a[lid] or pending_a[lid] - 1
-                                   or not busy_a[lid])
-                        else:
-                            # Packed-delivery invariant: a live slot ack
-                            # means nothing else happened on the link —
-                            # exactly one outstanding record (this one),
-                            # still busy, every send queued — so the outbox
-                            # load alone decides.  The kind split is decided
-                            # here so ack dispatch re-checks nothing.
-                            mat = outbox_a[lid]
-                        delivered = delivered_a[lid]
-                        if delivered is not None and (
-                            prefix_a[lid] is None
-                            or payload[0] == prefix_a[lid]
-                        ):
-                            # The sender wants this payload's callback: the
-                            # ack materializes regardless of mat.
-                            push(heap, (now + ack, next(counter),
-                                        apcode_a[lid], payload))
-                        elif mat:
-                            push(heap, (now + ack, next(counter),
-                                        acode_a[lid]))
-                        else:
-                            # Fuse: no callback, nothing queued, nothing
-                            # else outstanding — reserve the ack's identity
-                            # instead of pushing an event.
-                            pending_a[lid] = 0
-                            fused += 1
-                            t_ack = now + ack
-                            free_at_a[lid] = t_ack
-                            reserved_a[lid] = next(counter)
-                            if t_ack > horizon:
-                                horizon = t_ack
-                        if table is not None:
-                            table[payload[0]](lu[lid], payload)
-                        else:
-                            deliver_a[lid](lu[lid], payload)
-                        # Records at ``now`` passed the deadline check with
-                        # the batch head.
-                        if not heap:
-                            break
-                        nxt = heap[0]
-                        if nxt[0] != now or nxt[2] < CODE_DELIVER:
-                            break
-                        lid = nxt[2] - CODE_DELIVER
-                        if lv[lid] != dst:
-                            break
-                        if budget == 0:
-                            break
-                        budget -= 1
-                        record = pop(heap)
-                        self._active_seq = record[1]
+                        inj = injected_a[lid]
+                    else:
+                        dst = lv[lid]
+                        # Same-time batch: keep consuming heap-top records
+                        # while they are packed deliveries at this instant
+                        # for this destination with a live slot ack (strict
+                        # (time, seq) order — any other record ends the
+                        # batch).  A live slot ack means exactly one
+                        # outstanding record (this one) on a busy link, so
+                        # the outbox load alone decides the ack's kind.
+                        while True:
+                            payload = slot_p_a[lid]
+                            if trace is not None:
+                                trace(now, lu[lid], dst, payload)
+                            acks += 1
+                            delivered = delivered_a[lid]
+                            if delivered is not None and (
+                                prefix_a[lid] is None
+                                or payload[0] == prefix_a[lid]
+                            ):
+                                # The sender wants this payload's callback.
+                                push(heap, (now + ack, next(counter),
+                                            apcode_a[lid], payload))
+                            elif outbox_a[lid]:
+                                push(heap, (now + ack, next(counter),
+                                            acode_a[lid]))
+                            else:
+                                # Fuse: reserve the ack's identity instead
+                                # of pushing an event.
+                                pending_a[lid] = 0
+                                fused += 1
+                                t_ack = now + ack
+                                free_at_a[lid] = t_ack
+                                reserved_a[lid] = next(counter)
+                                if t_ack > horizon:
+                                    horizon = t_ack
+                            # Per record, not per batch: a muted link
+                            # differs from its same-destination siblings.
+                            table = table_a[lid]
+                            if table is not None:
+                                table[payload[0]](lu[lid], payload)
+                            else:
+                                deliver_a[lid](lu[lid], payload)
+                            # Records at ``now`` passed the deadline check
+                            # with the batch head.
+                            if not heap:
+                                break
+                            nxt = heap[0]
+                            if nxt[0] != now or nxt[2] < CODE_DELIVER:
+                                break
+                            lid = nxt[2] - CODE_DELIVER
+                            ack = slot_ack_a[lid]
+                            if lv[lid] != dst or ack is None or budget == 0:
+                                break
+                            budget -= 1
+                            record = pop(heap)
+                            self._active_seq = record[1]
+                        continue
                 elif code >= CODE_ACK:
-                    # Bare acknowledgment: free the link, drain the outbox —
-                    # no callback or interest checks.
+                    # Bare acknowledgment: free the link, drain the outbox.
                     lid = code - CODE_ACK
+                    if faulty and ack_held(record, lid, now):
+                        continue
                     pending_a[lid] -= 1
                     busy_a[lid] = False
                     ob = outbox_a[lid]
                     if ob:
                         inject(lid, heappop(ob)[2])
+                    continue
                 elif code >= CODE_ACK_PAYLOAD:
                     # The sender wants this payload's on_delivered (decided
                     # at delivery time — nothing re-checked).
                     lid = code - CODE_ACK_PAYLOAD
+                    if faulty and ack_held(record, lid, now):
+                        continue
                     pending_a[lid] -= 1
                     busy_a[lid] = False
                     delivered_a[lid](lv[lid], record[3])
                     ob = outbox_a[lid]
                     if ob:
                         inject(lid, heappop(ob)[2])
+                    continue
                 elif code >= CODE_DELIVER_PAYLOAD:
-                    acks += 1
-                    h = self._deliver_fat(record, now)
-                    if h:
-                        fused += 1
-                        if h > horizon:
-                            horizon = h
+                    # Fat delivery (the double-inject race, or a delivery
+                    # deferred across a down interval): fields inline.
+                    lid = code - CODE_DELIVER_PAYLOAD
+                    payload = record[3]
+                    inj = record[4]
+                    ack = record[5]
                 else:
                     record[3]()
+                    continue
+                # ---- unbatched delivery flow: fat records, stale slot
+                # acks, and every delivery under faults
+                src = lu[lid]
+                dst = lv[lid]
+                lost = False
+                if faulty:
+                    if (record[1] < stale_a[lid]
+                            or crash_t[dst] <= now < rejoin_t[dst]):
+                        # Void (in flight when an endpoint re-joined; the
+                        # link was reset then) or the receiver is dead (the
+                        # link jams until ProcessContext.reset_link).  Lost
+                        # without an acknowledgment.
+                        dropped += 1
+                        pending_a[lid] -= 1
+                        continue
+                    down = down_a[lid]
+                    if down is not None:
+                        end = down(now)
+                        if end > 0.0:
+                            # Edge down: defer to the interval's end, in fat
+                            # form (the side slots may move on meanwhile).
+                            push(heap, (end, next(counter), fcode_a[lid],
+                                        payload, inj, ack))
+                            continue
+                    # Schedule drop (keyed to the latest injection number):
+                    # lost receiver-side, but the link-layer ack returns.
+                    drop = drop_a[lid]
+                    lost = drop is not None and drop(injected_a[lid])
+                if lost:
+                    dropped += 1
+                elif trace is not None:
+                    trace(now, src, dst, payload)
+                acks += 1
+                if ack is None or injected_a[lid] != inj:
+                    ack = self._ack_delay(lid)
+                t_ack = now + ack
+                delivered = delivered_a[lid]
+                if not lost and delivered is not None and (
+                    prefix_a[lid] is None or payload[0] == prefix_a[lid]
+                ):
+                    push(heap, (t_ack, next(counter), apcode_a[lid], payload))
+                elif (outbox_a[lid] or pending_a[lid] != 1 or not busy_a[lid]
+                      # An ack inside a down interval is deferred under a
+                      # fresh seq, which a reservation cannot express.
+                      or faulty and down is not None and down(t_ack) > 0.0):
+                    push(heap, (t_ack, next(counter), acode_a[lid]))
+                else:
+                    pending_a[lid] = 0
+                    fused += 1
+                    free_at_a[lid] = t_ack
+                    reserved_a[lid] = next(counter)
+                    if t_ack > horizon:
+                        horizon = t_ack
+                if not lost:
+                    table = table_a[lid]
+                    if table is not None:
+                        table[payload[0]](src, payload)
+                    else:
+                        deliver_a[lid](src, payload)
         finally:
             if gc_was_enabled:
                 gc.enable()
             self._fired += budget0 - budget
             self.acks = acks
+            self.dropped = dropped
             self._fused += fused
             self.messages = sum(self._injected)
         quiescence = self._now
@@ -2015,6 +1863,7 @@ class AsyncRuntime(EventQueue):
             output_time=dict(self.output_time),
             events_fired=events,
             stop_reason=stop_reason,
+            dropped=self.dropped,
         )
 
 

@@ -42,8 +42,8 @@ from repro.net.topology import cycle_graph, star_graph
 #: replacements are verified to actually occur (see test_mutants_differ).
 STRAGGLER_GUARD = (
     "repro/core/recovery.py",
-    "if sender in pruned:",
-    "if False and sender in pruned:",
+    "self.ctx.mute(neighbor)",
+    "pass  # mutant: straggler guard dropped",
 )
 SKIP_POISONING = (
     "repro/core/registration.py",

@@ -78,6 +78,13 @@ class _RefContext:
 
         runtime._schedule(delay, callback)
 
+    def reset_link(self, to):
+        # Seed semantics: clear the in-flight slot and the outbox of the
+        # directed link; records already in flight keep their fate.
+        link = self._runtime._links[(self.node_id, to)]
+        link.busy = False
+        link.outbox.clear()
+
     def set_output(self, value):
         self._runtime._record_output(self.node_id, value)
 
@@ -647,6 +654,60 @@ def test_fault_schedule_equivalence(
     ).run()
     new_result = AsyncRuntime(
         graph, FaultObservantGossip, new_model, faults=faults,
+        trace=lambda t, u, v, p: new_trace.append((t, u, v, p)),
+    ).run()
+    _assert_equivalent(ref_trace, ref_result, new_trace, new_result)
+
+
+class ResettingGossip(FaultObservantGossip):
+    """Recovery-style reaction to a detected death: reset the jammed link
+    toward the corpse, then re-announce twice on it.  The first send jams
+    the link again (the corpse never acknowledges), so the second must
+    queue behind it — a fused-ack reservation that outlived the reset would
+    let it inject instead."""
+
+    def on_neighbor_dead(self, neighbor):
+        self.ctx.reset_link(neighbor)
+        self.ctx.send(neighbor, self.best)
+        self.ctx.send(neighbor, self.best)
+        super().on_neighbor_dead(neighbor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    fault_seed=st.integers(min_value=0, max_value=10_000),
+    model_idx=st.integers(min_value=0, max_value=7),
+    topo=st.sampled_from(sorted(TOPOLOGIES)),
+    crash_rate=st.floats(min_value=0.0, max_value=0.4, allow_nan=False),
+    down_rate=st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+    drop_rate=st.floats(min_value=0.0, max_value=0.3, allow_nan=False),
+    rejoin_rate=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    recurrent=st.booleans(),
+)
+def test_fault_schedule_equivalence_with_link_resets(
+    seed, fault_seed, model_idx, topo, crash_rate, down_rate, drop_rate,
+    rejoin_rate, recurrent,
+):
+    """Property: ``ctx.reset_link`` from a failure detector — the recovery
+    hook — keeps the packed engine byte-identical to the reference engine
+    under arbitrary seeded fault schedules and every delay model."""
+    graph = TOPOLOGIES[topo]()
+    faults = FaultSchedule(
+        seed=fault_seed, crash_rate=crash_rate,
+        down_rate=down_rate, drop_rate=drop_rate,
+        rejoin_rate=rejoin_rate,
+        recurrent=recurrent and down_rate > 0.0,
+    )
+    ref_trace, new_trace = [], []
+    ref_result = ReferenceRuntime(
+        graph, ResettingGossip, standard_adversaries(seed)[model_idx],
+        faults=faults,
+        trace=lambda t, u, v, p: ref_trace.append((t, u, v, p)),
+    ).run()
+    new_result = AsyncRuntime(
+        graph, ResettingGossip, standard_adversaries(seed)[model_idx],
+        faults=faults,
         trace=lambda t, u, v, p: new_trace.append((t, u, v, p)),
     ).run()
     _assert_equivalent(ref_trace, ref_result, new_trace, new_result)

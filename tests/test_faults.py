@@ -20,6 +20,7 @@ from repro.net import topology
 from repro.net.async_runtime import AsyncRuntime, Process
 from repro.net.delays import ConstantDelay, InvalidDelayError, standard_adversaries
 from repro.net.faults import DETECT_TIMEOUT, FaultSchedule, FaultScheduleError
+from repro.net.graph import UnknownLinkError
 from repro.net.sweep import AsyncSweep
 from repro.net.sync_runtime import run_synchronous
 
@@ -391,6 +392,175 @@ def test_drop_stream_counts_across_incarnations():
     assert result.outputs[1] == ((3.0 + DETECT_TIMEOUT + 1.5, ("post", 1)),)
     assert result.dropped == 2
     assert result.messages == 3
+
+
+# ----------------------------------------------------------------------
+# muted links: the pruned-sender guard in the link table
+# ----------------------------------------------------------------------
+class PrePost(TwoBurst):
+    """Node 1 sends node 0 one message per incarnation (the reborn one four
+    time units after its rejoin)."""
+
+    def on_start(self):
+        if self.ctx.node_id != 1:
+            return
+        if self.ctx.now == 0.0:
+            self.ctx.send(0, ("pre", 0))
+        else:
+            self.ctx.schedule_environment_event(
+                4.0, lambda: self.ctx.send(0, ("post", 0))
+            )
+
+
+class Muting(PrePost):
+    """Node 0 mutes a neighbor detected dead and unmutes it when it is
+    detected back — the recovery synchronizer's pruned-sender guard in
+    miniature."""
+
+    def on_neighbor_dead(self, neighbor):
+        self.ctx.mute(neighbor)
+
+    def on_neighbor_alive(self, neighbor):
+        self.ctx.unmute(neighbor)
+
+
+def test_mute_drops_late_deferred_message_from_pruned_sender():
+    graph = topology.path_graph(2)
+    # "pre" would arrive at 0.5 but the link is down until 10.0; its
+    # sender crashes at 1.0 and is detected dead at 1.0 + DETECT_TIMEOUT.
+    faults = FaultSchedule(crashes={1: 1.0}, downs={(0, 1): [(0.25, 10.0)]})
+    straggler = AsyncRuntime(
+        graph, PrePost, ConstantDelay(0.5), faults=faults
+    ).run()
+    assert straggler.outputs[0] == ((10.0, ("pre", 0)),)
+    muted = AsyncRuntime(
+        graph, Muting, ConstantDelay(0.5), faults=faults
+    ).run()
+    assert muted.outputs.get(0) is None
+    # Muting discards at the receiver: the message was delivered by the
+    # link (no fault drop) and its acknowledgment still returns.
+    assert (muted.messages, muted.acks, muted.dropped) == (1, 1, 0)
+
+
+def test_unmute_delivers_readmitted_senders_next_message():
+    graph = topology.path_graph(2)
+    faults = FaultSchedule(
+        crashes={1: 1.0}, rejoins={1: 12.0}, downs={(0, 1): [(0.25, 10.0)]},
+    )
+    result = AsyncRuntime(
+        graph, Muting, ConstantDelay(0.5), faults=faults
+    ).run()
+    # The straggler dies at the mute; the alive detect (12.0 +
+    # DETECT_TIMEOUT) unmutes before the reborn node's send at 16.0.
+    assert result.outputs[0] == ((16.5, ("post", 0)),)
+
+
+def test_observer_rejoin_clears_its_mutes():
+    class SelfMuting(TwoBurst):
+        def on_start(self):
+            if self.ctx.node_id == 0 and self.ctx.now == 0.0:
+                self.ctx.mute(1)  # first incarnation only
+            if self.ctx.node_id == 1:
+                self.ctx.send(0, ("early", 0))
+                self.ctx.schedule_environment_event(
+                    5.0, lambda: self.ctx.send(0, ("late", 0))
+                )
+
+    graph = topology.path_graph(2)
+    faults = FaultSchedule(crashes={0: 1.0}, rejoins={0: 2.0})
+    result = AsyncRuntime(
+        graph, SelfMuting, ConstantDelay(0.5), faults=faults
+    ).run()
+    # "early" (0.5) hits the mute; the fresh incarnation of node 0 is wired
+    # unmuted, so "late" (5.5) reaches it.
+    assert result.outputs[0] == ((5.5, ("late", 0)),)
+
+
+def test_mute_applies_per_link_inside_a_same_time_batch():
+    """Fault-free runs batch same-time deliveries to one node; a muted link
+    in the batch must still drop while its unmuted siblings deliver through
+    the opcode table."""
+
+    class TableHub(Process):
+        NUM_OPCODES = 1
+
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            self.on_message_table = (self.on_message,)
+
+        def on_start(self):
+            if self.ctx.node_id == 0:
+                self.ctx.mute(2)
+            else:
+                self.ctx.send(0, (0, self.ctx.node_id))
+
+        def on_message(self, sender, payload):
+            got = getattr(self, "got", ()) + (sender,)
+            self.got = got
+            self.ctx.set_output(got)
+
+    result = AsyncRuntime(
+        topology.star_graph(5), TableHub, ConstantDelay(0.5)
+    ).run()
+    assert result.outputs[0] == (1, 3, 4)
+
+
+def test_mute_rejects_non_neighbor():
+    rt = AsyncRuntime(topology.path_graph(3), TwoBurst, ConstantDelay(0.5))
+    ctx = rt.processes[0].ctx
+    with pytest.raises(UnknownLinkError):
+        ctx.mute(2)
+    with pytest.raises(UnknownLinkError):
+        ctx.unmute(2)
+
+
+#: ``events_fired`` under ``count_fused_acks=True`` of a recovery
+#: synchronizer (BFS from 0) on cycle(128), per standard adversary at seed
+#: 3, recorded when fault mode still fired every acknowledgment as an
+#: event.  Fusing may only remove acks whose firing was a no-op, so raw
+#: accounting must reproduce these exactly.
+_RAW_RECOVERY_EVENTS = {
+    "crash+rejoin+recurrent-down": (
+        FaultSchedule(seed=5, crash_rate=0.1, rejoin_rate=1.0,
+                      down_rate=0.05, recurrent=True, protect=(0,)),
+        (9127, 9512, 9119, 9096, 8985, 9097, 9148, 9087),
+    ),
+    "crash+down+drop": (
+        FaultSchedule(seed=7, crash_rate=0.1, down_rate=0.1,
+                      drop_rate=0.05, protect=(0,)),
+        (6444, 6498, 6465, 6514, 6530, 6465, 6485, 6474),
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_RAW_RECOVERY_EVENTS))
+def test_fault_mode_fusing_keeps_raw_event_count(cell):
+    from repro.core.bfs_runner import registry_for_threshold
+    from repro.core.recovery import RecoverySynchronizerProcess
+    from repro.core.synchronizer import pulse_bound_for
+
+    faults, pinned = _RAW_RECOVERY_EVENTS[cell]
+    graph = topology.cycle_graph(128)
+    assert faults.crashed_nodes(graph.nodes)
+    spec = bfs_spec(0)
+    max_pulse = pulse_bound_for(graph, spec)
+    process_cls = type("PinnedRecovery", (RecoverySynchronizerProcess,), dict(
+        spec=spec, registry=registry_for_threshold(graph, max_pulse, "ap"),
+        max_pulse=max_pulse, initiators=frozenset(spec.initiators(graph)),
+        infos=spec.make_infos(graph),
+    ))
+    raw_counts, fused_counts = [], []
+    for model in standard_adversaries(3):
+        raw = AsyncRuntime(graph, process_cls, model, faults=faults,
+                           count_fused_acks=True).run()
+        fused = AsyncRuntime(graph, process_cls, model, faults=faults).run()
+        assert raw.stop_reason == fused.stop_reason == "quiescent"
+        assert (fused.messages, fused.acks, fused.dropped, fused.outputs) == (
+            raw.messages, raw.acks, raw.dropped, raw.outputs)
+        raw_counts.append(raw.events_fired)
+        fused_counts.append(fused.events_fired)
+    assert tuple(raw_counts) == pinned
+    assert all(f < r for f, r in zip(fused_counts, raw_counts))
 
 
 def test_empty_schedule_is_byte_identical_to_no_schedule():
