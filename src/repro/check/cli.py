@@ -59,7 +59,8 @@ def _report_line(report: ExploreReport) -> str:
     )
     line = (
         f"{report.workload}: {status} — {report.executions} executions"
-        f" ({report.pruned_executions} pruned), {report.races} races,"
+        f" ({report.pruned_executions} pruned), {report.states} states,"
+        f" {report.races} races,"
         f" {report.sleep_pruned} sleep-set cuts, depth {report.max_depth},"
         f" {report.steps_total} steps"
     )
@@ -73,6 +74,7 @@ def _report_dict(report: ExploreReport) -> dict:
         "workload": report.workload,
         "executions": report.executions,
         "pruned_executions": report.pruned_executions,
+        "states": report.states,
         "sleep_pruned": report.sleep_pruned,
         "races": report.races,
         "max_depth": report.max_depth,

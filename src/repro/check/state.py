@@ -23,7 +23,10 @@ excludes — and why exclusion is sound:
 * **scheduling sequence numbers** — identities, not state; FIFO/outbox
   *order* is kept, the numbers themselves are normalized away;
 * **static configuration** — graph, covers, specs, delay models, link
-  tables: pure functions of the workload, identical in every state.
+  tables: pure functions of the workload, identical in every state;
+* **history counters** (``acks``, ``dropped``) — they count what already
+  happened, and no dispatch decision or protocol branch reads them, so
+  states differing only in them behave identically.
 
 Fingerprints are SHA-256 digests of a canonical JSON encoding (hashlib,
 not ``hash()``: per-process salting must never touch the dedup set).
@@ -139,8 +142,8 @@ def fingerprint(
     """Digest of the full observable state at one decision point.
 
     ``events`` is the engine's enabled-event offer for this step; only
-    the synthetic crash/detect actions are read from it (their pending
-    sets live in locals of the dispatch loop).  Acks and callbacks are
+    the synthetic crash/rejoin/detect/alive actions are read from it (the
+    offer already withholds blocked detects).  Acks and callbacks are
     auto-fired before any decision point, so the heap holds delivery
     records only — asserted by construction via the kind tag.
     """
@@ -188,7 +191,8 @@ def fingerprint(
         if ev.kind in (CTRL_CRASH, CTRL_DETECT, CTRL_REJOIN, CTRL_ALIVE)
     )
     state = [
-        sorted(runtime.crashed),
+        # Crashed set: the nodes down now (crashed, not yet re-joined).
+        [v for v in runtime.graph.nodes if runtime._is_down(v)],
         # Rejoined set: membership gates the crash offer (one crash per
         # node) — two states differing only here diverge later.
         sorted(runtime.rejoined),
@@ -196,8 +200,6 @@ def fingerprint(
         links,
         link_state,
         canon(dict(runtime.outputs), memo),
-        runtime.acks,
-        runtime.dropped,
         [canon(runtime.processes[v], memo) for v in runtime.graph.nodes],
     ]
     blob = json.dumps(state, separators=(",", ":")).encode("utf-8")

@@ -69,7 +69,10 @@ re-entering the outer per-event bookkeeping, still strictly in
 is byte-identical to the unbatched loop (pinned by
 ``tests/test_engine_equivalence.py``).  Under a fault schedule the same
 loop runs unbatched, every transport record passes the fault checks, and
-only acks whose firing would be a no-op are fused (DESIGN.md §11).
+only acks whose firing would be a no-op are fused (DESIGN.md §11).  Under
+a :class:`ScheduleController` (the model checker, DESIGN.md §13) the same
+loop again runs unbatched with the same fault checks, but each next record
+is the controller's pick from the unordered heap and no ack is fused.
 """
 
 from __future__ import annotations
@@ -140,6 +143,14 @@ def make_block_buffer(num_links: int) -> MutableSequence[float]:
 
 def _drop_delivery(sender: NodeId, payload: Payload) -> None:
     """Receive handler of a muted link (see :meth:`ProcessContext.mute`)."""
+
+
+def _is_delivery(code: int) -> Optional[bool]:
+    """Kind of a record code: True for a delivery (packed or fat), False
+    for an acknowledgment (bare or payload), None for a callback."""
+    if code == EV_CALLBACK:
+        return None
+    return code >= CODE_DELIVER or code < CODE_ACK_PAYLOAD
 
 
 def _fill_checked(
@@ -587,16 +598,17 @@ class ControlledEvent:
 class ScheduleController:
     """Scheduling adversary hook for controlled runs (repro.check).
 
-    When an instance is passed to :class:`AsyncRuntime`, ``run()`` enters
-    :meth:`AsyncRuntime._run_controlled` instead of the clock-driven
-    dispatch loop: the heap becomes an unordered bag of *enabled* events,
+    When an instance is passed to :class:`AsyncRuntime`, ``run()`` takes
+    each next record from :meth:`AsyncRuntime._controlled_step` instead of
+    the heap top: the heap becomes an unordered bag of *enabled* events,
     and at every step the controller is shown all of them (plus the
-    synthetic crash/detect actions below) and picks which one fires next.
-    The delay model still runs — record timestamps and acknowledgment
-    redraws are drawn exactly as always, so a replayed choice sequence
-    reproduces the execution bit-for-bit — but it no longer *orders*
-    anything.  With no controller installed this machinery is never
-    touched and the clock-driven dispatch loop is byte-identical.
+    synthetic crash/detect actions below) and picks which one fires next;
+    the same loop dispatches it, unbatched and with no ack fused.  The
+    delay model still runs — record timestamps and acknowledgment redraws
+    are drawn exactly as always, so a replayed choice sequence reproduces
+    the execution bit-for-bit — but it no longer *orders* anything, and
+    ``run(max_time=...)`` is rejected.  With no controller installed this
+    machinery is never touched and timed schedules are byte-identical.
 
     ``crashable`` folds fail-stop branch points into the schedule space:
     every node listed here contributes a ``crash`` action to the enabled
@@ -683,7 +695,8 @@ class AsyncRuntime(EventQueue):
         "messages", "acks", "_fused", "outputs",
         "output_time", "_time_to_output", "processes", "_active_seq",
         "faults", "detect_timeout", "_crash_t", "_down_fn", "_drop_fn",
-        "dropped", "controller", "crashed",
+        "dropped", "controller", "_cb_node", "_detect_ready",
+        "_alive_ready", "_detect_blockers",
         "_rejoin_t", "_stale_seq", "_process_factory", "rejoined",
     )
 
@@ -749,23 +762,34 @@ class AsyncRuntime(EventQueue):
                 " runs take crash points from ScheduleController.crashable"
             )
         self.controller = controller
-        #: Nodes crashed by controller-chosen actions, with the logical
-        #: time of the crash.  Populated only by ``_run_controlled``.
-        self.crashed: Dict[NodeId, float] = {}
         #: Nodes that re-joined during the run (schedule-keyed or
         #: controller-chosen), with the time of the rejoin.
         self.rejoined: Dict[NodeId, float] = {}
+        # ``_controlled_step`` state: each ``on_start`` seq's node, armed
+        # detect/alive actions as (observer, subject) pairs in arming
+        # order, and per corpse the delivery seqs its detects wait for.
+        self._cb_node: Dict[int, NodeId] = {}
+        self._detect_ready: List[Tuple[NodeId, NodeId]] = []
+        self._alive_ready: List[Tuple[NodeId, NodeId]] = []
+        self._detect_blockers: Dict[NodeId, set] = {}
         self.faults = faults
         self.detect_timeout = detect_timeout
         self.dropped = 0
         # Kept for rejoin rebuilds only (a returned node gets a *fresh*
         # process from the same factory); never touched on fault-free runs.
         self._process_factory = process_factory
-        if faults is None:
+        if faults is None and controller is None:
             self._crash_t: Optional[List[float]] = None
             self._down_fn = None
             self._drop_fn = None
             self._rejoin_t: Optional[List[float]] = None
+        elif faults is None:
+            # Controlled run: crashes and rejoins are chosen at run time and
+            # write their logical times here, so the fault checks of the
+            # dispatch loop serve both modes.  No link is ever down or drops.
+            self._crash_t = [inf] * len(graph.nodes)
+            self._rejoin_t = [inf] * len(graph.nodes)
+            self._down_fn = self._drop_fn = [None] * n_links
         else:
             # Fault state resolved once per runtime: per-node crash times
             # (``inf`` = never) and per-directed-link down/drop checkers
@@ -836,7 +860,7 @@ class AsyncRuntime(EventQueue):
 
         Incoming links get its ``on_message`` and opcode table, outgoing
         ones its ``on_delivered`` interest (``None`` unless overridden).
-        The table is validated here, once: the dispatch loops call
+        The table is validated here, once: the dispatch loop calls
         ``table[payload[0]]`` unguarded (in-simulation traffic is trusted),
         so a short table or a ``None`` gap must fail loudly at wiring time,
         not as an ``IndexError``/``TypeError`` mid-run.
@@ -1119,8 +1143,6 @@ class AsyncRuntime(EventQueue):
         """
         crash_t = self._crash_t
         rejoin_t = self._rejoin_t
-        base = Process.on_neighbor_dead
-        processes = self.processes
         timeout = self.detect_timeout
         for c in self.graph.nodes:
             t_crash = crash_t[c]
@@ -1133,16 +1155,10 @@ class AsyncRuntime(EventQueue):
                 # indistinguishable from slowness under the synchrony
                 # bound, so no observer ever accuses it (DESIGN.md §15).
                 continue
-            for u in sorted(self.graph.neighbors(c)):
-                if crash_t[u] <= t_fire < rejoin_t[u]:
-                    continue  # observer dead at the fire time
-                proc = processes[u]
-                if type(proc).on_neighbor_dead is base:
-                    continue
+            for u in self._observers(c, "on_neighbor_dead", t_fire):
                 # Fire-time process lookup: if the observer re-joined
                 # between scheduling and firing, the *fresh* incarnation
-                # gets the callback (same object as ``proc`` on any
-                # schedule without rejoins).
+                # gets the callback.
                 self.schedule_at(t_fire, partial(self._fire_dead, u, c))
         for v in self.graph.nodes:
             if rejoin_t[v] < inf:
@@ -1150,6 +1166,15 @@ class AsyncRuntime(EventQueue):
                 # below every transport record's: at equal timestamps the
                 # rejoin fires first and same-time traffic is void.
                 self.schedule_at(rejoin_t[v], partial(self._rejoin_node, v))
+
+    def _observers(self, v: NodeId, hook: str, t: float) -> List[NodeId]:
+        """The neighbors a detector about ``v`` notifies at time ``t``:
+        those alive then whose process overrides ``hook``
+        (``on_neighbor_dead`` or ``on_neighbor_alive``), ascending."""
+        base = getattr(Process, hook)
+        return [u for u in sorted(self.graph.neighbors(v))
+                if not self._crash_t[u] <= t < self._rejoin_t[u]
+                and getattr(type(self.processes[u]), hook) is not base]
 
     def _fire_dead(self, observer: NodeId, corpse: NodeId) -> None:
         """Deliver ``on_neighbor_dead`` to whoever holds ``observer`` *now*."""
@@ -1162,11 +1187,15 @@ class AsyncRuntime(EventQueue):
     def _rewire_node(self, v: NodeId) -> Process:
         """Rebuild node ``v`` with fresh protocol state and re-arm its links.
 
-        The engine-agnostic half of a re-join (DESIGN.md §15): a fresh
+        The mode-agnostic half of a re-join (DESIGN.md §15): a fresh
         process from the original factory replaces the corpse and is wired
-        into every incident link (unmuted), and both directions are reset.
-        Timing-specific bookkeeping (stale-seq watermarks / bag removal,
-        ``on_start``, alive detectors) stays with the caller.
+        into every incident link (unmuted), both directions are reset, and
+        the rejoin is recorded at ``self._now``.  Blank state includes the
+        output register: whatever the previous incarnation answered died
+        with it (``time_to_output`` keeps its high-water mark — it is a
+        scalar over the whole execution).  Mode-specific bookkeeping
+        (stale-seq watermarks / bag removal, ``on_start``, alive
+        detectors) stays with the caller.
         """
         proc = self._process_factory(ProcessContext(self, v))
         self.processes[v] = proc
@@ -1174,6 +1203,9 @@ class AsyncRuntime(EventQueue):
         for w, lid_out in self._out[v].items():
             self._reset_link(lid_out)
             self._reset_link(self._out[w][v])
+        self.rejoined[v] = self._now
+        self.outputs.pop(v, None)
+        self.output_time.pop(v, None)
         return proc
 
     def _rejoin_node(self, v: NodeId) -> None:
@@ -1198,365 +1230,165 @@ class AsyncRuntime(EventQueue):
         for w in self.graph.neighbors(v):
             stale[out[v][w]] = mark
             stale[out[w][v]] = mark
-        proc = self._rewire_node(v)
-        self.rejoined[v] = now
-        # Blank state includes the output register: whatever the previous
-        # incarnation answered died with it (``time_to_output`` keeps its
-        # high-water mark — it is a scalar over the whole execution).
-        self.outputs.pop(v, None)
-        self.output_time.pop(v, None)
-        proc.on_start()
-        crash_t = self._crash_t
-        rejoin_t = self._rejoin_t
-        base_alive = Process.on_neighbor_alive
+        self._rewire_node(v).on_start()
         t_fire = now + self.detect_timeout
-        for u in sorted(self.graph.neighbors(v)):
-            if crash_t[u] <= t_fire < rejoin_t[u]:
-                continue  # observer dead at the fire time
-            if type(self.processes[u]).on_neighbor_alive is base_alive:
-                continue
+        for u in self._observers(v, "on_neighbor_alive", t_fire):
             self.schedule_at(t_fire, partial(self._fire_alive, u, v))
 
     # ------------------------------------------------------------------
     # controlled mode (repro.check; DESIGN.md §13)
     # ------------------------------------------------------------------
-    def _run_controlled(
-        self, max_events: Optional[int] = None
-    ) -> AsyncResult:
-        """The controller-driven dispatch loop (DESIGN.md §13).
+    def _is_down(self, v: NodeId) -> bool:
+        """Whether ``v`` is crashed and not yet re-joined at ``_now``."""
+        return self._crash_t[v] <= self._now < self._rejoin_t[v]
 
-        The heap is treated as an unordered *bag* of enabled events: heap
-        order is never consulted (``heappush`` from the send paths is
-        harmless on a bag), and at every step the installed
-        :class:`ScheduleController` is shown every record plus the pending
-        synthetic crash/detect actions and picks one.  Acknowledgments are
-        never fused and same-time deliveries never batch, so every causal
-        step is a controller decision.  Logical time is the running
-        maximum of fired record timestamps — deterministic given the
-        choice sequence, which is what makes serialized counterexample
-        traces replay bit-exactly.
+    def _schedule_start(self, v: NodeId) -> None:
+        """Schedule ``v``'s ``on_start`` now, attributed to ``v``: the
+        partial-order reduction treats it as a step of ``v``, and a
+        controlled run skips it if ``v`` is down when it is chosen."""
+        seq = next(self._counter)
+        heappush(self._heap,
+                 (self._now, seq, EV_CALLBACK, self.processes[v].on_start))
+        self._cb_node[seq] = v
 
-        Crash semantics mirror the timed fault mode's fail-stop rules, keyed
-        on the dynamic ``crashed`` set instead of precomputed crash times:
-        deliveries to a corpse vanish and jam the link, a dead sender's
-        acknowledgment still frees the link state but the corpse takes no
-        step, and a crashed node's scheduled callbacks are elided.
-        ``max_time`` has no meaning without the clock; only the
-        ``max_events`` step budget is honored.
+    def _controlled_step(self, exhausted: bool) -> Any:
+        """One controller decision of a controlled run (DESIGN.md §13).
+
+        The heap is an unordered *bag*: the installed controller is shown
+        every record, sorted by seq, plus the pending synthetic
+        crash/rejoin/detect/alive actions, and picks one.  Returns a stop
+        reason if nothing is enabled, the budget is ``exhausted`` or the
+        controller stops; ``None`` after a step handled here (a synthetic
+        action, or a callback of a down node); else the chosen record for
+        the dispatch loop, removed from the bag and stamped with the
+        running maximum of fired timestamps.  That logical time is
+        deterministic given the choice sequence, so serialized traces
+        replay bit-exactly; crashes and rejoins write it into
+        ``_crash_t``/``_rejoin_t``, where the loop's fault checks read it.
         """
-        controller = self.controller
-        processes = self.processes
         heap = self._heap
-        counter = self._counter
-        push = heappush
-        # Attribution of engine-scheduled callbacks (on_start) to their
-        # node: the reduction layer treats an attributed callback as a step
-        # of that process, and a crashed node's callbacks must not fire.
-        cb_node: Dict[int, NodeId] = {}
-        for v in self.graph.nodes:  # ``nodes`` is an ascending range
-            seq = next(counter)
-            push(heap, (0.0, seq, EV_CALLBACK, processes[v].on_start))
-            cb_node[seq] = v
-        self._blk_i[:] = self._skeleton.blk_lims
-
-        crashable = tuple(controller.crashable)
-        rejoinable = tuple(getattr(controller, "rejoinable", ()))
-        crashed = self.crashed
-        rejoined = self.rejoined
-        base_detect = Process.on_neighbor_dead
-        base_alive = Process.on_neighbor_alive
-        #: Armed failure-detector steps: (observer, dead), arming order.
-        detect_ready: List[Tuple[NodeId, NodeId]] = []
-        #: Armed recovery-detector steps: (observer, returned), arming
-        #: order.  Never withheld: a chosen rejoin voids every pre-rejoin
-        #: incident record immediately, so there is nothing the §11 bound
-        #: would still be waiting on.
-        alive_ready: List[Tuple[NodeId, NodeId]] = []
-        #: Per-corpse seqs of live-sender deliveries in flight at the
-        #: crash; the corpse's detects are withheld until all have fired
-        #: (the §11 synchrony bound: such messages resolve before the
-        #: detection timeout).
-        detect_blockers: Dict[NodeId, set] = {}
-
-        trace = self.trace
         lu = self._lu
         lv = self._lv
-        busy_a = self._busy
-        outbox_a = self._outbox
-        pending_a = self._pending
-        slot_p_a = self._slot_payload
-        slot_ack_a = self._slot_ack
-        deliver_a = self._deliver
-        table_a = self._table
-        delivered_a = self._delivered
-        prefix_a = self._ack_prefix
-        injected_a = self._injected
-        acode_a = self._skeleton.ack_codes
-        apcode_a = self._skeleton.ack_payload_codes
-        inject = self._inject_link
-        budget = (1 << 62) if max_events is None else max_events
-        budget0 = budget
-        stop_reason = "quiescent"
-        acks = self.acks
-        dropped = self.dropped
-        try:
-            while True:
-                events: List[ControlledEvent] = []
-                for record in heap:
-                    code = record[2]
-                    if code >= CODE_DELIVER:
-                        lid = code - CODE_DELIVER
-                        events.append(ControlledEvent(
-                            CTRL_DELIVER, record[1], lid, lu[lid], lv[lid],
-                            None, record))
-                    elif code >= CODE_ACK:
-                        lid = code - CODE_ACK
-                        events.append(ControlledEvent(
-                            CTRL_ACK, record[1], lid, lu[lid], lv[lid],
-                            None, record))
-                    elif code >= CODE_ACK_PAYLOAD:
-                        lid = code - CODE_ACK_PAYLOAD
-                        events.append(ControlledEvent(
-                            CTRL_ACK, record[1], lid, lu[lid], lv[lid],
-                            None, record))
-                    elif code >= CODE_DELIVER_PAYLOAD:
-                        lid = code - CODE_DELIVER_PAYLOAD
-                        events.append(ControlledEvent(
-                            CTRL_DELIVER, record[1], lid, lu[lid], lv[lid],
-                            None, record))
-                    else:
-                        events.append(ControlledEvent(
-                            CTRL_CALLBACK, record[1], None, None, None,
-                            cb_node.get(record[1]), record))
-                events.sort(key=lambda e: e.seq)
-                for v in crashable:
-                    if v not in crashed and v not in rejoined:
-                        # One crash per node: a re-joined node is not
-                        # offered again, which bounds the schedule space
-                        # (no infinite crash/rejoin flapping).
-                        events.append(ControlledEvent(
-                            CTRL_CRASH, None, None, None, None, v, None))
-                for v in rejoinable:
-                    if v in crashed:
-                        events.append(ControlledEvent(
-                            CTRL_REJOIN, None, None, None, None, v, None))
-                for u, c in detect_ready:
-                    if detect_blockers.get(c):
-                        continue
-                    # detect: src = the dead node, dst/node = the observer.
-                    events.append(ControlledEvent(
-                        CTRL_DETECT, None, None, c, u, u, None))
-                for u, c in alive_ready:
-                    # alive: src = the returned node, dst/node = observer.
-                    events.append(ControlledEvent(
-                        CTRL_ALIVE, None, None, c, u, u, None))
-                if not events:
-                    break
-                if budget == 0:
-                    stop_reason = "max_events"
-                    break
-                choice = controller.choose(events)
-                if choice is None:
-                    stop_reason = "controller"
-                    break
-                budget -= 1
-                ev = events[choice]
-                record = ev.record
-                if record is None:
-                    if ev.kind == CTRL_CRASH:
-                        v = ev.node
-                        crashed[v] = self._now
-                        blockers = set()
-                        for rec in heap:
-                            rcode = rec[2]
-                            if rcode >= CODE_DELIVER:
-                                rlid = rcode - CODE_DELIVER
-                            elif rcode >= CODE_ACK_PAYLOAD:
-                                continue  # acks drain before any timeout
-                            elif rcode >= CODE_DELIVER_PAYLOAD:
-                                rlid = rcode - CODE_DELIVER_PAYLOAD
-                            else:
-                                continue  # callbacks are untimed
-                            if lu[rlid] not in crashed:
-                                blockers.add(rec[1])
-                        if blockers:
-                            detect_blockers[v] = blockers
-                        # The corpse observes nothing from now on.
-                        detect_ready[:] = [
-                            pair for pair in detect_ready if pair[0] != v
-                        ]
-                        alive_ready[:] = [
-                            pair for pair in alive_ready if pair[0] != v
-                        ]
-                        for u in sorted(self.graph.neighbors(v)):
-                            if u in crashed:
-                                continue
-                            if type(processes[u]).on_neighbor_dead \
-                                    is base_detect:
-                                continue
-                            detect_ready.append((u, v))
-                    elif ev.kind == CTRL_REJOIN:
-                        v = ev.node
-                        del crashed[v]
-                        rejoined[v] = self._now
-                        # Un-fired detects observing v raced the rejoin and
-                        # lost: the timeout saw the node answer again.  The
-                        # controller covers the other order by firing the
-                        # detect *before* choosing the rejoin — exactly the
-                        # D1–D3 interleaving pair.
-                        detect_ready[:] = [
-                            pair for pair in detect_ready if pair[1] != v
-                        ]
-                        detect_blockers.pop(v, None)
-                        # Void every in-flight incident record (and the
-                        # corpse's stale attributed callbacks): the new
-                        # incarnation shares no link-layer state with the
-                        # old one.
-                        out = self._out
-                        incident = set()
-                        for w in self.graph.neighbors(v):
-                            incident.add(out[v][w])
-                            incident.add(out[w][v])
-                        voided = []
-                        for rec in heap:
-                            rcode = rec[2]
-                            if rcode >= CODE_DELIVER:
-                                rlid = rcode - CODE_DELIVER
-                                is_delivery = True
-                            elif rcode >= CODE_ACK:
-                                rlid = rcode - CODE_ACK
-                                is_delivery = False
-                            elif rcode >= CODE_ACK_PAYLOAD:
-                                rlid = rcode - CODE_ACK_PAYLOAD
-                                is_delivery = False
-                            elif rcode >= CODE_DELIVER_PAYLOAD:
-                                rlid = rcode - CODE_DELIVER_PAYLOAD
-                                is_delivery = True
-                            else:
-                                if cb_node.get(rec[1]) == v:
-                                    voided.append((rec, None, False))
-                                continue
-                            if rlid in incident:
-                                voided.append((rec, rlid, is_delivery))
-                        for rec, rlid, is_delivery in voided:
-                            heap.remove(rec)
-                            if rlid is not None:
-                                pending_a[rlid] -= 1
-                                if is_delivery:
-                                    dropped += 1
-                            if detect_blockers:
-                                for blk in detect_blockers.values():
-                                    blk.discard(rec[1])
-                        proc = self._rewire_node(v)
-                        # Blank state includes the output register: the
-                        # previous incarnation's answer died with it.
-                        self.outputs.pop(v, None)
-                        self.output_time.pop(v, None)
-                        seq = next(counter)
-                        push(heap, (self._now, seq, EV_CALLBACK,
-                                    proc.on_start))
-                        cb_node[seq] = v
-                        for u in sorted(self.graph.neighbors(v)):
-                            if u in crashed:
-                                continue
-                            if type(processes[u]).on_neighbor_alive \
-                                    is base_alive:
-                                continue
-                            alive_ready.append((u, v))
-                    elif ev.kind == CTRL_ALIVE:
-                        alive_ready.remove((ev.dst, ev.src))
-                        processes[ev.dst].on_neighbor_alive(ev.src)
-                    else:  # CTRL_DETECT
-                        detect_ready.remove((ev.dst, ev.src))
-                        processes[ev.dst].on_neighbor_dead(ev.src)
-                    continue
-                # Record-backed step: pull it out of the bag and dispatch.
-                heap.remove(record)
-                if detect_blockers:
-                    for blk in detect_blockers.values():
-                        blk.discard(record[1])
-                if record[0] > self._now:
-                    self._now = record[0]
-                now = self._now
-                self._active_seq = record[1]
-                code = record[2]
-                if code >= CODE_DELIVER:
-                    lid = code - CODE_DELIVER
-                    payload = slot_p_a[lid]
-                    inj = injected_a[lid]
-                    ack = slot_ack_a[lid]
-                elif code >= CODE_ACK:
-                    lid = code - CODE_ACK
-                    pending_a[lid] -= 1
-                    busy_a[lid] = False
-                    ob = outbox_a[lid]
-                    if ob and lu[lid] not in crashed:
-                        inject(lid, heappop(ob)[2])
-                    continue
-                elif code >= CODE_ACK_PAYLOAD:
-                    lid = code - CODE_ACK_PAYLOAD
-                    pending_a[lid] -= 1
-                    busy_a[lid] = False
-                    if lu[lid] in crashed:
-                        # The sender is dead: no callback, no drain.
-                        continue
-                    delivered_a[lid](lv[lid], record[3])
-                    ob = outbox_a[lid]
-                    if ob:
-                        inject(lid, heappop(ob)[2])
-                    continue
-                elif code >= CODE_DELIVER_PAYLOAD:
-                    lid = code - CODE_DELIVER_PAYLOAD
-                    payload = record[3]
-                    inj = record[4]
-                    ack = record[5]
-                else:
-                    node = cb_node.get(record[1])
-                    if node is None or node not in crashed:
-                        record[3]()
-                    continue
-                # ---- delivery flow (packed or fat record) ----
-                dst = lv[lid]
-                if dst in crashed:
-                    # Receiver crashed: the message vanishes and the link
-                    # jams (recovery uses ProcessContext.reset_link).
-                    dropped += 1
-                    pending_a[lid] -= 1
-                    continue
-                if trace is not None:
-                    trace(now, lu[lid], dst, payload)
-                acks += 1
-                if ack is None or injected_a[lid] != inj:
-                    ack = self._ack_delay(lid)
-                delivered = delivered_a[lid]
-                if delivered is not None and (
-                    prefix_a[lid] is None or payload[0] == prefix_a[lid]
-                ):
-                    push(heap, (now + ack, next(counter), apcode_a[lid],
-                                payload))
-                else:
-                    push(heap, (now + ack, next(counter), acode_a[lid]))
-                table = table_a[lid]
-                if table is not None:
-                    table[payload[0]](lu[lid], payload)
-                else:
-                    deliver_a[lid](lu[lid], payload)
-        finally:
-            self._fired += budget0 - budget
-            self.acks = acks
-            self.dropped = dropped
-            self.messages = sum(self._injected)
-        return AsyncResult(
-            time_to_output=self._time_to_output,
-            time_to_quiescence=self._now,
-            messages=self.messages,
-            acks=self.acks if self.count_acks else 0,
-            outputs=dict(self.outputs),
-            output_time=dict(self.output_time),
-            events_fired=self._fired,
-            stop_reason=stop_reason,
-            dropped=dropped,
-        )
+        detect_ready = self._detect_ready
+        alive_ready = self._alive_ready
+        blockers = self._detect_blockers
+        controller = self.controller
+        now = self._now
+        events: List[ControlledEvent] = []
+        for record in heap:
+            seq = record[1]
+            delivery = _is_delivery(record[2])
+            if delivery is None:
+                events.append(ControlledEvent(
+                    CTRL_CALLBACK, seq, None, None, None,
+                    self._cb_node.get(seq), record))
+            else:
+                lid = record[2] & LINK_MASK
+                events.append(ControlledEvent(
+                    CTRL_DELIVER if delivery else CTRL_ACK, seq, lid,
+                    lu[lid], lv[lid], None, record))
+        events.sort(key=lambda e: e.seq)
+        for v in controller.crashable:
+            # One crash per node: a re-joined node is not offered again,
+            # which bounds the schedule space (no crash/rejoin flapping).
+            if self._crash_t[v] == inf:
+                events.append(ControlledEvent(
+                    CTRL_CRASH, None, None, None, None, v, None))
+        for v in controller.rejoinable:
+            if self._is_down(v):
+                events.append(ControlledEvent(
+                    CTRL_REJOIN, None, None, None, None, v, None))
+        for u, c in detect_ready:
+            if not blockers.get(c):
+                # detect: src = the dead node, dst/node = the observer.
+                events.append(ControlledEvent(
+                    CTRL_DETECT, None, None, c, u, u, None))
+        for u, c in alive_ready:
+            # alive: src = the returned node, dst/node = the observer.
+            # Never withheld: the rejoin voided every pre-rejoin incident
+            # record, so the §11 bound has nothing left to wait on.
+            events.append(ControlledEvent(
+                CTRL_ALIVE, None, None, c, u, u, None))
+        if not events:
+            return "quiescent"
+        if exhausted:
+            return "max_events"
+        choice = controller.choose(events)
+        if choice is None:
+            return "controller"
+        ev = events[choice]
+        record = ev.record
+        if record is not None:
+            heap.remove(record)
+            for blk in blockers.values():
+                blk.discard(record[1])
+            if record[0] < now:
+                record = (now,) + record[1:]
+            if ev.node is not None and self._is_down(ev.node):
+                # An attributed callback (the only record-backed event with
+                # a node) of a crashed node: the corpse takes no step.
+                self._now = record[0]
+                return None
+            return record
+        if ev.kind == CTRL_CRASH:
+            v = ev.node
+            self._crash_t[v] = now
+            # Live-sender deliveries in flight at the crash resolve before
+            # the detection timeout (the §11 synchrony bound), so the
+            # corpse's detects are withheld until all have fired.  Acks
+            # drain before any timeout and callbacks are untimed; the
+            # corpse's own messages do not block either: a down interval
+            # may legally defer them past the timeout.
+            blockers[v] = {
+                rec[1] for rec in heap
+                if _is_delivery(rec[2])
+                and not self._is_down(lu[rec[2] & LINK_MASK])
+            }
+            # The corpse observes nothing from now on.
+            detect_ready[:] = [p for p in detect_ready if p[0] != v]
+            alive_ready[:] = [p for p in alive_ready if p[0] != v]
+            detect_ready += [
+                (u, v) for u in self._observers(v, "on_neighbor_dead", now)]
+        elif ev.kind == CTRL_REJOIN:
+            v = ev.node
+            self._rejoin_t[v] = now
+            # Un-fired detects observing v raced the rejoin and lost: the
+            # timeout saw the node answer again.  The controller covers the
+            # other order by firing the detect *before* choosing the rejoin
+            # — exactly the D1–D3 interleaving pair.
+            detect_ready[:] = [p for p in detect_ready if p[1] != v]
+            blockers.pop(v, None)
+            # Void every in-flight incident record (and the corpse's stale
+            # attributed callbacks): the new incarnation shares no
+            # link-layer state with the old one.
+            out = self._out
+            incident = {lid for w in self.graph.neighbors(v)
+                        for lid in (out[v][w], out[w][v])}
+            voided = [
+                rec for rec in heap
+                if (self._cb_node.get(rec[1]) == v if rec[2] == EV_CALLBACK
+                    else (rec[2] & LINK_MASK) in incident)
+            ]
+            for rec in voided:
+                heap.remove(rec)
+                delivery = _is_delivery(rec[2])
+                if delivery is not None:
+                    self._pending[rec[2] & LINK_MASK] -= 1
+                    if delivery:
+                        self.dropped += 1
+                for blk in blockers.values():
+                    blk.discard(rec[1])
+            self._rewire_node(v)
+            self._schedule_start(v)
+            alive_ready += [
+                (u, v) for u in self._observers(v, "on_neighbor_alive", now)]
+        elif ev.kind == CTRL_ALIVE:
+            alive_ready.remove((ev.dst, ev.src))
+            self._fire_alive(ev.dst, ev.src)
+        else:  # CTRL_DETECT
+            detect_ready.remove((ev.dst, ev.src))
+            self._fire_dead(ev.dst, ev.src)
+        return None
 
     # ------------------------------------------------------------------
     def run(
@@ -1564,21 +1396,27 @@ class AsyncRuntime(EventQueue):
         max_time: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> AsyncResult:
-        if self.controller is not None:
-            return self._run_controlled(max_events=max_events)
+        controlled = self.controller is not None
+        if controlled and max_time is not None:
+            # Controlled runs are untimed: the bag has no earliest record,
+            # so a deadline check would mean nothing.
+            raise ValueError(
+                "max_time has no meaning with a ScheduleController"
+                " installed; bound controlled runs with max_events"
+            )
         crash_t = self._crash_t
         rejoin_t = self._rejoin_t
         faulty = crash_t is not None
         for v in self.graph.nodes:  # ``nodes`` is an ascending range
             if not faulty or crash_t[v] > 0.0:
-                self.schedule(0.0, self.processes[v].on_start)
+                self._schedule_start(v)
         # Force a refill on every link: a shared block buffer may have been
         # dirtied by another replay since construction (sweeps hand one
         # buffer across replays).  Refills re-derive the same values from
         # the model's pure fills, so this is free for a fresh runtime and
         # correct for a resumed one.
         self._blk_i[:] = self._skeleton.blk_lims
-        if faulty:
+        if self.faults is not None:
             self._schedule_faults()
 
         # The dispatch loop, inlined: record pops, per-kind branches, and
@@ -1591,9 +1429,11 @@ class AsyncRuntime(EventQueue):
         # Cyclic GC is paused for the duration (the loop allocates tuples
         # at a rate that trips gen-0 collection constantly and creates no
         # cycles of its own) and restored even when a handler raises.
-        # Under a fault schedule (``faulty``) every transport record also
-        # passes the fault checks of DESIGN.md §11 and same-time batching
-        # is off; the fault-free path pays only the ``faulty`` tests.
+        # Under a fault schedule or a controller (``faulty``) every
+        # transport record passes the fault checks of DESIGN.md §11 and
+        # same-time batching is off.  A controller (``controlled``) picks
+        # each next record (``_controlled_step``) and no ack is fused, so
+        # every causal step is its decision (DESIGN.md §13).
         heap = self._heap
         pop = heappop
         push = heappush
@@ -1628,7 +1468,9 @@ class AsyncRuntime(EventQueue):
         budget0 = budget
         stop_reason = "quiescent"
         acks = self.acks
-        dropped = self.dropped
+        # A delta: a controlled rejoin counts its voided deliveries on
+        # ``self.dropped`` during the run.
+        dropped = 0
         # Fuses counted locally; materializations (``send_on``,
         # ``_reset_link``) decrement ``self._fused``, combined at exit.
         fused = 0
@@ -1640,15 +1482,24 @@ class AsyncRuntime(EventQueue):
         if gc_was_enabled:
             gc.disable()
         try:
-            while heap:
-                if heap[0][0] > deadline:
-                    stop_reason = "max_time"
-                    break
-                if budget == 0:
-                    stop_reason = "max_events"
-                    break
-                budget -= 1
-                record = pop(heap)
+            while heap or controlled:
+                if controlled:
+                    record = self._controlled_step(budget == 0)
+                    if isinstance(record, str):
+                        stop_reason = record
+                        break
+                    budget -= 1
+                    if record is None:
+                        continue
+                else:
+                    if heap[0][0] > deadline:
+                        stop_reason = "max_time"
+                        break
+                    if budget == 0:
+                        stop_reason = "max_events"
+                        break
+                    budget -= 1
+                    record = pop(heap)
                 self._now = now = record[0]
                 self._active_seq = record[1]
                 code = record[2]
@@ -1793,7 +1644,8 @@ class AsyncRuntime(EventQueue):
                     prefix_a[lid] is None or payload[0] == prefix_a[lid]
                 ):
                     push(heap, (t_ack, next(counter), apcode_a[lid], payload))
-                elif (outbox_a[lid] or pending_a[lid] != 1 or not busy_a[lid]
+                elif (controlled or outbox_a[lid] or pending_a[lid] != 1
+                      or not busy_a[lid]
                       # An ack inside a down interval is deferred under a
                       # fresh seq, which a reservation cannot express.
                       or faulty and down is not None and down(t_ack) > 0.0):
@@ -1816,7 +1668,7 @@ class AsyncRuntime(EventQueue):
                 gc.enable()
             self._fired += budget0 - budget
             self.acks = acks
-            self.dropped = dropped
+            self.dropped += dropped
             self._fused += fused
             self.messages = sum(self._injected)
         quiescence = self._now

@@ -17,6 +17,7 @@ from repro.net import (
     standard_adversaries,
     topology,
 )
+from repro.net.async_runtime import ScheduleController
 
 
 class Echo(Process):
@@ -231,6 +232,24 @@ class TestMaxTimeBoundary:
         result = AsyncRuntime(g, Env, ConstantDelay(1.0)).run(max_time=2.5)
         assert fired == ["at-deadline"]
         assert result.stop_reason == "quiescent"
+
+    def test_max_time_rejected_under_controller(self):
+        """A controlled run is untimed (its heap is an unordered bag), so a
+        deadline is refused with an error naming both; the step budget
+        still bounds the run."""
+
+        class First(ScheduleController):
+            def choose(self, events):
+                return 0
+
+        g = topology.path_graph(2)
+        runtime = AsyncRuntime(g, Burst, ConstantDelay(1.0),
+                               controller=First())
+        with pytest.raises(ValueError, match="max_time.*ScheduleController"):
+            runtime.run(max_time=9.0)
+        result = runtime.run(max_events=3)
+        assert result.stop_reason == "max_events"
+        assert result.events_fired == 3
 
 
 class TestReservedAckIdentity:

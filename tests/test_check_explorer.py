@@ -92,6 +92,33 @@ class TestExploration:
             assert reduced.executions < full.executions
 
 
+#: (spec, budget, (executions, states, pruned_executions, sleep_pruned,
+#: races, max_depth, steps_total)) — the explored schedule space pinned
+#: exactly.  Any change to the offered bag, the synthetic actions, the
+#: fingerprint's state classes or the step accounting moves at least one
+#: of these counts.
+SCHEDULE_SPACE_PINS = (
+    ("sync-bfs:cycle:3", None, (224, 619, 38, 279, 302, 38, 13378)),
+    ("reg:star:4:crash:1", None, (349, 980, 244, 643, 523, 26, 12369)),
+    ("rejoin:cycle:4:crash:1", 100, (100, 319, 3, 137, 297, 88, 15314)),
+    ("churn:cycle:5:crash:2", 100, (100, 373, 41, 214, 393, 112, 20918)),
+)
+
+
+class TestScheduleSpacePins:
+    @pytest.mark.parametrize(
+        "spec,budget,expected", SCHEDULE_SPACE_PINS,
+        ids=[pin[0] for pin in SCHEDULE_SPACE_PINS],
+    )
+    def test_explored_space_is_pinned(self, spec, budget, expected):
+        report = explore(build_workload(spec), budget=budget)
+        assert report.violation is None
+        assert report.exhausted == (budget is None)
+        assert (report.executions, report.states, report.pruned_executions,
+                report.sleep_pruned, report.races, report.max_depth,
+                report.steps_total) == expected
+
+
 class TestWorkloadSpecs:
     def test_crash_root_rejected(self):
         with pytest.raises(ValueError):
@@ -189,6 +216,16 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["reports"][0]["workload"] == "reg:star:3"
         assert payload["reports"][0]["executions"] == 5
+
+    def test_states_reported(self, capsys):
+        """The text line and ``--json`` both carry the convergence-dedup
+        state count the explorer's report holds."""
+        expected = explore(build_workload("reg:star:3")).states
+        assert check_main(["explore", "reg:star:3"]) == 0
+        assert f"{expected} states" in capsys.readouterr().out
+        assert check_main(["explore", "reg:star:3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["reports"][0]["states"] == expected
 
     def test_bad_spec_exits_two(self, capsys):
         assert check_main(["explore", "bogus:cell:1"]) == 2

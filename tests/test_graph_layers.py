@@ -1,5 +1,5 @@
-"""Tests for ``Graph.bfs_layers``, the truncated ``Graph.ball`` built on it, and
-the multi-source ``Graph.ball_around``."""
+"""Tests for the truncated ``Graph.ball`` and the multi-source
+``Graph.ball_around`` it is built on."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,30 +13,7 @@ def _ball_by_distances(g, v, radius):
     return frozenset(u for u in g.nodes if dist[u] <= radius)
 
 
-class TestBfsLayers:
-    def test_path_layers(self):
-        g = topology.path_graph(5)
-        assert g.bfs_layers(2) == ([2, 1, 3, 0, 4], [1, 3, 5])
-
-    def test_truncated_at_max_depth(self):
-        g = topology.path_graph(5)
-        assert g.bfs_layers(0, 2) == ([0, 1, 2], [1, 2, 3])
-        assert g.bfs_layers(0, 0) == ([0], [1])
-
-    def test_stops_at_eccentricity(self):
-        g = topology.cycle_graph(6)
-        order, ends = g.bfs_layers(0, 100)
-        assert len(ends) - 1 == g.eccentricity(0)
-        assert sorted(order) == list(g.nodes)
-
-    def test_unreachable_nodes_absent(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        assert g.bfs_layers(0) == ([0, 1], [1, 2])
-
-    def test_rejects_bad_source(self):
-        with pytest.raises(ValueError, match="outside"):
-            topology.path_graph(3).bfs_layers(3)
-
+class TestBall:
     def test_ball_edge_radii(self):
         g = topology.path_graph(5)
         assert g.ball(2, -1) == frozenset()
@@ -56,11 +33,8 @@ class TestBfsLayers:
 def test_prefixes_are_balls(n, p, seed, radius):
     g = topology.erdos_renyi_graph(n, p, seed)
     for v in g.nodes:
-        order, ends = g.bfs_layers(v, radius)
-        assert len(order) == len(set(order)) == ends[-1]
-        for k, end in enumerate(ends):
-            assert frozenset(order[:end]) == _ball_by_distances(g, v, k)
-        assert g.ball(v, radius) == _ball_by_distances(g, v, radius)
+        for k in range(radius + 1):
+            assert g.ball(v, k) == _ball_by_distances(g, v, k)
 
 
 class TestBallAround:
