@@ -6,39 +6,32 @@ is reported for reproducibility, but the quantities of interest are the
 message counts).  Every benchmark prints the series EXPERIMENTS.md records
 and attaches them to ``benchmark.extra_info``.
 
-Running under PyPy (the cheap ~10x for big sweeps)
---------------------------------------------------
+Running under PyPy (a compatibility lane)
+-----------------------------------------
 
-The whole stack is pure Python with zero native dependencies, so the large
-sweeps (n=512+, many delay models) run unmodified under PyPy::
+The whole stack is pure Python with zero native dependencies, so it runs
+unmodified under PyPy::
 
     pypy3 -m pip install pytest pytest-benchmark hypothesis networkx
-    PYTHONPATH=src pypy3 -m pytest benchmarks/bench_e05_*.py -q
-    PYTHONPATH=src pypy3 benchmarks/perf_regression.py            # prints only
+    PYTHONPATH=src pypy3 -m pytest -x -q
+    PYTHONPATH=src pypy3 benchmarks/perf_regression.py --quick   # prints only
 
-Notes from trial runs (keep in mind before comparing numbers):
+The lane checks compatibility, not speed: no PyPy-vs-CPython speedup and
+no layout's effect under the JIT has ever been measured in this repo, so
+none is claimed.  Keep in mind:
 
-* The JIT pays off after warm-up: single small runs (n <= 64) can be
-  *slower* than CPython; the n=256+ sweeps are where the ~10x appears.
 * Determinism is unaffected — delays are pure functions of (edge,
   direction, seq, seed), and hash-based draws use explicit 32/64-bit
   mixing, not ``hash()`` — so message counts and output digests must match
   CPython exactly (the ``perf_regression.py --check`` determinism fields
   are interpreter-independent).
-* Do NOT ``--write`` the committed throughput baseline from a PyPy run:
-  ``BENCH_core.json`` floors are calibrated for CPython CI runners (the
-  calibration loop itself JITs, so the host-speed rescaling would not
-  cancel out).
-* CPython-specific micro-optimizations in the transport (bigint-free
-  32-bit mixing, frame-avoidance closures) are harmless under PyPy — the
-  JIT sees through them either way; the §9 packed records and block-drawn
-  delay buffers (flat int/float arrays, no per-message closure frames)
-  are shaped *for* the JIT and are where PyPy gains the most.
+* Do NOT ``--check`` or ``--write`` the committed throughput baseline from
+  a PyPy run: ``BENCH_core.json`` floors are calibrated for CPython CI
+  runners (the calibration loop itself JITs, so the host-speed rescaling
+  would not cancel out), and PyPy walls include JIT warm-up.
 * CI runs this recipe on every push: the ``pypy`` job in
-  ``.github/workflows/ci.yml`` runs the tier-1 tests plus
-  ``perf_regression.py --quick`` (print-only — per the above, never
-  ``--check`` or ``--write`` against the CPython-calibrated baseline
-  from PyPy).
+  ``.github/workflows/ci.yml`` runs the tier-1 tests plus the print-only
+  ``perf_regression.py --quick`` smoke.
 
 Reading ``perf_regression.py --profile`` output under host drift
 ----------------------------------------------------------------

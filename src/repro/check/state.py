@@ -39,10 +39,6 @@ import json
 from typing import Any, Dict, List, Tuple
 
 from ..net.async_runtime import (
-    CODE_ACK,
-    CODE_ACK_PAYLOAD,
-    CODE_DELIVER,
-    CODE_DELIVER_PAYLOAD,
     CTRL_ALIVE,
     CTRL_CRASH,
     CTRL_DETECT,
@@ -50,6 +46,7 @@ from ..net.async_runtime import (
     AsyncRuntime,
     ControlledEvent,
 )
+from ..net.events import EV_ACK, EV_CALLBACK, EV_DELIVER
 
 #: Attribute names that point at static configuration or the runtime
 #: back-reference; walking them would either hash immutable bulk on every
@@ -150,22 +147,18 @@ def fingerprint(
     memo: Dict[int, int] = {}
     per_link: Dict[int, List[Tuple[int, Any]]] = {}
     for record in runtime._heap:
-        code = record[2]
-        if code >= CODE_DELIVER:
-            lid = code - CODE_DELIVER
-            entry = ["D", canon(runtime._slot_payload[lid], memo)]
-        elif code >= CODE_ACK:
-            lid = code - CODE_ACK
-            entry = ["A"]
-        elif code >= CODE_ACK_PAYLOAD:
-            lid = code - CODE_ACK_PAYLOAD
-            entry = ["AP", canon(record[3], memo)]
-        elif code >= CODE_DELIVER_PAYLOAD:
-            lid = code - CODE_DELIVER_PAYLOAD
-            entry = ["DP", canon(record[3], memo)]
-        else:
+        kind = record[2]
+        if kind == EV_CALLBACK:
             lid = -1
             entry = ["CB"]
+        else:
+            lid = record[3]
+            if kind == EV_DELIVER:
+                entry = ["D", canon(record[4], memo)]
+            elif kind == EV_ACK:
+                entry = ["A"]
+            else:
+                entry = ["AP", canon(record[4], memo)]
         per_link.setdefault(lid, []).append((record[1], entry))
     links: List[List[Any]] = []
     for lid in sorted(per_link):

@@ -25,7 +25,7 @@ the counts Theorem 3.1 charges.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..net.graph import NodeId
 from .registration import (
@@ -56,15 +56,7 @@ _PRUNED = object()
 
 
 class _InstanceState:
-    """Per-(cluster, tag) aggregation state at one node.
-
-    Plain slots, and *pooled* (DESIGN.md §10): an aggregation instance is
-    strictly one convergecast plus one broadcast, so the moment
-    ``on_result`` has fired at a node the instance can never receive
-    another message there — completed instances are recycled through the
-    module's free list and :meth:`reuse` resets the slot in place (the
-    child-value dict is cleared, not reallocated).
-    """
+    """Per-(cluster, tag) aggregation state at one node (plain slots)."""
 
     __slots__ = ("key", "cluster_id", "tag", "view", "contributed", "value",
                  "child_values", "missing", "sent_up", "result", "done",
@@ -73,16 +65,6 @@ class _InstanceState:
     def __init__(self, key: Key, cluster_id: int, tag: Tag,
                  view: "ClusterView", priority: Any,
                  links: Mapping[NodeId, int]) -> None:
-        # Only the container is created here; every other field is set by
-        # reuse(), so the field list exists exactly once and a slot added
-        # to one path cannot silently go stale on the other.
-        self.child_values: Dict[NodeId, Any] = {}
-        self.reuse(key, cluster_id, tag, view, priority, links)
-
-    def reuse(self, key: Key, cluster_id: int, tag: Tag,
-              view: "ClusterView", priority: Any,
-              links: Mapping[NodeId, int]) -> None:
-        """Reset a (recycled or brand-new) slot for a new (cluster, tag)."""
         # The identity travels with the instance so emits reuse the packed
         # wire key and ``on_result`` never decodes.
         self.key = key
@@ -91,7 +73,7 @@ class _InstanceState:
         self.view = view  # this node's tree view, bound at creation
         self.contributed = False
         self.value: Any = None
-        self.child_values.clear()
+        self.child_values: Dict[NodeId, Any] = {}
         # Child values still owed before this node may forward up; counted
         # down as they arrive so the forward check is one attribute test.
         children = view.children
@@ -133,7 +115,6 @@ class ClusterAggregateModule:
         priority_fn: Callable[[Tag], Any],
         links: Optional[Mapping[NodeId, int]] = None,
         send_link: Optional[Callable[[int, Tuple, Any], None]] = None,
-        pool: bool = False,
     ) -> None:
         """``links``/``send_link`` wire the module onto the transport's
         dense link table (``ProcessContext.links`` / ``.send_link``):
@@ -142,21 +123,6 @@ class ClusterAggregateModule:
         ``send`` (payload tagging, standalone tests) omit them and keep
         node-id sends — supplying exactly one half warns (see
         :func:`~repro.core.registration.resolve_link_pair`).
-
-        ``pool`` recycles completed instance slots through a free list
-        (DESIGN.md §10): once ``on_result`` has fired at this node the
-        instance can never receive another message, so its slot is reset
-        in place for the next (cluster, tag) instead of being reallocated.
-        It defaults *off*, unlike the registration pool: the synchronizer
-        stack creates nearly all aggregation instances in start-time
-        batches (Section 4.2 barriers), so the free list sees almost no
-        reuse (19 of 12 416 creations on sync-bfs@256) and the per-finish
-        dict delete/insert churn measured a 3-5% *regression* on tbfs-16
-        — see §10's rejected-alternatives table.  Hosts with genuine
-        instance turnover can opt in.  Consequences when on:
-        :meth:`result_of` only reflects *live* instances, and the
-        exactly-once ``contribute`` contract is only checkable while the
-        instance is live.
         """
         self.node_id = node_id
         self.clusters = clusters
@@ -170,8 +136,6 @@ class ClusterAggregateModule:
         self.merge_fn = merge_fn
         self.priority_fn = priority_fn
         self._instances: Dict[Key, _InstanceState] = {}
-        self._pool = pool
-        self._free: List[_InstanceState] = []
         self._merges: Dict[Tag, MergeFn] = {}
         self.messages_sent = 0
 
@@ -181,16 +145,9 @@ class ClusterAggregateModule:
             raise ValueError(
                 f"node {self.node_id} is not on the tree of cluster {cluster_id}"
             )
-        free = self._free
-        if free:
-            # Pool hit: reset a completed slot in place (§10).
-            instance = free.pop()
-            instance.reuse(key, cluster_id, tag, view, self.priority_fn(tag),
-                           self._links)
-        else:
-            instance = _InstanceState(
-                key, cluster_id, tag, view, self.priority_fn(tag), self._links
-            )
+        instance = _InstanceState(
+            key, cluster_id, tag, view, self.priority_fn(tag), self._links
+        )
         self._instances[key] = instance
         return instance
 
@@ -219,11 +176,7 @@ class ClusterAggregateModule:
         self._maybe_forward(instance)
 
     def result_of(self, cluster_id: int, tag: Tag) -> Optional[Any]:
-        """Result of a *live* completed instance, else ``None``.
-
-        Under ``pool=True`` a completed instance is recycled as soon as
-        ``on_result`` fires, so this returns ``None`` for it.
-        """
+        """Result of a completed instance, else ``None``."""
         key = pack_key(cluster_id, tag)
         instance = self._instances.get(key)
         return instance.result if instance is not None and instance.done else None
@@ -272,12 +225,6 @@ class ClusterAggregateModule:
                 self.messages_sent += 1
                 send_link(child_link, payload, priority)
         self.on_result(instance.cluster_id, instance.tag, result)
-        # The instance is complete: one convergecast and one broadcast have
-        # both passed this node, so no further message can arrive for it —
-        # recycle the slot for the next (cluster, tag).
-        if self._pool:
-            del self._instances[instance.key]
-            self._free.append(instance)
 
     # ------------------------------------------------------------------
     def handle(self, sender: NodeId, payload: Tuple) -> bool:

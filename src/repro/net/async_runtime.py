@@ -20,32 +20,22 @@ reacts to deliveries via ``on_message``.
 
 Performance architecture (DESIGN.md §6, §8, §9): the runtime *is* the event
 loop.  It subclasses :class:`~repro.net.events.EventQueue` and pops
-*packed-int records* — the common transport record is the 3-tuple
-``(time, seq, code)`` with ``code = (kind << LINK_BITS) | link_id`` — in
-one inlined dispatch loop.  Per-directed-link state lives in a
-*struct-of-arrays link table* (DESIGN.md §8): dense ``link_id`` ints index
-parallel lists for the busy slot, outbox head, sequence counters, bound
-handlers, and the fused-ack reservation; the packed codes themselves are
-precomputed int objects on the shared :class:`LinkSkeleton`, so pushing an
-event allocates nothing beyond its record tuple.
+plain-tuple records ``(time, seq, kind, ...)`` in one inlined dispatch
+loop.  Per-directed-link state lives in a *struct-of-arrays link table*
+(DESIGN.md §8): dense ``link_id`` ints index parallel lists for the busy
+slot, outbox head, sequence counters, bound handlers, and the fused-ack
+reservation.
 
-A packed delivery's payload and pre-drawn acknowledgment delay ride in
-per-link *side slots* (DESIGN.md §9) instead of in the record.  Slot
-occupancy is the link's outstanding-record count: an injection finding
-``pending == 0`` owns the slot (the Appendix B discipline makes this the
-overwhelmingly common case); any other injection — only possible during
-the ``on_delivered`` double-inject race — falls back to a "fat"
-:data:`~repro.net.events.EV_DELIVER_PAYLOAD` record carrying its fields
-inline (same ``(time, seq)`` identity, so schedules are unchanged) and
-*invalidates* the slot's pre-drawn ack delay, which encodes the historical
-redraw rule (see ``_ack_delay``) without a per-delivery sequence check.
-
-Acknowledgments split into two kinds at delivery time: a sender that wants
-its ``on_delivered`` callback for this payload gets an
-:data:`~repro.net.events.EV_ACK_PAYLOAD` record (payload inline); everyone
-else gets a bare :data:`~repro.net.events.EV_ACK` 3-tuple whose dispatch
-is nothing but "free the link, drain the outbox" — no callback or
-interest checks per acknowledgment.
+A delivery record carries everything its dispatch needs inline: the link
+id, the payload, the link's injection number, and the pre-drawn
+acknowledgment delay.  The injection number encodes the historical redraw
+rule (see ``_ack_delay``): a delivery whose link saw a later injection
+before it fired redraws its ack delay.  Acknowledgments split into two
+kinds at delivery time: a sender that wants its ``on_delivered`` callback
+for this payload gets an :data:`~repro.net.events.EV_ACK_PAYLOAD` record
+(payload inline); everyone else gets a bare
+:data:`~repro.net.events.EV_ACK` record whose dispatch is nothing but
+"free the link, drain the outbox".
 
 Delay randomness is drawn in *blocks*, the one draw shape of the
 transport: each link's next :data:`~repro.net.delays.BLOCK_PAIRS`
@@ -63,16 +53,11 @@ A message usually costs no acknowledgment event at all: when nobody waits
 on an ack (no ``on_delivered`` interest, nothing queued or outstanding on
 the link), the ack's ``(time, seq)`` identity is merely *reserved* and the
 event is materialized only if a later send actually has to wait on it.
-Same-time packed deliveries to one destination are *batched* without
-re-entering the outer per-event bookkeeping, still strictly in
-``(time, seq)`` order (any other record ends the batch), so the schedule
-is byte-identical to the unbatched loop (pinned by
-``tests/test_engine_equivalence.py``).  Under a fault schedule the same
-loop runs unbatched, every transport record passes the fault checks, and
+Under a fault schedule every transport record passes the fault checks, and
 only acks whose firing would be a no-op are fused (DESIGN.md §11).  Under
-a :class:`ScheduleController` (the model checker, DESIGN.md §13) the same
-loop again runs unbatched with the same fault checks, but each next record
-is the controller's pick from the unordered heap and no ack is fused.
+a :class:`ScheduleController` (the model checker, DESIGN.md §13) each next
+record is the controller's pick from the unordered heap, with the same
+fault checks, and no ack is fused.
 """
 
 from __future__ import annotations
@@ -94,15 +79,7 @@ from .delays import (
     call_block_stream,
 )
 from .faults import DETECT_TIMEOUT, FaultSchedule
-from .events import (
-    CODE_ACK,
-    CODE_ACK_PAYLOAD,
-    CODE_DELIVER,
-    CODE_DELIVER_PAYLOAD,
-    EV_CALLBACK,
-    LINK_MASK,
-    EventQueue,
-)
+from .events import EV_ACK, EV_ACK_PAYLOAD, EV_CALLBACK, EV_DELIVER, EventQueue
 from .graph import Graph, NodeId, UnknownLinkError
 
 Payload = Any
@@ -145,14 +122,6 @@ def _drop_delivery(sender: NodeId, payload: Payload) -> None:
     """Receive handler of a muted link (see :meth:`ProcessContext.mute`)."""
 
 
-def _is_delivery(code: int) -> Optional[bool]:
-    """Kind of a record code: True for a delivery (packed or fat), False
-    for an acknowledgment (bare or payload), None for a callback."""
-    if code == EV_CALLBACK:
-        return None
-    return code >= CODE_DELIVER or code < CODE_ACK_PAYLOAD
-
-
 def _fill_checked(
     fill, buf, base: int, seq: int, lid: LinkId, skeleton: "LinkSkeleton",
 ) -> None:
@@ -190,18 +159,15 @@ class LinkSkeleton:
     every edge, in edge order — and everything derived from the assignment
     alone lives here: the endpoint arrays ``lu``/``lv`` (link id -> source /
     destination node), the per-node outgoing map ``out`` (node ->
-    {neighbor -> link id}), the packed event codes of every link
-    (``deliver_codes[lid] == CODE_DELIVER + lid`` etc. — precomputed int
-    *objects*, so the hot paths never allocate an int per event), and the
-    per-link block bounds ``blk_lims`` (``(lid + 1) * BLOCK_SPAN``, the
-    exclusive end of link ``lid``'s region in a flat block buffer).  All of
-    it is immutable after construction, so one skeleton is shared by every
-    runtime over the same graph (sweep replays in particular; see
+    {neighbor -> link id}), and the per-link block bounds ``blk_lims``
+    (``(lid + 1) * BLOCK_SPAN``, the exclusive end of link ``lid``'s region
+    in a flat block buffer).  Event records name a link by its id alone.
+    All of it is immutable after construction, so one skeleton is shared by
+    every runtime over the same graph (sweep replays in particular; see
     :func:`link_skeleton_for`).
     """
 
-    __slots__ = ("lu", "lv", "out", "num_links", "deliver_codes",
-                 "ack_codes", "ack_payload_codes", "fat_codes", "blk_lims")
+    __slots__ = ("lu", "lv", "out", "num_links", "blk_lims")
 
     def __init__(self, graph: Graph) -> None:
         lu: List[NodeId] = []
@@ -217,11 +183,6 @@ class LinkSkeleton:
             lv.append(u)
             out[v][u] = lid
             lid += 1
-        if lid > LINK_MASK + 1:
-            raise ValueError(
-                f"graph has {lid} directed links; packed event codes support"
-                f" at most {LINK_MASK + 1} (raise LINK_BITS in repro.net.events)"
-            )
         self.lu: Tuple[NodeId, ...] = tuple(lu)
         self.lv: Tuple[NodeId, ...] = tuple(lv)
         # Read-only views: the skeleton is shared by every runtime over the
@@ -232,19 +193,15 @@ class LinkSkeleton:
             {v: MappingProxyType(links) for v, links in out.items()}
         )
         self.num_links = lid
-        self.deliver_codes = tuple(CODE_DELIVER + i for i in range(lid))
-        self.ack_codes = tuple(CODE_ACK + i for i in range(lid))
-        self.ack_payload_codes = tuple(CODE_ACK_PAYLOAD + i for i in range(lid))
-        self.fat_codes = tuple(CODE_DELIVER_PAYLOAD + i for i in range(lid))
         self.blk_lims = tuple(range(BLOCK_SPAN, (lid + 1) * BLOCK_SPAN,
                                     BLOCK_SPAN))
 
     def __getstate__(self):
         """Explicit pickle state: the link-id assignment itself.
 
-        ``mappingproxy`` views don't pickle, and the packed code tuples are
-        pure functions of ``num_links`` — so a shipped skeleton carries only
-        the endpoint arrays and a plain-dict copy of the outgoing map.
+        ``mappingproxy`` views don't pickle, and the block bounds are a pure
+        function of ``num_links`` — so a shipped skeleton carries only the
+        endpoint arrays and a plain-dict copy of the outgoing map.
         Crucially this preserves the *parent's* id assignment verbatim: a
         sharded sweep worker (repro.net.shard) replays against exactly the
         link ids the parent's digests were computed over, instead of
@@ -262,10 +219,6 @@ class LinkSkeleton:
         )
         lid = len(self.lu)
         self.num_links = lid
-        self.deliver_codes = tuple(CODE_DELIVER + i for i in range(lid))
-        self.ack_codes = tuple(CODE_ACK + i for i in range(lid))
-        self.ack_payload_codes = tuple(CODE_ACK_PAYLOAD + i for i in range(lid))
-        self.fat_codes = tuple(CODE_DELIVER_PAYLOAD + i for i in range(lid))
         self.blk_lims = tuple(range(BLOCK_SPAN, (lid + 1) * BLOCK_SPAN,
                                     BLOCK_SPAN))
 
@@ -603,7 +556,7 @@ class ScheduleController:
     the heap top: the heap becomes an unordered bag of *enabled* events,
     and at every step the controller is shown all of them (plus the
     synthetic crash/detect actions below) and picks which one fires next;
-    the same loop dispatches it, unbatched and with no ack fused.  The
+    the same loop dispatches it, with no ack fused.  The
     delay model still runs — record timestamps and acknowledgment redraws
     are drawn exactly as always, so a replayed choice sequence reproduces
     the execution bit-for-bit — but it no longer *orders* anything, and
@@ -650,8 +603,13 @@ class ScheduleController:
 class AsyncRuntime(EventQueue):
     """Discrete-event executor for one protocol over one graph.
 
+    Its heap holds the plain-tuple records of :mod:`repro.net.events`; a
+    transport record names its directed link by id (field 3) and carries
+    its own payload, and a delivery also its injection number and
+    pre-drawn ack delay.  ``run`` pops them in one loop with one delivery
+    branch, for timed, faulty and controlled runs alike (DESIGN.md §9).
     Directed-link state is a struct-of-arrays table indexed by the dense
-    link ids of the graph's :class:`LinkSkeleton` (DESIGN.md §8, §9):
+    link ids of the graph's :class:`LinkSkeleton` (DESIGN.md §8):
 
     * ``_busy[lid]`` — the Appendix B in-flight slot;
     * ``_outbox[lid]`` — the priority outbox heap (``None`` until first used);
@@ -662,14 +620,8 @@ class AsyncRuntime(EventQueue):
       link.  Normally alternates 1 -> 1 -> 0; an ``on_delivered`` callback
       sending on the link it is being notified about can race the ack drain
       and put two messages in flight (a quirk the reference engine has too).
-      Doubles as the side-slot occupancy test (an injection finding it
-      nonzero goes fat) and gates ack fusing (only allowed at zero);
-    * ``_slot_payload[lid]`` / ``_slot_ack[lid]`` — the side slots of the
-      one packed delivery the link may have in flight: payload, and the
-      pre-drawn ack delay or ``None`` (``None`` forces the delivery-time
-      redraw at the link's latest injection number; fat injections
-      invalidate the slot ack to trigger exactly the historical
-      double-inject redraws);
+      Gates ack fusing (only allowed when the delivery being dispatched is
+      the link's one outstanding record);
     * ``_deliver[lid]`` / ``_table[lid]`` — the receiver's bound
       ``on_message`` and optional opcode dispatch table (a drop handler
       and ``None`` while muted);
@@ -688,8 +640,7 @@ class AsyncRuntime(EventQueue):
     __slots__ = (
         "graph", "delay_model", "count_acks", "count_fused_acks", "trace",
         "_skeleton", "_lu", "_lv", "_out", "_busy", "_outbox", "_seq",
-        "_injected", "_pending", "_slot_payload", "_slot_ack",
-        "_deliver", "_table", "_delivered",
+        "_injected", "_pending", "_deliver", "_table", "_delivered",
         "_ack_prefix", "_blk_fill", "_blk_buf", "_blk_i", "_free_at",
         "_reserved", "_send_on", "_enqueue_from", "_inject_link",
         "messages", "acks", "_fused", "outputs",
@@ -819,8 +770,6 @@ class AsyncRuntime(EventQueue):
         self._seq = [0] * n_links
         self._injected = [0] * n_links
         self._pending = [0] * n_links
-        self._slot_payload: List[Payload] = [None] * n_links
-        self._slot_ack: List[Optional[float]] = [None] * n_links
         self._free_at = [0.0] * n_links
         self._reserved: List[Optional[int]] = [None] * n_links
         block_factory = getattr(delay_model, "block_stream", None)
@@ -915,28 +864,22 @@ class AsyncRuntime(EventQueue):
         ``ProcessContext.send_link``: it queues behind a busy link or calls
         ``inject``.  ``enqueue_from(links, u, v, payload, priority)`` is the
         node-id path behind ``ProcessContext.send``: one dict probe, then
-        ``send_on``.  The link-table arrays, the side slots, the block
-        state, the heap, and the sequence counter are captured in cells, so
-        a send pays cell loads instead of attribute traffic.  Only the
-        loop-mutated scalars (``_now``, ``_active_seq``, ``_fused``) go
-        through ``self``.
+        ``send_on``.  The link-table arrays, the block state, the heap, and
+        the sequence counter are captured in cells, so a send pays cell
+        loads instead of attribute traffic.  Only the loop-mutated scalars
+        (``_now``, ``_active_seq``, ``_fused``) go through ``self``.
         """
         busy_a = self._busy
         outbox_a = self._outbox
         seq_a = self._seq
         injected_a = self._injected
         pending_a = self._pending
-        slot_p_a = self._slot_payload
-        slot_ack_a = self._slot_ack
         blk_fill_a = self._blk_fill
         blk_i_a = self._blk_i
         buf = self._blk_buf
         free_at_a = self._free_at
         reserved_a = self._reserved
         skeleton = self._skeleton
-        dcode_a = skeleton.deliver_codes
-        acode_a = skeleton.ack_codes
-        fcode_a = skeleton.fat_codes
         span = BLOCK_SPAN
         mask = BLOCK_SPAN - 1  # span is a power of two (checked at import)
         fill_checked = _fill_checked
@@ -952,10 +895,8 @@ class AsyncRuntime(EventQueue):
             ``messages`` is not incremented here: it is recovered at run
             end as the sum of the per-link injection counters.  The (delay,
             ack) pair comes from the link's block region, refilled at its
-            boundary; the payload and pre-drawn ack go to the side slots
-            when this is the link's only outstanding record, else to a fat
-            record (which stales the slot's pre-drawn ack — the historical
-            redraw rule).
+            boundary; the record carries the ack delay and the injection
+            number, which decides at delivery whether the ack is redrawn.
             """
             busy_a[lid] = True
             seq = injected_a[lid] + 1
@@ -968,19 +909,9 @@ class AsyncRuntime(EventQueue):
                 i -= span
                 fill_checked(blk_fill_a[lid], buf, i, seq, lid, skeleton)
             blk_i_a[lid] = i + 2
-            p = pending_a[lid]
-            pending_a[lid] = p + 1
-            if p == 0:
-                slot_p_a[lid] = payload
-                slot_ack_a[lid] = buf[i + 1]
-                push(heap, (rt._now + buf[i], next(counter), dcode_a[lid]))
-                return
-            slot_ack_a[lid] = None
-            push(
-                heap,
-                (rt._now + buf[i], next(counter), fcode_a[lid], payload,
-                 seq, buf[i + 1]),
-            )
+            pending_a[lid] += 1
+            push(heap, (rt._now + buf[i], next(counter), EV_DELIVER, lid,
+                        payload, seq, buf[i + 1]))
 
         def send_on(
             lid: LinkId, payload: Payload,
@@ -1010,7 +941,7 @@ class AsyncRuntime(EventQueue):
                     reserved_a[lid] = None
                     pending_a[lid] += 1
                     rt._fused -= 1
-                    push(heap, (free_at, rs, acode_a[lid]))
+                    push(heap, (free_at, rs, EV_ACK, lid))
                     ob = outbox_a[lid]
                     if ob is None:
                         ob = outbox_a[lid] = []
@@ -1055,10 +986,11 @@ class AsyncRuntime(EventQueue):
         ``on_delivered`` callback slipped an extra injection in before this
         delivery's acknowledgment was scheduled, the draw must see it —
         byte-for-byte reproducibility against the pre-rework engine depends
-        on this detail (fat injections invalidate the slot's pre-drawn ack
-        precisely to route those deliveries here).  Every other
-        acknowledgment is pre-drawn by the block fill, so this runs for a
-        few hundred messages per run at most.
+        on this detail.  The dispatch loop routes exactly those deliveries
+        here: the ones whose record's injection number is no longer the
+        link's latest.  Every other acknowledgment is pre-drawn by the
+        block fill, so this runs for a few hundred messages per run at
+        most.
         """
         u = self._lu[lid]
         v = self._lv[lid]
@@ -1080,7 +1012,10 @@ class AsyncRuntime(EventQueue):
         crashed receiver never acknowledges, so without this the Appendix B
         discipline would queue the live sender's messages forever.  Any
         record already in flight on the link stays scheduled — its fate is
-        decided at fire time by the fault checks — and so does a fused ack:
+        decided at fire time by the fault checks.  A delivery in flight here
+        is never delivered: it is dropped while the receiver is down and
+        void once it has re-joined (DESIGN.md §11), so its pre-drawn ack
+        delay needs no invalidation.  A fused ack stays scheduled too:
         its reservation goes (a leftover one would let a later send inject
         while a message is in flight), materialized first, as ``send_on``
         does, if the ack has not logically fired yet.
@@ -1089,7 +1024,6 @@ class AsyncRuntime(EventQueue):
         ob = self._outbox[lid]
         if ob:
             ob.clear()
-        self._slot_ack[lid] = None
         rs = self._reserved[lid]
         if rs is not None:
             self._reserved[lid] = None
@@ -1098,8 +1032,7 @@ class AsyncRuntime(EventQueue):
             if free_at > now or (free_at == now and rs > self._active_seq):
                 self._pending[lid] += 1
                 self._fused -= 1
-                heappush(self._heap,
-                         (free_at, rs, self._skeleton.ack_codes[lid]))
+                heappush(self._heap, (free_at, rs, EV_ACK, lid))
 
     def _ack_held(self, record: Tuple, lid: LinkId, now: float) -> bool:
         """Fault checks of one ack record (DESIGN.md §11); True if consumed:
@@ -1277,16 +1210,16 @@ class AsyncRuntime(EventQueue):
         events: List[ControlledEvent] = []
         for record in heap:
             seq = record[1]
-            delivery = _is_delivery(record[2])
-            if delivery is None:
+            kind = record[2]
+            if kind == EV_CALLBACK:
                 events.append(ControlledEvent(
                     CTRL_CALLBACK, seq, None, None, None,
                     self._cb_node.get(seq), record))
             else:
-                lid = record[2] & LINK_MASK
+                lid = record[3]
                 events.append(ControlledEvent(
-                    CTRL_DELIVER if delivery else CTRL_ACK, seq, lid,
-                    lu[lid], lv[lid], None, record))
+                    CTRL_DELIVER if kind == EV_DELIVER else CTRL_ACK, seq,
+                    lid, lu[lid], lv[lid], None, record))
         events.sort(key=lambda e: e.seq)
         for v in controller.crashable:
             # One crash per node: a re-joined node is not offered again,
@@ -1341,8 +1274,7 @@ class AsyncRuntime(EventQueue):
             # may legally defer them past the timeout.
             blockers[v] = {
                 rec[1] for rec in heap
-                if _is_delivery(rec[2])
-                and not self._is_down(lu[rec[2] & LINK_MASK])
+                if rec[2] == EV_DELIVER and not self._is_down(lu[rec[3]])
             }
             # The corpse observes nothing from now on.
             detect_ready[:] = [p for p in detect_ready if p[0] != v]
@@ -1367,14 +1299,13 @@ class AsyncRuntime(EventQueue):
             voided = [
                 rec for rec in heap
                 if (self._cb_node.get(rec[1]) == v if rec[2] == EV_CALLBACK
-                    else (rec[2] & LINK_MASK) in incident)
+                    else rec[3] in incident)
             ]
             for rec in voided:
                 heap.remove(rec)
-                delivery = _is_delivery(rec[2])
-                if delivery is not None:
-                    self._pending[rec[2] & LINK_MASK] -= 1
-                    if delivery:
+                if rec[2] != EV_CALLBACK:
+                    self._pending[rec[3]] -= 1
+                    if rec[2] == EV_DELIVER:
                         self.dropped += 1
                 for blk in blockers.values():
                     blk.discard(rec[1])
@@ -1421,17 +1352,14 @@ class AsyncRuntime(EventQueue):
 
         # The dispatch loop, inlined: record pops, per-kind branches, and
         # the ack push run without any per-event closure or method lookup.
-        # The link table is hoisted into locals, and a record's kind is
-        # decided by comparing its packed code against the kind bases
-        # (packed deliveries — the hottest kind — in one comparison).
-        # Counters live in locals, written back in the ``finally`` so
-        # metrics survive early exits and protocol exceptions alike.
-        # Cyclic GC is paused for the duration (the loop allocates tuples
-        # at a rate that trips gen-0 collection constantly and creates no
-        # cycles of its own) and restored even when a handler raises.
-        # Under a fault schedule or a controller (``faulty``) every
-        # transport record passes the fault checks of DESIGN.md §11 and
-        # same-time batching is off.  A controller (``controlled``) picks
+        # The link table is hoisted into locals.  Counters live in locals,
+        # written back in the ``finally`` so metrics survive early exits
+        # and protocol exceptions alike.  Cyclic GC is paused for the
+        # duration (the loop allocates tuples at a rate that trips gen-0
+        # collection constantly and creates no cycles of its own) and
+        # restored even when a handler raises.  Under a fault schedule or a
+        # controller (``faulty``) every transport record passes the fault
+        # checks of DESIGN.md §11.  A controller (``controlled``) picks
         # each next record (``_controlled_step``) and no ack is fused, so
         # every causal step is its decision (DESIGN.md §13).
         heap = self._heap
@@ -1444,8 +1372,6 @@ class AsyncRuntime(EventQueue):
         busy_a = self._busy
         outbox_a = self._outbox
         pending_a = self._pending
-        slot_p_a = self._slot_payload
-        slot_ack_a = self._slot_ack
         deliver_a = self._deliver
         table_a = self._table
         delivered_a = self._delivered
@@ -1456,9 +1382,6 @@ class AsyncRuntime(EventQueue):
         stale_a = self._stale_seq
         down_a = self._down_fn
         drop_a = self._drop_fn
-        acode_a = self._skeleton.ack_codes
-        apcode_a = self._skeleton.ack_payload_codes
-        fcode_a = self._skeleton.fat_codes
         inject = self._inject_link
         ack_held = self._ack_held
         # One counter meters both the event budget and ``events_fired``
@@ -1502,109 +1425,27 @@ class AsyncRuntime(EventQueue):
                     record = pop(heap)
                 self._now = now = record[0]
                 self._active_seq = record[1]
-                code = record[2]
-                if code >= CODE_DELIVER:
-                    lid = code - CODE_DELIVER
-                    ack = slot_ack_a[lid]
-                    if faulty or ack is None:
-                        # To the delivery flow below, unbatched: the fault
-                        # checks, or the redraw that a fat injection racing
-                        # this delivery forces (it staled the slot ack).
-                        payload = slot_p_a[lid]
-                        inj = injected_a[lid]
-                    else:
-                        dst = lv[lid]
-                        # Same-time batch: keep consuming heap-top records
-                        # while they are packed deliveries at this instant
-                        # for this destination with a live slot ack (strict
-                        # (time, seq) order — any other record ends the
-                        # batch).  A live slot ack means exactly one
-                        # outstanding record (this one) on a busy link, so
-                        # the outbox load alone decides the ack's kind.
-                        while True:
-                            payload = slot_p_a[lid]
-                            if trace is not None:
-                                trace(now, lu[lid], dst, payload)
-                            acks += 1
-                            delivered = delivered_a[lid]
-                            if delivered is not None and (
-                                prefix_a[lid] is None
-                                or payload[0] == prefix_a[lid]
-                            ):
-                                # The sender wants this payload's callback.
-                                push(heap, (now + ack, next(counter),
-                                            apcode_a[lid], payload))
-                            elif outbox_a[lid]:
-                                push(heap, (now + ack, next(counter),
-                                            acode_a[lid]))
-                            else:
-                                # Fuse: reserve the ack's identity instead
-                                # of pushing an event.
-                                pending_a[lid] = 0
-                                fused += 1
-                                t_ack = now + ack
-                                free_at_a[lid] = t_ack
-                                reserved_a[lid] = next(counter)
-                                if t_ack > horizon:
-                                    horizon = t_ack
-                            # Per record, not per batch: a muted link
-                            # differs from its same-destination siblings.
-                            table = table_a[lid]
-                            if table is not None:
-                                table[payload[0]](lu[lid], payload)
-                            else:
-                                deliver_a[lid](lu[lid], payload)
-                            # Records at ``now`` passed the deadline check
-                            # with the batch head.
-                            if not heap:
-                                break
-                            nxt = heap[0]
-                            if nxt[0] != now or nxt[2] < CODE_DELIVER:
-                                break
-                            lid = nxt[2] - CODE_DELIVER
-                            ack = slot_ack_a[lid]
-                            if lv[lid] != dst or ack is None or budget == 0:
-                                break
-                            budget -= 1
-                            record = pop(heap)
-                            self._active_seq = record[1]
+                kind = record[2]
+                if kind != EV_DELIVER:
+                    if kind == EV_CALLBACK:
+                        record[3]()
                         continue
-                elif code >= CODE_ACK:
-                    # Bare acknowledgment: free the link, drain the outbox.
-                    lid = code - CODE_ACK
+                    # Acknowledgment: free the link, call the sender's
+                    # on_delivered if it wants this payload's (decided at
+                    # delivery time — nothing re-checked), drain the outbox.
+                    lid = record[3]
                     if faulty and ack_held(record, lid, now):
                         continue
                     pending_a[lid] -= 1
                     busy_a[lid] = False
+                    if kind == EV_ACK_PAYLOAD:
+                        delivered_a[lid](lv[lid], record[4])
                     ob = outbox_a[lid]
                     if ob:
                         inject(lid, heappop(ob)[2])
                     continue
-                elif code >= CODE_ACK_PAYLOAD:
-                    # The sender wants this payload's on_delivered (decided
-                    # at delivery time — nothing re-checked).
-                    lid = code - CODE_ACK_PAYLOAD
-                    if faulty and ack_held(record, lid, now):
-                        continue
-                    pending_a[lid] -= 1
-                    busy_a[lid] = False
-                    delivered_a[lid](lv[lid], record[3])
-                    ob = outbox_a[lid]
-                    if ob:
-                        inject(lid, heappop(ob)[2])
-                    continue
-                elif code >= CODE_DELIVER_PAYLOAD:
-                    # Fat delivery (the double-inject race, or a delivery
-                    # deferred across a down interval): fields inline.
-                    lid = code - CODE_DELIVER_PAYLOAD
-                    payload = record[3]
-                    inj = record[4]
-                    ack = record[5]
-                else:
-                    record[3]()
-                    continue
-                # ---- unbatched delivery flow: fat records, stale slot
-                # acks, and every delivery under faults
+                lid = record[3]
+                payload = record[4]
                 src = lu[lid]
                 dst = lv[lid]
                 lost = False
@@ -1622,10 +1463,8 @@ class AsyncRuntime(EventQueue):
                     if down is not None:
                         end = down(now)
                         if end > 0.0:
-                            # Edge down: defer to the interval's end, in fat
-                            # form (the side slots may move on meanwhile).
-                            push(heap, (end, next(counter), fcode_a[lid],
-                                        payload, inj, ack))
+                            # Edge down: defer to the interval's end.
+                            push(heap, (end, next(counter)) + record[2:])
                             continue
                     # Schedule drop (keyed to the latest injection number):
                     # lost receiver-side, but the link-layer ack returns.
@@ -1636,21 +1475,27 @@ class AsyncRuntime(EventQueue):
                 elif trace is not None:
                     trace(now, src, dst, payload)
                 acks += 1
-                if ack is None or injected_a[lid] != inj:
-                    ack = self._ack_delay(lid)
-                t_ack = now + ack
+                if injected_a[lid] == record[5]:
+                    t_ack = now + record[6]
+                else:
+                    # A later injection on the link raced this delivery:
+                    # the historical redraw rule.
+                    t_ack = now + self._ack_delay(lid)
                 delivered = delivered_a[lid]
                 if not lost and delivered is not None and (
                     prefix_a[lid] is None or payload[0] == prefix_a[lid]
                 ):
-                    push(heap, (t_ack, next(counter), apcode_a[lid], payload))
+                    push(heap, (t_ack, next(counter), EV_ACK_PAYLOAD, lid,
+                                payload))
                 elif (controlled or outbox_a[lid] or pending_a[lid] != 1
                       or not busy_a[lid]
                       # An ack inside a down interval is deferred under a
                       # fresh seq, which a reservation cannot express.
                       or faulty and down is not None and down(t_ack) > 0.0):
-                    push(heap, (t_ack, next(counter), acode_a[lid]))
+                    push(heap, (t_ack, next(counter), EV_ACK, lid))
                 else:
+                    # Fuse: reserve the ack's identity instead of pushing
+                    # an event.
                     pending_a[lid] = 0
                     fused += 1
                     free_at_a[lid] = t_ack

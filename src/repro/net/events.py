@@ -1,41 +1,24 @@
-"""A minimal deterministic discrete-event scheduler over packed-int records.
+"""A minimal deterministic discrete-event scheduler over plain-tuple records.
 
 Events fire in (time, sequence) order; the sequence number is assigned at
 scheduling time, so simultaneous events fire in the order they were created.
 This makes every simulation a pure function of (graph, protocol, delay model).
 
-Performance architecture (DESIGN.md §6, §9): the heap holds small records
-whose third field is one packed int
+Every record is a plain tuple ``(time, seq, kind, ...)``: the first two
+fields give the total order (``seq`` is unique, so comparison never reaches
+``kind``), the third selects the handler, and the rest are the kind's
+fields (DESIGN.md §9):
 
-    ``code = (kind << LINK_BITS) | link_id``
-
-so the common transport record is the 3-tuple ``(time, seq, code)`` — the
-first two fields give the total order (``seq`` is unique, so comparison
-never reaches ``code``), and a single integer both selects the handler and
-names the directed link.  Payloads and pre-drawn acknowledgment delays ride
-in per-link *side slots* owned by the engine instead of in the tuple
-(DESIGN.md §9), so scheduling a message allocates one 3-slot tuple instead
-of the 7-slot records of earlier revisions.
-
-Record kinds, ordered so the hottest dispatch tests take the fewest
-comparisons (codes for higher kinds are strictly larger, and the two
-hottest kinds — packed deliveries and bare acknowledgments — sit at the
-top):
-
-* :data:`EV_CALLBACK` (kind 0, code exactly 0) — a zero-argument callable in
-  field 3; what :meth:`EventQueue.schedule` produces.
-* :data:`EV_DELIVER_PAYLOAD` (kind 1) — the rare "fat" delivery
-  ``(time, seq, code, payload, inj_seq, ack_delay)`` used when the link's
-  delivery slot is already occupied (only possible during the
-  ``on_delivered`` double-inject race, see :mod:`repro.net.async_runtime`).
-* :data:`EV_ACK_PAYLOAD` (kind 2) — ``(time, seq, code, payload)``: an
-  acknowledgment whose sender wants the ``on_delivered`` callback (decided
-  once at delivery time, so dispatch re-checks nothing).
-* :data:`EV_ACK` (kind 3) — the bare acknowledgment ``(time, seq, code)``:
-  frees the link and drains its outbox, nothing else.
-* :data:`EV_DELIVER` (kind 4) — the packed fast path ``(time, seq, code)``;
-  payload and pre-drawn ack delay sit in the engine's side slots for the
-  link.
+* :data:`EV_CALLBACK` — ``(time, seq, EV_CALLBACK, callback)``: a
+  zero-argument callable; what :meth:`EventQueue.schedule` produces.
+* :data:`EV_DELIVER` — ``(time, seq, EV_DELIVER, link_id, payload, inj,
+  ack)``: a message on a directed link, with its injection number on the
+  link and its pre-drawn acknowledgment delay.
+* :data:`EV_ACK` — ``(time, seq, EV_ACK, link_id)``: the bare
+  acknowledgment; frees the link and drains its outbox, nothing else.
+* :data:`EV_ACK_PAYLOAD` — ``(time, seq, EV_ACK_PAYLOAD, link_id,
+  payload)``: an acknowledgment whose sender wants the ``on_delivered``
+  callback (decided once at delivery time, so dispatch re-checks nothing).
 
 The transport kinds are dispatched by
 :class:`~repro.net.async_runtime.AsyncRuntime`'s inlined run loop (which
@@ -54,31 +37,16 @@ from .delays import InvalidDelayError
 
 Callback = Callable[[], None]
 
-#: Bits reserved for the link id inside a packed record code.  2^24 directed
-#: links (8M undirected edges) is far beyond anything the pure-Python engine
-#: can run; :class:`~repro.net.async_runtime.LinkSkeleton` guards the bound.
-LINK_BITS = 24
-LINK_MASK = (1 << LINK_BITS) - 1
-
-#: Record kinds (``code >> LINK_BITS``).  ``EV_CALLBACK`` is handled by
-#: :class:`EventQueue` itself; see the module docstring for the layouts.
+#: Record kinds (field 2 of every record); see the module docstring for
+#: the layouts.  ``EV_CALLBACK`` is handled by :class:`EventQueue` itself.
 EV_CALLBACK = 0
-EV_DELIVER_PAYLOAD = 1
-EV_ACK_PAYLOAD = 2
-EV_ACK = 3
-EV_DELIVER = 4
-
-#: Code bases: a record's code is ``BASE + link_id``.  Kind tests compare
-#: codes against these bases directly — ``code >= CODE_DELIVER`` is "packed
-#: delivery", the hottest kind, decided in one comparison.
-CODE_DELIVER_PAYLOAD = EV_DELIVER_PAYLOAD << LINK_BITS
-CODE_ACK_PAYLOAD = EV_ACK_PAYLOAD << LINK_BITS
-CODE_ACK = EV_ACK << LINK_BITS
-CODE_DELIVER = EV_DELIVER << LINK_BITS
+EV_DELIVER = 1
+EV_ACK = 2
+EV_ACK_PAYLOAD = 3
 
 
 class EventQueue:
-    """Priority queue of packed-int event records with deterministic ties."""
+    """Priority queue of plain-tuple event records with deterministic ties."""
 
     __slots__ = ("_heap", "_counter", "_now", "_fired")
 
@@ -126,9 +94,7 @@ class EventQueue:
 
     def dispatch(self, record: Tuple) -> None:
         """Handle a non-callback record; engines embedding the queue override."""
-        raise ValueError(
-            f"no handler for event kind {record[2] >> LINK_BITS!r}"
-        )
+        raise ValueError(f"no handler for event kind {record[2]!r}")
 
     def step(self) -> bool:
         """Fire the earliest event; returns False when the queue is empty."""

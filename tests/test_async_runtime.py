@@ -258,7 +258,7 @@ class TestReservedAckIdentity:
     When a later send has to wait on a fused acknowledgment, the deferred
     drain event must fire at *exactly* the (time, seq) the reservation
     recorded at fuse time — not at a freshly drawn sequence number — or
-    packed-record schedules drift from the reference engine wherever
+    the schedule drifts from the reference engine wherever
     another event ties at the same instant.
     """
 

@@ -1,49 +1,16 @@
-"""Tests for the deterministic event queue and the packed record codes."""
+"""Tests for the deterministic event queue and its record kinds."""
 
 import pytest
 
 from repro.net import EventQueue
-from repro.net.events import (
-    CODE_ACK,
-    CODE_ACK_PAYLOAD,
-    CODE_DELIVER,
-    CODE_DELIVER_PAYLOAD,
-    EV_ACK,
-    EV_ACK_PAYLOAD,
-    EV_CALLBACK,
-    EV_DELIVER,
-    EV_DELIVER_PAYLOAD,
-    LINK_BITS,
-    LINK_MASK,
-)
+from repro.net.events import EV_DELIVER
 
 
-class TestPackedCodes:
-    def test_code_packs_kind_and_link_id(self):
-        for kind, base in [
-            (EV_DELIVER_PAYLOAD, CODE_DELIVER_PAYLOAD),
-            (EV_ACK_PAYLOAD, CODE_ACK_PAYLOAD),
-            (EV_ACK, CODE_ACK),
-            (EV_DELIVER, CODE_DELIVER),
-        ]:
-            for lid in (0, 1, 517, LINK_MASK):
-                code = base + lid
-                assert code >> LINK_BITS == kind
-                assert code & LINK_MASK == lid
-
-    def test_kind_ranges_are_disjoint_and_ordered(self):
-        """Dispatch compares codes against the bases directly, so every
-        kind's code range must sit strictly between its neighbors."""
-        assert EV_CALLBACK == 0
-        bases = [CODE_DELIVER_PAYLOAD, CODE_ACK_PAYLOAD, CODE_ACK, CODE_DELIVER]
-        assert bases == sorted(bases)
-        for lo, hi in zip(bases, bases[1:]):
-            assert lo + LINK_MASK < hi
-
+class TestRecordKinds:
     def test_dispatch_error_names_the_kind(self):
         q = EventQueue()
-        with pytest.raises(ValueError, match=f"{EV_DELIVER}"):
-            q.dispatch((0.0, 0, CODE_DELIVER + 3))
+        with pytest.raises(ValueError, match=f"event kind {EV_DELIVER}"):
+            q.dispatch((0.0, 0, EV_DELIVER, 3, ("m",), 1, 0.5))
 
 
 class TestScheduling:

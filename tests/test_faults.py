@@ -394,6 +394,43 @@ def test_drop_stream_counts_across_incarnations():
     assert result.messages == 3
 
 
+@pytest.mark.parametrize("rejoin", [None, 4.0])
+def test_delivery_in_flight_at_reset_link_is_never_delivered(rejoin):
+    """The invariant that lets ``reset_link`` leave an in-flight delivery's
+    pre-drawn acknowledgment alone (DESIGN.md §11): such a delivery never
+    reaches a handler.  It is dropped while the receiver is down, and void
+    once the receiver has re-joined."""
+    graph = topology.path_graph(2)
+    # m0 would arrive at 0.5, before node 1 crashes at 0.75, but the link
+    # is down until 5.0: m0 is deferred and still in flight when node 0's
+    # detector resets the link at 0.75 + DETECT_TIMEOUT = 3.0.  It then
+    # fires at 5.0: node 1 is still down (no rejoin), or back since 4.0.
+    rejoins = {} if rejoin is None else {1: rejoin}
+    faults = FaultSchedule(
+        crashes={1: 0.75}, rejoins=rejoins, downs={(0, 1): [(0.25, 5.0)]},
+    )
+    seen = []
+    rt = AsyncRuntime(
+        graph, RejoinAware, ConstantDelay(0.5), faults=faults,
+        trace=lambda t, u, v, payload: seen.append((t, payload)),
+    )
+    result = rt.run()
+    assert rt.processes[0].events[0] == ("dead", 1, 0.75 + DETECT_TIMEOUT)
+    assert ("m", 0) not in [payload for _t, payload in seen]
+    assert result.dropped == 1
+    if rejoin is None:
+        assert result.outputs.get(1) is None
+        assert result.messages == 1
+    else:
+        # The returned incarnation sees only the post-rejoin greeting.
+        t_alive = rejoin + DETECT_TIMEOUT
+        assert result.outputs[1] == (
+            (t_alive + 0.5, ("post", 0)),
+            (t_alive + 1.5, ("post", 1)),
+        )
+        assert result.messages == 3
+
+
 # ----------------------------------------------------------------------
 # muted links: the pruned-sender guard in the link table
 # ----------------------------------------------------------------------
@@ -477,9 +514,9 @@ def test_observer_rejoin_clears_its_mutes():
 
 
 def test_mute_applies_per_link_inside_a_same_time_batch():
-    """Fault-free runs batch same-time deliveries to one node; a muted link
-    in the batch must still drop while its unmuted siblings deliver through
-    the opcode table."""
+    """Same-time deliveries to one node each consult their own link: a
+    muted link must drop while its unmuted siblings deliver through the
+    opcode table."""
 
     class TableHub(Process):
         NUM_OPCODES = 1

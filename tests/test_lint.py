@@ -4,8 +4,8 @@ Every rule DET001-DET005 is exercised in both directions — a fixture file
 of true positives that must all be flagged, and a fixture of true
 negatives (sorted wrapping, sanctioned modules, order-insensitive
 consumers, complete resets) that must pass silently.  On top of the
-fixtures: the real pooled classes (`_StageState`, `_InstanceState`) are
-re-checked with a deliberately-injected missing-reset field to prove
+fixtures: the real pooled class (`_StageState`) is re-checked with a
+deliberately-injected missing-reset field to prove
 DET003 guards the actual PR 5/6 bug class, the repo itself must lint
 clean via the same entry point CI runs, and the ``--json`` output must be
 byte-identical across runs (the linter's own determinism contract).
@@ -116,11 +116,9 @@ def test_det003_negative_fixture():
 
 
 def test_real_pooled_classes_are_reset_complete():
-    """The live pools must stay clean — this is the shipped audit result."""
-    for module in ("registration", "cluster_ops"):
-        path = SRC / "repro" / "core" / f"{module}.py"
-        findings, _ = check_file(str(path))
-        assert findings == [], f"{module}: {[f.render() for f in findings]}"
+    """The live pool must stay clean — this is the shipped audit result."""
+    findings, _ = check_file(str(SRC / "repro" / "core" / "registration.py"))
+    assert findings == [], [f.render() for f in findings]
 
 
 @pytest.mark.parametrize(
@@ -130,11 +128,6 @@ def test_real_pooled_classes_are_reset_complete():
             "registration",
             "        self.child_marks: Dict[NodeId, str] = {}\n",
             "_StageState",
-        ),
-        (
-            "cluster_ops",
-            "        self.child_values: Dict[NodeId, Any] = {}\n",
-            "_InstanceState",
         ),
     ],
 )

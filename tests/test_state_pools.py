@@ -1,14 +1,13 @@
 """Byte-identity and mechanics of the §10 protocol-state pools.
 
 DESIGN.md §10: the registration module recycles terminal-clean stage slots
-through a free list (and the aggregation module can opt in per instance).
-Recycling must be *observationally invisible* — a pooled run's delivery
-trace, outputs, and message counts must be byte-identical to a
-fresh-allocation run on both engines (the packed-record transport and the
-reference port of the seed engine).  The hypothesis properties below pin
-exactly that, across the standard adversary family; the deterministic
-tests pin the pool mechanics themselves (slots really are recycled and
-reused, and the documented ``state_of``/``result_of`` visibility rules).
+through a free list.  Recycling must be *observationally invisible* — a
+pooled run's delivery trace, outputs, and message counts must be
+byte-identical to a fresh-allocation run on both engines (the transport
+and the reference port of the seed engine).  The hypothesis properties
+below pin exactly that, across the standard adversary family; the
+deterministic tests pin the pool mechanics themselves (slots really are
+recycled and reused, and the documented ``state_of`` visibility rule).
 """
 
 import pytest
@@ -181,22 +180,3 @@ def test_readmit_does_not_resurrect_evicted_flow_reports():
     module.handle_up(1, (0, key2, 3))
     assert results == [(0, 1, 5), (0, 2, 3)]
 
-
-def test_aggregation_pool_reuses_the_slot():
-    """Opt-in instance pooling re-issues the recycled slot object for the
-    next (cluster, tag) and still reports every result exactly once."""
-    results = []
-    view = {0: ClusterView(0, parent=None, children=())}
-    module = ClusterAggregateModule(
-        0, view, lambda *a: None,
-        lambda cid, tag, result: results.append((cid, tag, result)),
-        lambda tag: min_merge, lambda tag: (0,), pool=True,
-    )
-    module.contribute(0, 1, 5)  # single-node root: completes synchronously
-    assert results == [(0, 1, 5)]
-    assert len(module._free) == 1
-    slot = module._free[0]
-    module.contribute(0, 2, 7)
-    assert results == [(0, 1, 5), (0, 2, 7)]
-    assert module._free == [slot]  # the same slot served the second tag
-    assert module.result_of(0, 1) is None  # recycled: no retained result
