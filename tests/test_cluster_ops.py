@@ -97,6 +97,25 @@ class TestAggregate:
         with pytest.raises(ValueError, match="double-contributes"):
             module.contribute(0, "t", 2)
 
+    def test_result_of_only_after_completion_and_then_retained(self):
+        # The root of a two-node cluster has its own value but still misses
+        # its child's: no result yet.  A single-node cluster completes at
+        # once and keeps its result for later queries.
+        view = {
+            0: ClusterView(0, parent=None, children=(1,)),
+            1: ClusterView(1, parent=None, children=()),
+        }
+        module = ClusterAggregateModule(
+            0, view, lambda *a: None, lambda *a: None,
+            lambda tag: min_merge, lambda tag: (0,),
+        )
+        module.contribute(0, "t", 4)
+        assert module.result_of(0, "t") is None
+        module.contribute(1, "t", 9)
+        assert module.result_of(1, "t") == 9
+        assert module.result_of(1, "t") == 9
+        assert module.result_of(1, "other") is None
+
     def test_merges(self):
         assert and_merge(True, False) is False
         assert and_merge(True, True) is True

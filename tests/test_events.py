@@ -1,12 +1,56 @@
 """Tests for the deterministic event queue and its record kinds."""
 
+import heapq
+
 import pytest
 
 from repro.net import EventQueue
-from repro.net.events import EV_DELIVER
+from repro.net.events import EV_ACK, EV_ACK_PAYLOAD, EV_CALLBACK, EV_DELIVER
+
+
+class RecordingQueue(EventQueue):
+    """Queue that records every non-callback record handed to dispatch."""
+
+    def __init__(self):
+        super().__init__()
+        self.dispatched = []
+
+    def push(self, time, *fields):
+        heapq.heappush(self._heap, (time, next(self._counter)) + fields)
+
+    def dispatch(self, record):
+        self.dispatched.append((self.now, record))
 
 
 class TestRecordKinds:
+    def test_kinds_are_distinct_and_callback_is_zero(self):
+        kinds = [EV_CALLBACK, EV_DELIVER, EV_ACK, EV_ACK_PAYLOAD]
+        assert EV_CALLBACK == 0
+        assert len(set(kinds)) == len(kinds)
+
+    def test_step_hands_transport_records_to_dispatch(self):
+        q = RecordingQueue()
+        q.push(1.5, EV_DELIVER, 3, ("m",), 1, 0.5)
+        assert q.step() is True
+        assert q.dispatched == [(1.5, (1.5, 0, EV_DELIVER, 3, ("m",), 1, 0.5))]
+        assert q.fired == 1
+
+    def test_run_interleaves_records_with_callbacks_in_time_seq_order(self):
+        q = RecordingQueue()
+        fired = []
+        q.push(2.0, EV_ACK, 4)
+        q.schedule(1.0, lambda: fired.append(("cb", q.now)))
+        q.schedule(2.0, lambda: fired.append(("cb", q.now)))
+        q.push(1.0, EV_ACK_PAYLOAD, 4, ("p",))
+        assert q.run() == "quiescent"
+        assert fired == [("cb", 1.0), ("cb", 2.0)]
+        # Same-time records fire in creation order on either side of the
+        # callbacks: the ack created first at t=2 precedes the t=2 callback.
+        assert [(t, r[1], r[2]) for t, r in q.dispatched] == [
+            (1.0, 3, EV_ACK_PAYLOAD), (2.0, 0, EV_ACK),
+        ]
+        assert q.fired == 4
+
     def test_dispatch_error_names_the_kind(self):
         q = EventQueue()
         with pytest.raises(ValueError, match=f"event kind {EV_DELIVER}"):
