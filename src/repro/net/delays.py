@@ -20,9 +20,14 @@ schemes are used deliberately:
   the golden-ratio conjugate mod 1); for magnitude jitter that structure is
   harmless and the speed matters.
 * The structural adversaries (:class:`BimodalDelay`, :class:`SlowEdgesDelay`)
-  keep an integer murmur-style finalizer (:func:`_unit`) so their slow/fast
-  *patterns* stay i.i.d.-like — bursty slow-slow runs remain as likely as a
-  fair coin, which is exactly what those adversaries exist to produce.
+  hash each (link base, seq) through a 32-bit murmur-style finalizer
+  (:func:`_unit`) so their slow/fast *patterns* stay i.i.d.-like — bursty
+  slow-slow runs remain as likely as a fair coin, which is exactly what
+  those adversaries exist to produce.  ``__call__`` runs the finalizer once
+  per draw; a block fill runs it once per *stream* through
+  :func:`_hash_lanes`, which packs a block's 32-bit lanes into 64-bit
+  fields of one Python int and applies every xorshift-multiply round to all
+  lanes in one bigint operation (DESIGN.md §9 argues it bit-equal).
 
 A literal per-link ``random.Random`` *stream* would not do for either:
 delays must be a pure function of the sequence number (acknowledgment draws
@@ -34,6 +39,7 @@ which a stateful stream cannot provide.
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Dict, Iterable, Optional, Protocol, Tuple
 
 from .graph import Edge, NodeId, edge_key
@@ -151,6 +157,52 @@ class DelayModel(Protocol):
 BLOCK_PAIRS = 8
 
 
+def _lane_tables(n: int) -> tuple:
+    """Constants of :func:`_hash_lanes` for ``n`` lanes.
+
+    Lane ``i`` is the 64-bit field at bit ``64 * i``: ``ones`` has a 1 in
+    every lane, ``mask`` keeps each lane's low 32 bits, and the up/down
+    ramps hold ``(+-i * _K1) mod 2**32``.
+    """
+    shifts = [64 * i for i in range(n)]
+    ones = sum(1 << s for s in shifts)
+    return (
+        ones,
+        _MASK32 * ones,
+        sum(((i * _K1) & _MASK32) << s for i, s in enumerate(shifts)),
+        sum(((-i * _K1) & _MASK32) << s for i, s in enumerate(shifts)),
+        8 * n,
+        # Only each lane's low 32 bits are read: the final round leaves
+        # bits of the lane above in the high half, and the format skips it.
+        struct.Struct("<" + "I4x" * n).unpack,
+    )
+
+
+#: The transport fills whole blocks; other lengths build their tables.
+_BLOCK_LANES = _lane_tables(BLOCK_PAIRS)
+
+
+def _hash_lanes(base: int, seq: int, n: int, down: bool = False) -> Tuple[int, ...]:
+    """:func:`_unit`'s 32-bit hash for ``n`` consecutive seqs, bit-equal.
+
+    Lane ``i`` hashes seq ``seq + i`` (``seq - i`` when ``down``), so
+    ``_unit(base, s) == (h + 1) * 2**-32`` for its hash ``h``.  The lanes
+    share one Python int, one 64-bit field each, and every step of the
+    finalizer runs on all of them at once.  No lane carries into the
+    next: the ramp sum stays below 2**33, each multiply sees a masked
+    32-bit lane and stays below 2**59, and the mask clears the bits each
+    ``>> 16`` shifts in from the lane above (DESIGN.md §9).
+    """
+    ones, mask, up_ramp, down_ramp, nbytes, unpack = (
+        _BLOCK_LANES if n == BLOCK_PAIRS else _lane_tables(n)
+    )
+    x = (((seq * _K1) & _MASK32) * ones + (down_ramp if down else up_ramp)) & mask
+    x ^= base * ones
+    x = ((((x >> 16) ^ x) & mask) * _C1) & mask
+    x = ((((x >> 16) ^ x) & mask) * _C1) & mask
+    return unpack(((x >> 16) ^ x).to_bytes(nbytes, "little"))
+
+
 def call_block_stream(model: DelayModel, u: NodeId, v: NodeId):
     """The block fill of ``model``'s link u -> v, drawn through ``__call__``.
 
@@ -238,8 +290,9 @@ class UniformDelay:
             # bit-for-bit under IEEE negation), so the two paths agree.
             i = base
             for k in range(start, start + n):
-                buf[i] = low + span * ((fwd + k * _WEYL) % 1.0)
-                buf[i + 1] = low + span * ((rev - k * _WEYL) % 1.0)
+                w = k * _WEYL
+                buf[i] = low + span * ((fwd + w) % 1.0)
+                buf[i + 1] = low + span * ((rev - w) % 1.0)
                 i += 2
 
         self._blocks[(u, v)] = fill
@@ -255,6 +308,11 @@ class UniformDelay:
         return f"UniformDelay(seed={self.seed}, low={self.low}, high={self.high})"
 
 
+def _check_fast(fast: float) -> None:
+    if not 0 < fast <= TAU:
+        raise ValueError(f"fast must be in (0, {TAU}], got {fast}")
+
+
 class BimodalDelay:
     """Most messages are fast; a hashed fraction hit the full bound.
 
@@ -268,6 +326,7 @@ class BimodalDelay:
     def __init__(self, seed: int, slow_fraction: float = 0.2, fast: float = 0.05) -> None:
         if not 0 <= slow_fraction <= 1:
             raise ValueError("slow_fraction must be in [0, 1]")
+        _check_fast(fast)
         self.seed = seed
         self.slow_fraction = slow_fraction
         self.fast = fast
@@ -292,40 +351,32 @@ class BimodalDelay:
         fast_f = _link_base(self._fast64, u, v)
         pick_r = _link_base(self._pick64, v, u)
         fast_r = _link_base(self._fast64, v, u)
-        slow_fraction = self.slow_fraction
-        fast = self.fast
+        # ``_unit(b, s) <= slow_fraction`` is ``h < slow_cut`` for the hash
+        # h, and ``fast * _unit(b, s)`` is ``scale * (h + 1)``: both exact
+        # rewrites of __call__ (DESIGN.md §9), so the fill stays bit-equal.
+        slow_cut = int(self.slow_fraction * 2**32)
+        scale = self.fast * _INV_2_32
 
         def fill(buf, base: int, start: int, n: int) -> None:
-            # _unit inlined (identical arithmetic to __call__, bit-equal):
-            # a pair makes up to four unit draws, and the function-call
-            # overhead dominated the Bimodal sweep replay.  Integer hashing
-            # on purpose: the slow/fast pattern must stay i.i.d.-like (see
-            # module docstring).
+            # Integer hashing on purpose: the slow/fast pattern must stay
+            # i.i.d.-like (see module docstring).
             i = base
-            for k in range(start, start + n):
-                x = (pick_f ^ (k * _K1)) & _MASK32
-                x = (((x >> 16) ^ x) * _C1) & _MASK32
-                x = (((x >> 16) ^ x) * _C1) & _MASK32
-                if (((x >> 16) ^ x) + 1) * _INV_2_32 <= slow_fraction:
+            for p, f, q, r in zip(
+                _hash_lanes(pick_f, start, n),
+                _hash_lanes(fast_f, start, n),
+                _hash_lanes(pick_r, -start, n, True),
+                _hash_lanes(fast_r, -start, n, True),
+            ):
+                if p < slow_cut:
                     d = TAU
                 else:
-                    x = (fast_f ^ (k * _K1)) & _MASK32
-                    x = (((x >> 16) ^ x) * _C1) & _MASK32
-                    x = (((x >> 16) ^ x) * _C1) & _MASK32
-                    d = fast * ((((x >> 16) ^ x) + 1) * _INV_2_32)
+                    d = scale * (f + 1)
                     if d <= _MIN_DELAY:
                         d = _MIN_DELAY
-                rs = -k
-                x = (pick_r ^ (rs * _K1)) & _MASK32
-                x = (((x >> 16) ^ x) * _C1) & _MASK32
-                x = (((x >> 16) ^ x) * _C1) & _MASK32
-                if (((x >> 16) ^ x) + 1) * _INV_2_32 <= slow_fraction:
+                if q < slow_cut:
                     a = TAU
                 else:
-                    x = (fast_r ^ (rs * _K1)) & _MASK32
-                    x = (((x >> 16) ^ x) * _C1) & _MASK32
-                    x = (((x >> 16) ^ x) * _C1) & _MASK32
-                    a = fast * ((((x >> 16) ^ x) + 1) * _INV_2_32)
+                    a = scale * (r + 1)
                     if a <= _MIN_DELAY:
                         a = _MIN_DELAY
                 buf[i] = d
@@ -353,6 +404,7 @@ class SlowEdgesDelay:
         edges: Optional[Iterable[Edge]] = None,
         fast: float = 0.01,
     ) -> None:
+        _check_fast(fast)
         self.seed = seed
         self.fast = fast
         self._edges: Optional[frozenset] = (
@@ -397,23 +449,18 @@ class SlowEdgesDelay:
             return fill_slow
         fast_f = _link_base(self._fast64, u, v)
         fast_r = _link_base(self._fast64, v, u)
-        fast = self.fast
+        scale = self.fast * _INV_2_32  # exact rewrite, as in BimodalDelay
 
         def fill(buf, base: int, start: int, n: int) -> None:
-            # _unit inlined, identical arithmetic to __call__ (bit-equal).
             i = base
-            for k in range(start, start + n):
-                x = (fast_f ^ (k * _K1)) & _MASK32
-                x = (((x >> 16) ^ x) * _C1) & _MASK32
-                x = (((x >> 16) ^ x) * _C1) & _MASK32
-                d = fast * ((((x >> 16) ^ x) + 1) * _INV_2_32)
+            for f, r in zip(
+                _hash_lanes(fast_f, start, n),
+                _hash_lanes(fast_r, -start, n, True),
+            ):
+                d = scale * (f + 1)
                 if d <= _MIN_DELAY:
                     d = _MIN_DELAY
-                rs = -k
-                x = (fast_r ^ (rs * _K1)) & _MASK32
-                x = (((x >> 16) ^ x) * _C1) & _MASK32
-                x = (((x >> 16) ^ x) * _C1) & _MASK32
-                a = fast * ((((x >> 16) ^ x) + 1) * _INV_2_32)
+                a = scale * (r + 1)
                 if a <= _MIN_DELAY:
                     a = _MIN_DELAY
                 buf[i] = d

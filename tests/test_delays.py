@@ -1,5 +1,8 @@
 """Tests for the adversarial delay models."""
 
+import re
+from math import inf, nan, nextafter
+
 import pytest
 
 from hypothesis import given, settings, strategies as st
@@ -14,7 +17,17 @@ from repro.net import (
     UniformDelay,
     standard_adversaries,
 )
-from repro.net.delays import BLOCK_PAIRS, call_block_stream
+from repro.net import topology
+from repro.net.async_runtime import BLOCK_SPAN, LinkSkeleton, _fill_checked
+from repro.net.delays import (
+    _INV_2_32,
+    BLOCK_PAIRS,
+    InvalidDelayError,
+    _hash_lanes,
+    _link_base,
+    _unit,
+    call_block_stream,
+)
 
 ALL_MODELS = standard_adversaries(seed=11)
 
@@ -71,6 +84,19 @@ class TestBimodal:
     def test_fraction_validated(self):
         with pytest.raises(ValueError):
             BimodalDelay(seed=0, slow_fraction=1.5)
+
+
+@pytest.mark.parametrize("cls", [BimodalDelay, SlowEdgesDelay])
+class TestFastValidation:
+    @pytest.mark.parametrize("fast", [0, -0.5, 2.0, nan])
+    def test_rejects_fast_outside_range(self, cls, fast):
+        with pytest.raises(ValueError, match="fast"):
+            cls(seed=0, fast=fast)
+
+    @pytest.mark.parametrize("fast", [TAU, 1e-9])
+    def test_accepts_fast_in_range(self, cls, fast):
+        model = cls(seed=0, fast=fast)
+        assert all(0 < model(0, 1, s, 0.0) <= TAU for s in range(1, 20))
 
 
 class TestSlowEdges:
@@ -248,3 +274,109 @@ class TestStreamConsistency:
         for k in range(n):
             got = (buf[base + 2 * k], buf[base + 2 * k + 1])
             assert got == self._expected(model, u, v, start + k)
+
+
+class TestHashKernel:
+    """The lane-packed kernel behind the integer-hashed fills, bit for bit.
+
+    Seqs sit near 2**31, 2**32 and 10**9 (where the 32-bit products wrap),
+    every start residue mod BLOCK_PAIRS is covered, and ``n`` runs from 1 to
+    17 lanes, so each window crosses its centre.  Floats are compared by
+    ``float.hex`` so a sign or ulp slip cannot hide behind ``==``.
+    """
+
+    CENTRES = (2**31, 2**32, 10**9)
+    STARTS = [c - 9 + r for c in CENTRES for r in range(BLOCK_PAIRS)]
+
+    MODELS = (
+        BimodalDelay(seed=4),
+        BimodalDelay(seed=4, slow_fraction=0.0),
+        BimodalDelay(seed=4, slow_fraction=1.0),
+        # fast * unit falls below the 1e-6 floor for about half the draws.
+        BimodalDelay(seed=4, slow_fraction=0.1, fast=2e-6),
+        SlowEdgesDelay(seed=4, fast=2e-6),
+        SlowEdgesDelay(seed=4, edges=[(2, 5), (9, 1)]),
+    )
+
+    @pytest.mark.parametrize("down", [False, True])
+    def test_lanes_match_unit(self, down):
+        step = -1 if down else 1
+        for base in (0, 1, 0x9E3779B9, 0xFFFFFFFF):
+            for start in self.STARTS:
+                seq = step * start
+                for n in range(1, 18):
+                    got = _hash_lanes(base, seq, n, down)
+                    assert len(got) == n
+                    for i, h in enumerate(got):
+                        want = _unit(base, seq + step * i).hex()
+                        assert ((h + 1) * _INV_2_32).hex() == want, (
+                            base, seq, n, i)
+
+    @pytest.mark.parametrize("model", MODELS, ids=[
+        "bimodal", "bimodal-none-slow", "bimodal-all-slow",
+        "bimodal-clamped", "slow-edges-clamped", "slow-edges-explicit"])
+    def test_fill_matches_direct_calls_bit_for_bit(self, model):
+        for u, v in [(2, 5), (5, 2), (3, 8), (9, 1)]:
+            fill = model.block_stream(u, v)
+            for start in self.STARTS:
+                for n in range(1, 18):
+                    buf = [None] * (3 + 2 * n)
+                    fill(buf, 3, start, n)
+                    want = []
+                    for k in range(start, start + n):
+                        want += [model(u, v, k, 0.0).hex(),
+                                 model(v, u, -k, 0.0).hex()]
+                    assert [x.hex() for x in buf[3:]] == want, (u, v, start, n)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 1.0])
+    def test_slow_threshold_at_the_hash(self, offset):
+        """``slow_fraction`` placed exactly at (and half an ulp of the hash
+        above) a pick hash: the integer threshold agrees with ``<=`` on
+        the unit float at the tie itself."""
+        seed, u, v, seq = 4, 2, 5, 2**32 + 3
+        pick = BimodalDelay(seed=seed)._pick64
+        h = _hash_lanes(_link_base(pick, u, v), seq, 1)[0]
+        model = BimodalDelay(seed=seed, slow_fraction=(h + offset) * _INV_2_32)
+        buf = [None] * 2
+        model.block_stream(u, v)(buf, 0, seq, 1)
+        assert (buf[0] == TAU) == (offset == 1.0)
+        assert buf[0].hex() == model(u, v, seq, 0.0).hex()
+
+    def test_models_reach_every_branch(self):
+        """The sweep above covers both speed classes and the clamp."""
+        seqs = range(1, 200)
+        assert {BimodalDelay(seed=4, slow_fraction=0.0)(0, 1, s, 0.0) == TAU
+                for s in seqs} == {False}
+        assert {BimodalDelay(seed=4, slow_fraction=1.0)(0, 1, s, 0.0)
+                for s in seqs} == {TAU}
+        clamped = [SlowEdgesDelay(seed=4, fast=2e-6)(3, 8, s, 0.0)
+                   for s in seqs]
+        assert 1e-6 in clamped and max(clamped) > 1e-6
+        explicit = SlowEdgesDelay(seed=4, edges=[(2, 5), (9, 1)])
+        assert explicit(5, 2, 1, 0.0) == TAU and explicit(3, 8, 1, 0.0) < TAU
+
+
+@pytest.mark.parametrize("bad", [nan, inf, 0.0, nextafter(TAU, 2.0)])
+@pytest.mark.parametrize("slot", range(BLOCK_SPAN))
+def test_fill_check_names_every_slot(bad, slot):
+    """The transport's per-element check catches one bad value in any of a
+    block's slots and names its directed link, direction and injection."""
+    skeleton = LinkSkeleton(topology.path_graph(3))
+    lid, seq, base = 2, 17, BLOCK_SPAN  # link 1->2, a block at seqs 17..24
+    assert (skeleton.lu[lid], skeleton.lv[lid]) == (1, 2)
+
+    def fill(buf, at, start, n):
+        for i in range(at, at + 2 * n):
+            buf[i] = 0.5
+        buf[at + slot] = bad
+
+    k = seq + slot // 2
+    if slot % 2:
+        where = f"on 2->1 (ack of 1->2 injection {k})"
+    else:
+        where = f"on 1->2 (message, injection {k})"
+    buf = [0.0] * (3 * BLOCK_SPAN)
+    with pytest.raises(InvalidDelayError,
+                       match=re.escape(f"produced {bad!r} ") + ".*"
+                       + re.escape(where)):
+        _fill_checked(fill, buf, base, seq, lid, skeleton)
