@@ -37,8 +37,9 @@ pending registration depends on.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union,
+)
 
 from ..net.graph import NodeId
 
@@ -199,9 +200,13 @@ class _StageState:
         self.poisoned = False
 
 
-@dataclass(frozen=True)
-class ClusterView:
-    """One node's local view of one cluster tree."""
+class ClusterView(NamedTuple):
+    """One node's local view of one cluster tree.
+
+    A named tuple: registries build one per (cluster tree, tree node), so
+    the record carries no per-instance ``__dict__``; it is immutable,
+    hashable and picklable like any tuple.
+    """
 
     cluster_id: int
     parent: Optional[NodeId]  # None iff this node is the root

@@ -19,6 +19,7 @@ from typing import Dict, List, Tuple
 
 from ..covers.cluster import ClusterTree
 from ..covers.cover import LayeredCover
+from ..gcpause import paused_gc
 from ..net.graph import NodeId
 from .registration import ClusterView
 
@@ -33,38 +34,50 @@ class GlobalCluster:
 class CoverRegistry:
     """Level-indexed, globally-id'd view of a :class:`LayeredCover`."""
 
+    @paused_gc()
     def __init__(self, layered: LayeredCover) -> None:
+        """One pass over each level's trees, under the package's GC pause
+        (DESIGN.md §8): every view and cached tuple built here lives as
+        long as the registry, so collector passes would free nothing."""
         self.layered = layered
         self._clusters: Dict[int, GlobalCluster] = {}
         self._by_level: Dict[int, List[int]] = {}
-        member_of: Dict[Tuple[NodeId, int], List[int]] = {}
-        tree_at: Dict[Tuple[NodeId, int], List[int]] = {}
-        self._views: Dict[NodeId, Dict[int, ClusterView]] = {}
+        self._member_of: Dict[int, Dict[NodeId, Tuple[int, ...]]] = {}
+        self._tree_at: Dict[int, Dict[NodeId, Tuple[int, ...]]] = {}
+        views: Dict[NodeId, Dict[int, ClusterView]] = {}
+        self._views = views
         next_id = 0
         for level in sorted(layered.levels):
-            cover = layered.levels[level]
             ids: List[int] = []
-            for tree in cover.clusters:
-                gc = GlobalCluster(global_id=next_id, level=level, tree=tree)
-                self._clusters[next_id] = gc
-                ids.append(next_id)
-                for v in tree.parent:
-                    self._views.setdefault(v, {})[next_id] = ClusterView(
-                        cluster_id=next_id,
-                        parent=tree.parent[v],
-                        children=tree.children.get(v, ()),
-                    )
-                    tree_at.setdefault((v, level), []).append(next_id)
-                for v in tree.members:
-                    member_of.setdefault((v, level), []).append(next_id)
+            member_of: Dict[NodeId, List[int]] = {}
+            tree_at: Dict[NodeId, List[int]] = {}
+            for tree in layered.levels[level].clusters:
+                cid = next_id
                 next_id += 1
+                self._clusters[cid] = GlobalCluster(cid, level, tree)
+                ids.append(cid)
+                children = tree.children
+                for v, p in tree.parent.items():
+                    node_views = views.get(v)
+                    if node_views is None:
+                        node_views = views[v] = {}
+                    node_views[cid] = ClusterView(
+                        cid, p, children.get(v, ()))
+                    at = tree_at.get(v)
+                    if at is None:
+                        tree_at[v] = [cid]
+                    else:
+                        at.append(cid)
+                for v in tree.members:
+                    of = member_of.get(v)
+                    if of is None:
+                        member_of[v] = [cid]
+                    else:
+                        of.append(cid)
             self._by_level[level] = ids
-        self._member_of: Dict[Tuple[NodeId, int], Tuple[int, ...]] = {
-            key: tuple(ids) for key, ids in member_of.items()
-        }
-        self._tree_at: Dict[Tuple[NodeId, int], Tuple[int, ...]] = {
-            key: tuple(ids) for key, ids in tree_at.items()
-        }
+            self._member_of[level] = {
+                v: tuple(c) for v, c in member_of.items()}
+            self._tree_at[level] = {v: tuple(c) for v, c in tree_at.items()}
         self._min_level = min(self._by_level)
         self._top_level = layered.top_level
         self._empty: Tuple[int, ...] = ()
@@ -100,14 +113,14 @@ class CoverRegistry:
 
         Returns a cached tuple — do not mutate.
         """
-        return self._member_of.get((node, self.clamp_level(level)), self._empty)
+        return self._member_of[self.clamp_level(level)].get(node, self._empty)
 
     def tree_clusters_of(self, node: NodeId, level: int) -> Tuple[int, ...]:
         """Clusters at ``level`` whose tree passes through ``node``.
 
         Returns a cached tuple — do not mutate.
         """
-        return self._tree_at.get((node, self.clamp_level(level)), self._empty)
+        return self._tree_at[self.clamp_level(level)].get(node, self._empty)
 
     def is_member(self, node: NodeId, global_id: int) -> bool:
         return node in self._clusters[global_id].tree.members

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+from ..gcpause import paused_gc
 from ..net.graph import Graph, NodeId
 from .cluster import ClusterTree, bfs_cluster_tree
 from .cover import LayeredCover, SparseCover, required_top_level
@@ -42,7 +43,12 @@ def build_cover(graph: Graph, d: int, builder: str = "ap") -> SparseCover:
     raise ValueError(f"unknown cover builder {builder!r}")
 
 
+@paused_gc()
 def build_layered_cover(graph: Graph, d: int, builder: str = "ap") -> LayeredCover:
+    """Layered sparse ``d``-cover from ``builder``, built under the
+    package's GC pause (DESIGN.md §8): the trees are long-lived, and the
+    build's scratch sets die by refcount, so collector passes free nothing.
+    """
     if builder == "ap":
         return build_ap_layered_cover(graph, d)
     if builder == "rg":

@@ -22,8 +22,12 @@ class ClusterTree:
     """A rooted tree over graph nodes; ``members`` are the terminal nodes.
 
     ``parent`` maps every tree node to its parent (root maps to ``None``).
+    ``children`` (every tree node to its children, an ascending tuple) and
+    ``depth`` are derived from ``parent`` when not given; builders that
+    already know them (:func:`bfs_cluster_tree`) pass them in.
     Invariant: every member appears in the tree, every tree edge is a real
-    graph edge, and the structure is acyclic — checked by :meth:`validate`.
+    graph edge, the structure is acyclic, and ``children``/``depth`` agree
+    with ``parent`` — checked by :meth:`validate`.
     """
 
     cluster_id: int
@@ -86,6 +90,18 @@ class ClusterTree:
             raise ValueError(
                 f"cluster {self.cluster_id}: tree is disconnected from the root"
             )
+        if self.depth[self.root] != 0:
+            raise ValueError(
+                f"cluster {self.cluster_id}: root {self.root} not at depth 0"
+            )
+        inverse: Dict[NodeId, List[NodeId]] = {v: [] for v in self.parent}
+        for v, p in self.parent.items():
+            if p is not None:
+                inverse[p].append(v)
+        if self.children != {v: tuple(sorted(c)) for v, c in inverse.items()}:
+            raise ValueError(
+                f"cluster {self.cluster_id}: children disagree with parent"
+            )
         for v, p in self.parent.items():
             if p is None:
                 continue
@@ -111,6 +127,11 @@ def bfs_cluster_tree(
     With ``allowed=None`` the BFS runs on the whole graph (weak-diameter
     trees); otherwise only through ``allowed`` (strong-diameter trees for
     connected clusters).  The tree is pruned to branches that reach members.
+
+    ``children`` and ``depth`` are read off the BFS itself: discovery order
+    puts every parent before its children, and a node's children are
+    discovered in its (ascending) adjacency order, so each children list is
+    already sorted.
     """
 
     member_set = frozenset(members)
@@ -144,7 +165,20 @@ def bfs_cluster_tree(
             keep.add(cur)
             cur = parent[cur]
     pruned = {v: p for v, p in parent.items() if v in keep}
-    return ClusterTree(cluster_id=cluster_id, root=root, members=member_set, parent=pruned)
+    kids: Dict[NodeId, List[NodeId]] = {v: [] for v in pruned}
+    depth: Dict[NodeId, int] = {root: 0}
+    for v, p in pruned.items():
+        if p is not None:
+            kids[p].append(v)
+            depth[v] = depth[p] + 1
+    return ClusterTree(
+        cluster_id=cluster_id,
+        root=root,
+        members=member_set,
+        parent=pruned,
+        children={v: tuple(c) for v, c in kids.items()},
+        depth=depth,
+    )
 
 
 def steiner_tree_from_paths(

@@ -62,7 +62,6 @@ fault checks, and no ack is fused.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
@@ -71,6 +70,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, MutableSequence, Optional, Tuple
 from weakref import WeakKeyDictionary
 
+from ..gcpause import paused_gc
 from .delays import (
     BLOCK_PAIRS,
     DelayModel,
@@ -649,8 +649,10 @@ class AsyncRuntime(EventQueue):
         "dropped", "controller", "_cb_node", "_detect_ready",
         "_alive_ready", "_detect_blockers",
         "_rejoin_t", "_stale_seq", "_process_factory", "rejoined",
+        "_started", "_horizon",
     )
 
+    @paused_gc()
     def __init__(
         self,
         graph: Graph,
@@ -685,6 +687,9 @@ class AsyncRuntime(EventQueue):
         are only taken when a schedule is active).  ``detect_timeout`` is
         how long after a neighbor's crash its failure detector fires (sound
         for any value > 2*TAU; see :data:`~repro.net.faults.DETECT_TIMEOUT`).
+        Construction runs under the package's GC pause (DESIGN.md §8): the
+        link table and the process instances are long-lived, so collector
+        passes over them would free nothing.
         """
         super().__init__()
         self.graph = graph
@@ -787,6 +792,13 @@ class AsyncRuntime(EventQueue):
         self.messages = 0
         self.acks = 0
         self._fused = 0
+        # Latest fused-ack time over the whole execution: a fused ack never
+        # enters the heap, but quiescence still accounts for it (Appendix B
+        # pays for acknowledgments), also across resumed ``run`` calls.
+        self._horizon = 0.0
+        # Whether ``run`` has scheduled the starts (and the fault schedule):
+        # a resumed run continues the execution instead of restarting it.
+        self._started = False
         self._active_seq = -1  # seq of the event being dispatched
         self._send_on, self._enqueue_from, self._inject_link = (
             self._make_senders()
@@ -1322,11 +1334,19 @@ class AsyncRuntime(EventQueue):
         return None
 
     # ------------------------------------------------------------------
+    @paused_gc()
     def run(
         self,
         max_time: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> AsyncResult:
+        """Run until quiescence, ``max_time`` or ``max_events``.
+
+        A later call resumes the same execution: every node starts (and the
+        fault schedule is armed) once, on the first call, so a run sliced by
+        ``max_time`` or ``max_events`` and resumed ends where one
+        uninterrupted run ends.
+        """
         controlled = self.controller is not None
         if controlled and max_time is not None:
             # Controlled runs are untimed: the bag has no earliest record,
@@ -1338,30 +1358,33 @@ class AsyncRuntime(EventQueue):
         crash_t = self._crash_t
         rejoin_t = self._rejoin_t
         faulty = crash_t is not None
-        for v in self.graph.nodes:  # ``nodes`` is an ascending range
-            if not faulty or crash_t[v] > 0.0:
-                self._schedule_start(v)
+        if not self._started:
+            self._started = True
+            for v in self.graph.nodes:  # ``nodes`` is an ascending range
+                if not faulty or crash_t[v] > 0.0:
+                    self._schedule_start(v)
+            if self.faults is not None:
+                self._schedule_faults()
         # Force a refill on every link: a shared block buffer may have been
         # dirtied by another replay since construction (sweeps hand one
         # buffer across replays).  Refills re-derive the same values from
         # the model's pure fills, so this is free for a fresh runtime and
         # correct for a resumed one.
         self._blk_i[:] = self._skeleton.blk_lims
-        if self.faults is not None:
-            self._schedule_faults()
 
         # The dispatch loop, inlined: record pops, per-kind branches, and
         # the ack push run without any per-event closure or method lookup.
         # The link table is hoisted into locals.  Counters live in locals,
         # written back in the ``finally`` so metrics survive early exits
         # and protocol exceptions alike.  Cyclic GC is paused for the
-        # duration (the loop allocates tuples at a rate that trips gen-0
-        # collection constantly and creates no cycles of its own) and
-        # restored even when a handler raises.  Under a fault schedule or a
-        # controller (``faulty``) every transport record passes the fault
-        # checks of DESIGN.md §11.  A controller (``controlled``) picks
-        # each next record (``_controlled_step``) and no ack is fused, so
-        # every causal step is its decision (DESIGN.md §13).
+        # whole call (``paused_gc``: the loop allocates tuples at a rate
+        # that trips gen-0 collection constantly and creates no cycles of
+        # its own) and restored even when a handler raises.  Under a fault
+        # schedule or a controller (``faulty``) every transport record
+        # passes the fault checks of DESIGN.md §11.  A controller
+        # (``controlled``) picks each next record (``_controlled_step``)
+        # and no ack is fused, so every causal step is its decision
+        # (DESIGN.md §13).
         heap = self._heap
         pop = heappop
         push = heappush
@@ -1397,13 +1420,8 @@ class AsyncRuntime(EventQueue):
         # Fuses counted locally; materializations (``send_on``,
         # ``_reset_link``) decrement ``self._fused``, combined at exit.
         fused = 0
-        # Latest fused-ack time never materialized as an event; quiescence
-        # still accounts for it (Appendix B pays for acknowledgments).
-        horizon = 0.0
+        horizon = self._horizon
         deadline = inf if max_time is None else max_time
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
             while heap or controlled:
                 if controlled:
@@ -1509,14 +1527,14 @@ class AsyncRuntime(EventQueue):
                     else:
                         deliver_a[lid](src, payload)
         finally:
-            if gc_was_enabled:
-                gc.enable()
             self._fired += budget0 - budget
             self.acks = acks
             self.dropped += dropped
             self._fused += fused
+            self._horizon = horizon
             self.messages = sum(self._injected)
         quiescence = self._now
+        late = 0
         if max_time is None:
             if stop_reason == "quiescent" and horizon > quiescence:
                 quiescence = horizon
@@ -1528,14 +1546,13 @@ class AsyncRuntime(EventQueue):
             # run was in fact cut short by the horizon, not quiescent.  A
             # reservation past the deadline would never have fired as a raw
             # event either (the reference engine stops before it), so the
-            # raw-accounting credit is withdrawn alongside.
-            late = False
+            # raw-accounting credit is withdrawn alongside (from this
+            # call's result only: a resumed run still fires them).
             for lid in range(len(reserved_a)):
                 if reserved_a[lid] is not None:
                     t = free_at_a[lid]
                     if t > max_time:
-                        late = True
-                        self._fused -= 1
+                        late += 1
                     elif t > quiescence:
                         quiescence = t
             if stop_reason == "quiescent":
@@ -1550,7 +1567,7 @@ class AsyncRuntime(EventQueue):
             # ``max_events`` stop this is an over-count by however many of
             # the outstanding reservations the budget would have cut off —
             # the raw engine's budget is not reconstructible without replay.)
-            events += self._fused
+            events += self._fused - late
         return AsyncResult(
             time_to_output=self._time_to_output,
             time_to_quiescence=quiescence,

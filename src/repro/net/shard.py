@@ -21,7 +21,7 @@ The determinism contract, in order of importance:
   cell's outputs digest and message counts equal the serial ``run_all``'s,
   pinned by the equivalence suite (``tests/test_shard.py``).
 * **``jobs=1`` is the untouched in-process loop** — same iteration, same
-  :func:`~repro.net.sweep.paused_gc` discipline as
+  :func:`~repro.gcpause.paused_gc` discipline as
   :func:`~repro.net.sweep.run_models`, no pool, no pickling — so 1-core CI
   runners and the serial baselines pay zero overhead.
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Protocol
 
-from .sweep import REPLAYS_PER_COLLECT, paused_gc
+from .sweep import run_models
 
 
 def digest_outputs(outputs: Dict[Any, Any]) -> str:
@@ -160,7 +160,7 @@ _WORKER_BUNDLE: Optional[CellBundle] = None
 def _init_worker(bundle: CellBundle) -> None:
     """Install the shared bundle in this worker — and normalize GC.
 
-    A ``fork`` inside a :func:`~repro.net.sweep.paused_gc` window (a parent
+    A ``fork`` inside a :func:`~repro.gcpause.paused_gc` window (a parent
     mid-``run_models``) would hand the child a *permanently* disabled
     collector: the parent's re-enabling ``finally`` never runs here.  The
     worker is a fresh replay context, so GC starts enabled unconditionally;
@@ -181,18 +181,12 @@ def _run_cell(index: int) -> CellSummary:
 def run_serial(bundle: CellBundle) -> List[CellSummary]:
     """The untouched in-process loop: every cell, in order, one GC pause.
 
-    Byte-for-byte the :func:`~repro.net.sweep.run_models` discipline —
+    Literally :func:`~repro.net.sweep.run_models` over the cell indices —
     sweep-wide pause, explicit collect every
     :data:`~repro.net.sweep.REPLAYS_PER_COLLECT` replays — so ``jobs=1``
     changes nothing about how serial sweeps have always run.
     """
-    with paused_gc():
-        summaries: List[CellSummary] = []
-        for index in range(len(bundle)):
-            if index and index % REPLAYS_PER_COLLECT == 0:
-                gc.collect()
-            summaries.append(bundle.run_cell(index))
-        return summaries
+    return run_models(bundle.run_cell, range(len(bundle)))
 
 
 def run_sharded(

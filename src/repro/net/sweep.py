@@ -29,9 +29,9 @@ What is and is not shared (the contract the equivalence tests pin):
 from __future__ import annotations
 
 import gc
-from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
+from ..gcpause import paused_gc
 from .async_runtime import (
     AsyncResult,
     AsyncRuntime,
@@ -49,27 +49,6 @@ from .graph import Graph, NodeId
 TraceFn = Callable[[float, NodeId, NodeId, Payload], None]
 
 
-@contextmanager
-def paused_gc() -> Iterator[None]:
-    """One cyclic-GC pause around a whole sweep (DESIGN.md §8).
-
-    Each replay's dead engine is a cycle cluster refcounting cannot
-    reclaim; under one sweep-wide pause the clusters are collected together
-    at the end instead of being rescanned generation by generation after
-    every replay.  ``AsyncRuntime.run`` sees GC already disabled and
-    leaves it alone, so the schedule is unchanged.  No-op when the caller
-    already disabled GC.
-    """
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
 #: Dead replay engines accumulate as uncollected cycle clusters while the
 #: sweep-wide pause holds; collect after this many replays so peak memory
 #: stays bounded for long delay-model families without giving up the
@@ -77,12 +56,17 @@ def paused_gc() -> Iterator[None]:
 REPLAYS_PER_COLLECT = 8
 
 
-def run_models(run_one: Callable[[DelayModel], Any],
-               delay_models: Iterable[DelayModel]) -> List[Any]:
+def run_models(run_one: Callable[[Any], Any],
+               delay_models: Iterable[Any]) -> List[Any]:
     """Replay every model through ``run_one`` under one GC pause.
 
-    Shared by the transport- and protocol-level ``run_all`` methods:
-    results align with the input order, and every
+    Each replay's dead engine is a cycle cluster refcounting cannot
+    reclaim; under one sweep-wide pause the clusters are collected together
+    instead of being rescanned generation by generation after every replay.
+
+    Shared by the transport- and protocol-level ``run_all`` methods and
+    by :func:`~repro.net.shard.run_serial` (over cell indices): results
+    align with the input order, and every
     :data:`REPLAYS_PER_COLLECT` replays the dead engines are collected
     explicitly (``gc.collect`` works while the collector is disabled).
     """

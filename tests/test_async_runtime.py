@@ -4,13 +4,21 @@ import gc
 
 import pytest
 
+from repro.apps.programs import bfs_spec
+from repro.core import SynchronizerSweep
+from repro.core.bfs_runner import registry_for_threshold
+from repro.core.recovery import RecoverySynchronizerProcess
+from repro.core.synchronizer import pulse_bound_for
 from repro.net import (
+    AlternatingDelay,
     AsyncRuntime,
     AsyncSweep,
+    BimodalDelay,
     ConstantDelay,
     FaultSchedule,
     Graph,
     Process,
+    SlowEdgesDelay,
     UniformDelay,
     UnknownLinkError,
     run_asynchronous,
@@ -430,6 +438,110 @@ class TestGcPauseRestoration:
         # The finally block recovered the injection counters.
         assert runtime.messages == 2
         assert delivered == [("a",), ("b",)]
+
+
+def _observed(result):
+    return (result.messages, result.outputs, result.time_to_output,
+            result.events_fired, result.time_to_quiescence,
+            result.stop_reason)
+
+
+#: The five delay models of the sweep cells (``benchmarks/perf_regression``).
+_SWEEP_MODELS = (
+    ConstantDelay(),
+    UniformDelay(seed=3),
+    BimodalDelay(seed=3),
+    SlowEdgesDelay(seed=3),
+    AlternatingDelay(seed=3),
+)
+
+
+class TestResumedRun:
+    """A run stopped by ``max_time`` or ``max_events`` and resumed ends
+    exactly where one uninterrupted run ends: nodes start once and the
+    fault schedule is armed once."""
+
+    def test_flood_starts_every_node_once(self):
+        starts = []
+
+        class Flood(Process):
+            def on_start(self):
+                starts.append(self.ctx.node_id)
+                for v in self.ctx.neighbors:
+                    self.ctx.send(v, ("flood",))
+
+            def on_message(self, sender, payload):
+                self.ctx.set_output(sender)
+
+        g = topology.cycle_graph(4)
+        whole = AsyncRuntime(g, Flood, ConstantDelay()).run()
+        assert (len(starts), whole.messages) == (4, 8)
+        starts.clear()
+        runtime = AsyncRuntime(g, Flood, ConstantDelay())
+        assert runtime.run(max_time=0.5).stop_reason == "max_time"
+        resumed = runtime.run()
+        assert sorted(starts) == [0, 1, 2, 3]
+        assert _observed(resumed) == _observed(whole)
+
+    @pytest.mark.parametrize("model", _SWEEP_MODELS, ids=repr)
+    def test_sync_bfs_resumed_through_time_slices(self, model):
+        g = topology.grid_graph(6, 6)
+        process_cls = SynchronizerSweep(g, bfs_spec(0)).process_cls
+        whole = AsyncRuntime(g, process_cls, model).run()
+        runtime = AsyncRuntime(g, process_cls, model)
+        for max_time in (3.0, 7.5, 20.0):
+            assert runtime.run(max_time=max_time).stop_reason == "max_time"
+        assert _observed(runtime.run()) == _observed(whole)
+
+    @pytest.mark.parametrize("model", _SWEEP_MODELS, ids=repr)
+    def test_sync_bfs_resumed_after_event_budget(self, model):
+        g = topology.grid_graph(6, 6)
+        process_cls = SynchronizerSweep(g, bfs_spec(0)).process_cls
+        whole = AsyncRuntime(g, process_cls, model).run()
+        runtime = AsyncRuntime(g, process_cls, model)
+        assert runtime.run(max_events=500).stop_reason == "max_events"
+        assert _observed(runtime.run()) == _observed(whole)
+
+    def test_recovery_under_faults_resumed(self):
+        g = topology.cycle_graph(64)
+        spec = bfs_spec(0)
+        max_pulse = pulse_bound_for(g, spec)
+        process_cls = type("Recovery", (RecoverySynchronizerProcess,), dict(
+            spec=spec, registry=registry_for_threshold(g, max_pulse, "ap"),
+            max_pulse=max_pulse, initiators=frozenset(spec.initiators(g)),
+            infos=spec.make_infos(g),
+        ))
+        faults = FaultSchedule(seed=5, crash_rate=0.1, rejoin_rate=1.0,
+                               down_rate=0.05, recurrent=True)
+        model = UniformDelay(seed=5)
+        uninterrupted = AsyncRuntime(g, process_cls, model, faults=faults)
+        whole = uninterrupted.run()
+        assert whole.dropped and uninterrupted.rejoined
+        runtime = AsyncRuntime(g, process_cls, model, faults=faults)
+        for max_time in (3.0, 7.5, 20.0):
+            assert runtime.run(max_time=max_time).stop_reason == "max_time"
+        resumed = runtime.run()
+        assert _observed(resumed) == _observed(whole)
+        assert resumed.dropped == whole.dropped
+        assert runtime.rejoined == uninterrupted.rejoined
+
+    def test_resuming_a_finished_run_keeps_fused_ack_horizon(self):
+        # Burst(5) on one link: deliveries at 1, 3, .., 9; the last ack
+        # (t=10) is fused.  A run that already went quiescent reports the
+        # same quiescence when resumed, and a run cut before that fused ack
+        # counts it once resumed (raw accounting).
+        g = topology.path_graph(2)
+        for raw in (False, True):
+            whole = AsyncRuntime(g, Burst, ConstantDelay(1.0),
+                                 count_fused_acks=raw).run()
+            done = AsyncRuntime(g, Burst, ConstantDelay(1.0),
+                                count_fused_acks=raw)
+            assert done.run(max_time=10.0).stop_reason == "quiescent"
+            assert _observed(done.run()) == _observed(whole)
+            cut = AsyncRuntime(g, Burst, ConstantDelay(1.0),
+                               count_fused_acks=raw)
+            assert cut.run(max_time=9.0).stop_reason == "max_time"
+            assert _observed(cut.run()) == _observed(whole)
 
 
 class TestDeterminism:

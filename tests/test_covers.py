@@ -72,6 +72,35 @@ class TestClusterTree:
         with pytest.raises(ValueError, match="not in tree"):
             bad.validate(g)
 
+    def test_validate_rejects_corrupted_children(self):
+        g = topology.grid_graph(3, 3)
+        tree = bfs_cluster_tree(g, 0, members=range(9), root=0)
+        tree.validate(g)
+        corruptions = [
+            {**tree.children, 0: tree.children[0][::-1]},  # not ascending
+            {**tree.children, 0: tree.children[0][:1]},  # child dropped
+            {**tree.children, 8: (5,)},  # not the inverse of parent
+            {v: c for v, c in tree.children.items() if v != 8},  # leaf gone
+            {**tree.children, 99: ()},  # node outside the tree
+        ]
+        for children in corruptions:
+            bad = ClusterTree(tree.cluster_id, tree.root, tree.members,
+                              tree.parent, children=children, depth=tree.depth)
+            with pytest.raises(ValueError, match="children disagree"):
+                bad.validate(g)
+
+    def test_validate_rejects_corrupted_depth(self):
+        g = topology.path_graph(4)
+        tree = bfs_cluster_tree(g, 0, members=range(4), root=0)
+        for depth, match in [
+            ({**tree.depth, 2: 5}, "inconsistent depth"),
+            ({v: d + 1 for v, d in tree.depth.items()}, "depth 0"),
+        ]:
+            bad = ClusterTree(tree.cluster_id, tree.root, tree.members,
+                              tree.parent, children=tree.children, depth=depth)
+            with pytest.raises(ValueError, match=match):
+                bad.validate(g)
+
     def test_steiner_tree_from_paths(self):
         g = topology.path_graph(5)
         tree = steiner_tree_from_paths(
@@ -277,6 +306,19 @@ AP_COVER_DIGESTS = [
 ]
 
 
+def _assert_records_match_derivation(layered):
+    """``bfs_cluster_tree``'s ``children``/``depth`` equal what
+    ``ClusterTree.__post_init__`` derives from the ``parent`` map alone."""
+    for cover in layered.levels.values():
+        for tree in cover.clusters:
+            derived = ClusterTree(tree.cluster_id, tree.root, tree.members,
+                                  dict(tree.parent))
+            assert tree.children == derived.children
+            assert tree.depth == derived.depth
+            assert list(tree.children) == list(derived.children)
+            assert list(tree.depth) == list(derived.depth)
+
+
 class TestApCoverIdentity:
     @pytest.mark.parametrize(
         "make, diameter, digests",
@@ -291,6 +333,7 @@ class TestApCoverIdentity:
         assert sorted(layered.levels) == list(levels)
         assert [cover_digest(layered.levels[j]) for j in levels] == digests
         assert [cover_digest(build_ap_cover(g, 1 << j)) for j in levels] == digests
+        _assert_records_match_derivation(layered)
 
     def test_grid_32x64_shape(self):
         g = topology.grid_graph(32, 64)
@@ -304,6 +347,7 @@ class TestApCoverIdentity:
             "ade40625f66de3a4", "33aea35a5e0d57d3", "ef0a0751e37b5ee5",
             "034d5be9bd016637", "0c75e19e356ff85c", "bb1113b2c0b12879",
         ] + ["fbfc752e382e5562"] * 5
+        _assert_records_match_derivation(layered)
 
     def test_grid_64x64_shape(self):
         # The grid half of the ms4096 sweep cell, at the radius it builds.
@@ -318,6 +362,7 @@ class TestApCoverIdentity:
             "5b9ca607f3b49d9f", "79519d78c7293dcb", "4005d3c48a11edbb",
             "6bc607222dbd2fe2", "ace878b35d97004a", "a3bd3776b676f3b3",
         ] + ["db18aca48a4d02b3"] * 5
+        _assert_records_match_derivation(layered)
 
 
 def _ball_scan_cover(graph, d):
