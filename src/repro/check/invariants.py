@@ -43,15 +43,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..net.async_runtime import (
-    CTRL_ALIVE,
-    CTRL_DETECT,
-    CTRL_REJOIN,
-    AsyncResult,
-    AsyncRuntime,
-    ControlledEvent,
-)
+from ..net.async_runtime import AsyncResult, AsyncRuntime
 from ..net.graph import NodeId
+from .control import CTRL_ALIVE, CTRL_DETECT, CTRL_REJOIN, ControlledEvent
 
 #: Registration states in protocol order; a live stage may only move
 #: rightward (indexes into this tuple compare as progress).

@@ -1,14 +1,14 @@
 """Schedule controllers for the model checker (DESIGN.md §13).
 
-The engine's :class:`~repro.net.async_runtime.ScheduleController` hook
-shows a controller every enabled event and lets it pick the next step.
-This module supplies the identity/commutativity layer on top:
+:class:`~repro.check.control.ScheduleController` shows a controller every
+enabled event and lets it pick the next step.  This module supplies the
+commutativity layer and the controllers on top:
 
-* :func:`event_key` — a stable, serializable identity for an enabled
-  event.  Record-backed events are keyed by their scheduling sequence
-  number (unique, and deterministic given the choice prefix — record
-  creation order is a pure function of the fired order); synthetic
-  crash/detect actions are keyed by the nodes involved.
+* :func:`~repro.check.control.event_key` — a stable, serializable
+  identity for an enabled event.  Record-backed events are keyed by their
+  scheduling sequence number (unique, and deterministic given the choice
+  prefix — record creation order is a pure function of the fired order);
+  synthetic crash/detect actions are keyed by the nodes involved.
 * :func:`dependent` — the race relation of the partial-order reduction:
   two steps commute iff their *acting* processes are both known and
   different.  A delivery acts on its receiver, an acknowledgment on its
@@ -28,37 +28,22 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..net.async_runtime import (
+from ..net.async_runtime import AsyncRuntime
+from ..net.graph import NodeId
+from .control import (
     CTRL_ACK,
     CTRL_ALIVE,
     CTRL_CALLBACK,
     CTRL_CRASH,
     CTRL_DETECT,
     CTRL_REJOIN,
-    AsyncRuntime,
     ControlledEvent,
+    EventKey,
     ScheduleController,
+    event_key,
 )
-from ..net.graph import NodeId
 from .invariants import Probe
 from .state import fingerprint
-
-#: Serializable event identity: ("ev", seq) | ("crash", v) | ("rejoin", v)
-#: | ("detect", u, c) | ("alive", u, r) where u is the observer, c the
-#: corpse and r the returned node.
-EventKey = Tuple
-
-
-def event_key(ev: ControlledEvent) -> EventKey:
-    if ev.seq is not None:
-        return ("ev", ev.seq)
-    if ev.kind == CTRL_CRASH:
-        return ("crash", ev.node)
-    if ev.kind == CTRL_REJOIN:
-        return ("rejoin", ev.node)
-    if ev.kind == CTRL_ALIVE:
-        return ("alive", ev.dst, ev.src)
-    return ("detect", ev.dst, ev.src)
 
 
 def dependent(a: Optional[NodeId], b: Optional[NodeId]) -> bool:

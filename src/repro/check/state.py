@@ -38,15 +38,9 @@ import hashlib
 import json
 from typing import Any, Dict, List, Tuple
 
-from ..net.async_runtime import (
-    CTRL_ALIVE,
-    CTRL_CRASH,
-    CTRL_DETECT,
-    CTRL_REJOIN,
-    AsyncRuntime,
-    ControlledEvent,
-)
+from ..net.async_runtime import AsyncRuntime
 from ..net.events import EV_ACK, EV_CALLBACK, EV_DELIVER
+from .control import ControlledEvent, event_key, is_down
 
 #: Attribute names that point at static configuration or the runtime
 #: back-reference; walking them would either hash immutable bulk on every
@@ -175,17 +169,10 @@ def fingerprint(
             int(runtime._busy[lid]), runtime._pending[lid],
             runtime._injected[lid], queued,
         ])
-    synthetic = sorted(
-        ("crash", ev.node) if ev.kind == CTRL_CRASH
-        else ("rejoin", ev.node) if ev.kind == CTRL_REJOIN
-        else ("detect", ev.dst, ev.src) if ev.kind == CTRL_DETECT
-        else ("alive", ev.dst, ev.src)
-        for ev in events
-        if ev.kind in (CTRL_CRASH, CTRL_DETECT, CTRL_REJOIN, CTRL_ALIVE)
-    )
+    synthetic = sorted(event_key(ev) for ev in events if ev.seq is None)
     state = [
         # Crashed set: the nodes down now (crashed, not yet re-joined).
-        [v for v in runtime.graph.nodes if runtime._is_down(v)],
+        [v for v in runtime.graph.nodes if is_down(runtime, v)],
         # Rejoined set: membership gates the crash offer (one crash per
         # node) — two states differing only here diverge later.
         sorted(runtime.rejoined),

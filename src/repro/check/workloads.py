@@ -51,11 +51,12 @@ from ..core.recovery import RecoverySynchronizerProcess, _surviving_component
 from ..core.registration import RegistrationModule, cluster_views_for
 from ..core.synchronizer import SynchronizerProcess, pulse_bound_for
 from ..covers import bfs_cluster_tree
-from ..net.async_runtime import AsyncRuntime, Process, ScheduleController
+from ..net.async_runtime import AsyncRuntime, Process
 from ..net.delays import ConstantDelay
 from ..net.graph import Graph, NodeId
 from ..net.sync_runtime import run_synchronous
 from ..net.topology import cycle_graph, star_graph
+from .control import ScheduleController
 from .invariants import (
     DistanceBoundProbe,
     OutputEqualityProbe,

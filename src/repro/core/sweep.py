@@ -26,6 +26,7 @@ import copyreg
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Type
 
+from ..gcpause import paused_gc
 from ..net.delays import DelayModel
 from ..net.graph import Graph, NodeId
 from ..net.program import ProgramSpec
@@ -89,9 +90,12 @@ class SynchronizerSweep:
     ``SynchronizerSweep(graph, spec).run(model)`` is byte-identical to
     ``run_synchronized(graph, spec, model)`` — same outputs, message counts,
     times, and delivery traces — but the cover/registry/pulse-bound setup is
-    paid once for the whole sweep instead of once per model.
+    paid once for the whole sweep instead of once per model.  Construction
+    runs under the package's GC pause, like the cover, registry and runtime
+    it builds on.
     """
 
+    @paused_gc()
     def __init__(
         self,
         graph: Graph,
@@ -162,9 +166,11 @@ class ThresholdedBFSSweep:
 
     ``ThresholdedBFSSweep(graph, sources, threshold).run(model)`` is
     byte-identical to ``run_thresholded_bfs(graph, sources, threshold,
-    model)`` with the cover built once per sweep.
+    model)`` with the cover built once per sweep, under the package's GC
+    pause.
     """
 
+    @paused_gc()
     def __init__(
         self,
         graph: Graph,

@@ -55,9 +55,12 @@ the link), the ack's ``(time, seq)`` identity is merely *reserved* and the
 event is materialized only if a later send actually has to wait on it.
 Under a fault schedule every transport record passes the fault checks, and
 only acks whose firing would be a no-op are fused (DESIGN.md §11).  Under
-a :class:`ScheduleController` (the model checker, DESIGN.md §13) each next
-record is the controller's pick from the unordered heap, with the same
-fault checks, and no ack is fused.
+a controller (``controller=``, a :class:`repro.check.control.
+ScheduleController`: the model checker, DESIGN.md §13) the loop head takes
+each next record from ``controller.next_record`` instead of the heap top,
+with the same fault checks, and no ack is fused.  The controlled mode
+itself lives in :mod:`repro.check.control`; this package never imports
+it.
 """
 
 from __future__ import annotations
@@ -487,119 +490,6 @@ class AsyncResult:
         return self.messages + self.acks
 
 
-#: :class:`ControlledEvent` kinds (strings, not ints: controlled runs are a
-#: verification surface, not a hot path, and the kinds surface verbatim in
-#: serialized counterexample traces).
-CTRL_DELIVER = "deliver"
-CTRL_ACK = "ack"
-CTRL_CALLBACK = "callback"
-CTRL_CRASH = "crash"
-CTRL_DETECT = "detect"
-CTRL_REJOIN = "rejoin"
-CTRL_ALIVE = "alive"
-
-
-class ControlledEvent:
-    """One schedulable step offered to a :class:`ScheduleController`.
-
-    ``seq`` is the underlying heap record's scheduling sequence number —
-    unique, and (because record creation is deterministic given the choices
-    made so far) a stable identity for the event across re-executions of
-    the same choice prefix.  Synthetic actions (``crash``/``detect``) have
-    no record and ``seq is None``; they are identified by their node
-    fields instead.  ``acting`` is the process whose protocol state the
-    step mutates — the commutativity key of repro.check's partial-order
-    reduction (``None`` = unknown, treated as racing with everything).
-    """
-
-    __slots__ = ("kind", "seq", "link", "src", "dst", "node", "record")
-
-    def __init__(self, kind, seq, link, src, dst, node, record):
-        self.kind = kind
-        self.seq = seq
-        self.link = link
-        self.src = src
-        self.dst = dst
-        self.node = node
-        self.record = record
-
-    @property
-    def acting(self) -> Optional[NodeId]:
-        kind = self.kind
-        if kind == CTRL_DELIVER:
-            return self.dst  # the receiver's handler runs
-        if kind == CTRL_ACK:
-            return self.src  # the sender's callback/outbox drain runs
-        if kind == CTRL_DETECT:
-            return self.dst  # the observer's on_neighbor_dead runs
-        if kind == CTRL_ALIVE:
-            return self.dst  # the observer's on_neighbor_alive runs
-        if kind == CTRL_REJOIN:
-            # A rejoin voids in-flight incident records and disarms armed
-            # detects at *other* observers — it enables/disables events
-            # whose acting processes are not the returning node, so for
-            # the partial-order reduction it races with everything.
-            return None
-        return self.node  # callback (None when unattributed) / crash
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ControlledEvent({self.kind}, seq={self.seq},"
-                f" link={self.link}, src={self.src}, dst={self.dst},"
-                f" node={self.node})")
-
-
-class ScheduleController:
-    """Scheduling adversary hook for controlled runs (repro.check).
-
-    When an instance is passed to :class:`AsyncRuntime`, ``run()`` takes
-    each next record from :meth:`AsyncRuntime._controlled_step` instead of
-    the heap top: the heap becomes an unordered bag of *enabled* events,
-    and at every step the controller is shown all of them (plus the
-    synthetic crash/detect actions below) and picks which one fires next;
-    the same loop dispatches it, with no ack fused.  The
-    delay model still runs — record timestamps and acknowledgment redraws
-    are drawn exactly as always, so a replayed choice sequence reproduces
-    the execution bit-for-bit — but it no longer *orders* anything, and
-    ``run(max_time=...)`` is rejected.  With no controller installed this
-    machinery is never touched and timed schedules are byte-identical.
-
-    ``crashable`` folds fail-stop branch points into the schedule space:
-    every node listed here contributes a ``crash`` action to the enabled
-    set until it is chosen, and a chosen crash arms one ``detect`` action
-    per live neighbor that overrides ``on_neighbor_dead``.  Detection
-    honors the fault model's synchrony bound (DESIGN.md §11: delays ≤ τ,
-    detection at crash + 2.25τ): a detect action is *withheld* while any
-    delivery from a then-live sender that was in flight at the crash is
-    still undelivered — those messages provably resolve before the
-    timeout fires.  The corpse's own in-flight messages do not block
-    detection: a down interval may legally defer them past it, which is
-    the straggler race the recovery guard exists for.
-    """
-
-    #: Nodes the controller may crash (fail-stop) at a step of its choosing.
-    crashable: Tuple[NodeId, ...] = ()
-
-    #: Nodes the controller may *re-join* after crashing them: every
-    #: crashed node listed here contributes a ``rejoin`` action to the
-    #: enabled set until it is chosen.  A chosen rejoin rebuilds the node
-    #: with fresh protocol state, un-jams its incident links, voids the
-    #: crash-stranded records still in the bag, and arms one ``alive``
-    #: action per live neighbor that overrides ``on_neighbor_alive`` —
-    #: racing the pending ``detect`` actions, which is exactly the
-    #: D1–D3-shaped interleaving space repro.check must cover.
-    rejoinable: Tuple[NodeId, ...] = ()
-
-    def choose(self, events: List[ControlledEvent]) -> Optional[int]:
-        """Pick the next step: an index into ``events``, or ``None`` to stop.
-
-        ``events`` is non-empty; record-backed events come first, sorted by
-        ``seq``, followed by crash actions (crashable order) and armed
-        detect actions (arming order).  Returning ``None`` ends the run
-        with ``stop_reason == "controller"``.
-        """
-        raise NotImplementedError
-
-
 class AsyncRuntime(EventQueue):
     """Discrete-event executor for one protocol over one graph.
 
@@ -646,10 +536,8 @@ class AsyncRuntime(EventQueue):
         "messages", "acks", "_fused", "outputs",
         "output_time", "_time_to_output", "processes", "_active_seq",
         "faults", "detect_timeout", "_crash_t", "_down_fn", "_drop_fn",
-        "dropped", "controller", "_cb_node", "_detect_ready",
-        "_alive_ready", "_detect_blockers",
-        "_rejoin_t", "_stale_seq", "_process_factory", "rejoined",
-        "_started", "_horizon",
+        "dropped", "controller", "_rejoin_t", "_stale_seq",
+        "_process_factory", "rejoined", "_started", "_horizon",
     )
 
     @paused_gc()
@@ -665,7 +553,7 @@ class AsyncRuntime(EventQueue):
         block_buffer: Optional[MutableSequence[float]] = None,
         faults: Optional[FaultSchedule] = None,
         detect_timeout: float = DETECT_TIMEOUT,
-        controller: Optional[ScheduleController] = None,
+        controller: Optional[Any] = None,
     ) -> None:
         """``count_fused_acks=True`` restores the paper's raw event
         accounting in ``events_fired`` (fused acknowledgments count as one
@@ -687,6 +575,9 @@ class AsyncRuntime(EventQueue):
         are only taken when a schedule is active).  ``detect_timeout`` is
         how long after a neighbor's crash its failure detector fires (sound
         for any value > 2*TAU; see :data:`~repro.net.faults.DETECT_TIMEOUT`).
+        ``controller`` is a :class:`repro.check.control.ScheduleController`
+        that picks every next record (DESIGN.md §13); it excludes
+        ``faults``.
         Construction runs under the package's GC pause (DESIGN.md §8): the
         link table and the process instances are long-lived, so collector
         passes over them would free nothing.
@@ -710,7 +601,7 @@ class AsyncRuntime(EventQueue):
             faults = None
         if controller is not None and faults is not None:
             # Controlled runs model fail-stop crashes as controller-chosen
-            # actions (``ScheduleController.crashable``); a timer-keyed
+            # actions (the controller's ``crashable``); a timer-keyed
             # fault schedule would reintroduce the clock the controller
             # exists to replace.
             raise ValueError(
@@ -721,13 +612,6 @@ class AsyncRuntime(EventQueue):
         #: Nodes that re-joined during the run (schedule-keyed or
         #: controller-chosen), with the time of the rejoin.
         self.rejoined: Dict[NodeId, float] = {}
-        # ``_controlled_step`` state: each ``on_start`` seq's node, armed
-        # detect/alive actions as (observer, subject) pairs in arming
-        # order, and per corpse the delivery seqs its detects wait for.
-        self._cb_node: Dict[int, NodeId] = {}
-        self._detect_ready: List[Tuple[NodeId, NodeId]] = []
-        self._alive_ready: List[Tuple[NodeId, NodeId]] = []
-        self._detect_blockers: Dict[NodeId, set] = {}
         self.faults = faults
         self.detect_timeout = detect_timeout
         self.dropped = 0
@@ -1181,159 +1065,6 @@ class AsyncRuntime(EventQueue):
             self.schedule_at(t_fire, partial(self._fire_alive, u, v))
 
     # ------------------------------------------------------------------
-    # controlled mode (repro.check; DESIGN.md §13)
-    # ------------------------------------------------------------------
-    def _is_down(self, v: NodeId) -> bool:
-        """Whether ``v`` is crashed and not yet re-joined at ``_now``."""
-        return self._crash_t[v] <= self._now < self._rejoin_t[v]
-
-    def _schedule_start(self, v: NodeId) -> None:
-        """Schedule ``v``'s ``on_start`` now, attributed to ``v``: the
-        partial-order reduction treats it as a step of ``v``, and a
-        controlled run skips it if ``v`` is down when it is chosen."""
-        seq = next(self._counter)
-        heappush(self._heap,
-                 (self._now, seq, EV_CALLBACK, self.processes[v].on_start))
-        self._cb_node[seq] = v
-
-    def _controlled_step(self, exhausted: bool) -> Any:
-        """One controller decision of a controlled run (DESIGN.md §13).
-
-        The heap is an unordered *bag*: the installed controller is shown
-        every record, sorted by seq, plus the pending synthetic
-        crash/rejoin/detect/alive actions, and picks one.  Returns a stop
-        reason if nothing is enabled, the budget is ``exhausted`` or the
-        controller stops; ``None`` after a step handled here (a synthetic
-        action, or a callback of a down node); else the chosen record for
-        the dispatch loop, removed from the bag and stamped with the
-        running maximum of fired timestamps.  That logical time is
-        deterministic given the choice sequence, so serialized traces
-        replay bit-exactly; crashes and rejoins write it into
-        ``_crash_t``/``_rejoin_t``, where the loop's fault checks read it.
-        """
-        heap = self._heap
-        lu = self._lu
-        lv = self._lv
-        detect_ready = self._detect_ready
-        alive_ready = self._alive_ready
-        blockers = self._detect_blockers
-        controller = self.controller
-        now = self._now
-        events: List[ControlledEvent] = []
-        for record in heap:
-            seq = record[1]
-            kind = record[2]
-            if kind == EV_CALLBACK:
-                events.append(ControlledEvent(
-                    CTRL_CALLBACK, seq, None, None, None,
-                    self._cb_node.get(seq), record))
-            else:
-                lid = record[3]
-                events.append(ControlledEvent(
-                    CTRL_DELIVER if kind == EV_DELIVER else CTRL_ACK, seq,
-                    lid, lu[lid], lv[lid], None, record))
-        events.sort(key=lambda e: e.seq)
-        for v in controller.crashable:
-            # One crash per node: a re-joined node is not offered again,
-            # which bounds the schedule space (no crash/rejoin flapping).
-            if self._crash_t[v] == inf:
-                events.append(ControlledEvent(
-                    CTRL_CRASH, None, None, None, None, v, None))
-        for v in controller.rejoinable:
-            if self._is_down(v):
-                events.append(ControlledEvent(
-                    CTRL_REJOIN, None, None, None, None, v, None))
-        for u, c in detect_ready:
-            if not blockers.get(c):
-                # detect: src = the dead node, dst/node = the observer.
-                events.append(ControlledEvent(
-                    CTRL_DETECT, None, None, c, u, u, None))
-        for u, c in alive_ready:
-            # alive: src = the returned node, dst/node = the observer.
-            # Never withheld: the rejoin voided every pre-rejoin incident
-            # record, so the §11 bound has nothing left to wait on.
-            events.append(ControlledEvent(
-                CTRL_ALIVE, None, None, c, u, u, None))
-        if not events:
-            return "quiescent"
-        if exhausted:
-            return "max_events"
-        choice = controller.choose(events)
-        if choice is None:
-            return "controller"
-        ev = events[choice]
-        record = ev.record
-        if record is not None:
-            heap.remove(record)
-            for blk in blockers.values():
-                blk.discard(record[1])
-            if record[0] < now:
-                record = (now,) + record[1:]
-            if ev.node is not None and self._is_down(ev.node):
-                # An attributed callback (the only record-backed event with
-                # a node) of a crashed node: the corpse takes no step.
-                self._now = record[0]
-                return None
-            return record
-        if ev.kind == CTRL_CRASH:
-            v = ev.node
-            self._crash_t[v] = now
-            # Live-sender deliveries in flight at the crash resolve before
-            # the detection timeout (the §11 synchrony bound), so the
-            # corpse's detects are withheld until all have fired.  Acks
-            # drain before any timeout and callbacks are untimed; the
-            # corpse's own messages do not block either: a down interval
-            # may legally defer them past the timeout.
-            blockers[v] = {
-                rec[1] for rec in heap
-                if rec[2] == EV_DELIVER and not self._is_down(lu[rec[3]])
-            }
-            # The corpse observes nothing from now on.
-            detect_ready[:] = [p for p in detect_ready if p[0] != v]
-            alive_ready[:] = [p for p in alive_ready if p[0] != v]
-            detect_ready += [
-                (u, v) for u in self._observers(v, "on_neighbor_dead", now)]
-        elif ev.kind == CTRL_REJOIN:
-            v = ev.node
-            self._rejoin_t[v] = now
-            # Un-fired detects observing v raced the rejoin and lost: the
-            # timeout saw the node answer again.  The controller covers the
-            # other order by firing the detect *before* choosing the rejoin
-            # — exactly the D1–D3 interleaving pair.
-            detect_ready[:] = [p for p in detect_ready if p[1] != v]
-            blockers.pop(v, None)
-            # Void every in-flight incident record (and the corpse's stale
-            # attributed callbacks): the new incarnation shares no
-            # link-layer state with the old one.
-            out = self._out
-            incident = {lid for w in self.graph.neighbors(v)
-                        for lid in (out[v][w], out[w][v])}
-            voided = [
-                rec for rec in heap
-                if (self._cb_node.get(rec[1]) == v if rec[2] == EV_CALLBACK
-                    else rec[3] in incident)
-            ]
-            for rec in voided:
-                heap.remove(rec)
-                if rec[2] != EV_CALLBACK:
-                    self._pending[rec[3]] -= 1
-                    if rec[2] == EV_DELIVER:
-                        self.dropped += 1
-                for blk in blockers.values():
-                    blk.discard(rec[1])
-            self._rewire_node(v)
-            self._schedule_start(v)
-            alive_ready += [
-                (u, v) for u in self._observers(v, "on_neighbor_alive", now)]
-        elif ev.kind == CTRL_ALIVE:
-            alive_ready.remove((ev.dst, ev.src))
-            self._fire_alive(ev.dst, ev.src)
-        else:  # CTRL_DETECT
-            detect_ready.remove((ev.dst, ev.src))
-            self._fire_dead(ev.dst, ev.src)
-        return None
-
-    # ------------------------------------------------------------------
     @paused_gc()
     def run(
         self,
@@ -1347,7 +1078,8 @@ class AsyncRuntime(EventQueue):
         ``max_time`` or ``max_events`` and resumed ends where one
         uninterrupted run ends.
         """
-        controlled = self.controller is not None
+        controller = self.controller
+        controlled = controller is not None
         if controlled and max_time is not None:
             # Controlled runs are untimed: the bag has no earliest record,
             # so a deadline check would mean nothing.
@@ -1362,7 +1094,7 @@ class AsyncRuntime(EventQueue):
             self._started = True
             for v in self.graph.nodes:  # ``nodes`` is an ascending range
                 if not faulty or crash_t[v] > 0.0:
-                    self._schedule_start(v)
+                    self.schedule(0.0, self.processes[v].on_start)
             if self.faults is not None:
                 self._schedule_faults()
         # Force a refill on every link: a shared block buffer may have been
@@ -1382,9 +1114,10 @@ class AsyncRuntime(EventQueue):
         # its own) and restored even when a handler raises.  Under a fault
         # schedule or a controller (``faulty``) every transport record
         # passes the fault checks of DESIGN.md §11.  A controller
-        # (``controlled``) picks each next record (``_controlled_step``)
-        # and no ack is fused, so every causal step is its decision
-        # (DESIGN.md §13).
+        # (``controlled``) returns each next record from its
+        # ``next_record`` hook, or a stop reason, or ``None`` for a step it
+        # handled itself; no ack is fused, so every causal step is its
+        # decision (DESIGN.md §13).
         heap = self._heap
         pop = heappop
         push = heappush
@@ -1425,7 +1158,7 @@ class AsyncRuntime(EventQueue):
         try:
             while heap or controlled:
                 if controlled:
-                    record = self._controlled_step(budget == 0)
+                    record = controller.next_record(self, budget == 0)
                     if isinstance(record, str):
                         stop_reason = record
                         break

@@ -20,10 +20,10 @@ fields (DESIGN.md §9):
   payload)``: an acknowledgment whose sender wants the ``on_delivered``
   callback (decided once at delivery time, so dispatch re-checks nothing).
 
-The transport kinds are dispatched by
-:class:`~repro.net.async_runtime.AsyncRuntime`'s inlined run loop (which
-subclasses this queue); :class:`EventQueue` itself only ever fires
-:data:`EV_CALLBACK` records.
+:class:`EventQueue` holds the heap, the clock and the scheduling entry
+points; the one loop that fires records of every kind is
+:class:`~repro.net.async_runtime.AsyncRuntime`'s ``run`` (the runtime
+subclasses this queue).
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ from __future__ import annotations
 import heapq
 from itertools import count
 from math import inf
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from .delays import InvalidDelayError
 
 Callback = Callable[[], None]
 
 #: Record kinds (field 2 of every record); see the module docstring for
-#: the layouts.  ``EV_CALLBACK`` is handled by :class:`EventQueue` itself.
+#: the layouts.
 EV_CALLBACK = 0
 EV_DELIVER = 1
 EV_ACK = 2
@@ -91,48 +91,3 @@ class EventQueue:
         heapq.heappush(
             self._heap, (time, next(self._counter), EV_CALLBACK, callback)
         )
-
-    def dispatch(self, record: Tuple) -> None:
-        """Handle a non-callback record; engines embedding the queue override."""
-        raise ValueError(f"no handler for event kind {record[2]!r}")
-
-    def step(self) -> bool:
-        """Fire the earliest event; returns False when the queue is empty."""
-        if not self._heap:
-            return False
-        record = heapq.heappop(self._heap)
-        self._now = record[0]
-        self._fired += 1
-        if record[2] == EV_CALLBACK:
-            record[3]()
-        else:
-            self.dispatch(record)
-        return True
-
-    def run(
-        self,
-        max_time: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> str:
-        """Run until quiescence, the time horizon, or the event budget.
-
-        Returns one of ``"quiescent"``, ``"max_time"``, ``"max_events"``.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        budget = max_events
-        while heap:
-            if max_time is not None and heap[0][0] > max_time:
-                return "max_time"
-            if budget is not None:
-                if budget == 0:
-                    return "max_events"
-                budget -= 1
-            record = pop(heap)
-            self._now = record[0]
-            self._fired += 1
-            if record[2] == EV_CALLBACK:
-                record[3]()
-            else:
-                self.dispatch(record)
-        return "quiescent"

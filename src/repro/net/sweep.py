@@ -13,15 +13,15 @@ model from that shared immutable state.
 What is and is not shared (the contract the equivalence tests pin):
 
 * shared across replays: the graph, the link-id skeleton (endpoint arrays,
-  per-node outgoing maps, packed event codes), the process factory
+  per-node outgoing maps, per-link block bounds), the process factory
   (protocol sweeps such as :class:`repro.core.sweep.SynchronizerSweep`
   attach covers, registry views, pulse tables and node infos to it exactly
   once), the accounting flags, and — as pure scratch — one flat delay-block
   buffer (DESIGN.md §9) whose *allocation* is amortized across replays
   while its contents are refilled per replay from each model's pure
   block fills;
-* rebuilt per replay: every piece of mutable state — link slots, side
-  slots, block cursors, outboxes, the event heap, process instances — so
+* rebuilt per replay: every piece of mutable state — the link-table
+  arrays, block cursors, outboxes, the event heap, process instances — so
   each replay is byte-identical to a standalone ``AsyncRuntime`` run under
   the same delay model, and replay order cannot leak state between models.
 """

@@ -25,7 +25,7 @@ from repro.net import (
     standard_adversaries,
     topology,
 )
-from repro.net.async_runtime import ScheduleController
+from repro.check.control import ScheduleController
 
 
 class Echo(Process):

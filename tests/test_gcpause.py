@@ -1,4 +1,4 @@
-"""The package's one GC pause over setup: cover, registry and runtime.
+"""The package's one GC pause over setup: cover, registry, sweeps, runtime.
 
 Collector churn is asserted with a count (``gc.callbacks`` "start" events),
 not a clock: a pass that runs while a paused constructor builds is a
@@ -13,6 +13,7 @@ from repro.apps.programs import multi_bfs_spec
 from repro.core import (
     CoverRegistry,
     SynchronizerSweep,
+    ThresholdedBFSSweep,
     pulse_bound_for,
     required_cover_radius,
 )
@@ -20,7 +21,7 @@ from repro.covers import build_layered_cover
 from repro.covers.cover import LayeredCover
 from repro.gcpause import paused_gc
 from repro.net import AsyncRuntime, FaultSchedule, UniformDelay, topology
-from repro.net.async_runtime import ScheduleController
+from repro.check.control import ScheduleController
 
 
 class _PassCounter:
@@ -70,6 +71,23 @@ def test_cold_setup_runs_no_collector_pass_while_building(cold_grid):
     assert unpaused.passes > 1
     with _PassCounter() as registry_passes:
         registry = CoverRegistry(layered)
+    # Each sweep is built over a fresh copy of the grid, so it also builds
+    # the graph's link skeleton, as a cold sweep does.
+    sweeps = [
+        (SynchronizerSweep, (spec,),
+         dict(registry=registry, max_pulse=max_pulse)),
+        (ThresholdedBFSSweep, (0, max_pulse), dict(registry=registry)),
+    ]
+    sweep_passes = []
+    for cls, args, kwargs in sweeps:
+        fresh = topology.grid_graph(32, 64)
+        with _PassCounter() as unpaused:
+            cls.__init__.__wrapped__(cls.__new__(cls), fresh, *args, **kwargs)
+        assert unpaused.passes > 1, cls.__name__
+        fresh = topology.grid_graph(32, 64)
+        with _PassCounter() as paused:
+            cls(fresh, *args, **kwargs)
+        sweep_passes.append(paused.passes)
     process_cls = SynchronizerSweep(
         graph, spec, registry=registry, max_pulse=max_pulse).process_cls
     model = UniformDelay(seed=2305)
@@ -81,6 +99,7 @@ def test_cold_setup_runs_no_collector_pass_while_building(cold_grid):
         AsyncRuntime(graph, process_cls, model)
     assert cover_passes.passes <= 1
     assert registry_passes.passes <= 1
+    assert all(passes <= 1 for passes in sweep_passes)
     assert runtime_passes.passes <= 1
     assert gc.isenabled()
 
@@ -91,7 +110,7 @@ class _Never(ScheduleController):
 
 
 def _constructors():
-    """(name, ok, raising) calls of the three paused constructors."""
+    """(name, ok, raising) calls of the five paused constructors."""
     g = topology.grid_graph(3, 3)
     layered = build_layered_cover(g, 4)
     process_cls = SynchronizerSweep(
@@ -101,6 +120,13 @@ def _constructors():
          lambda: build_layered_cover(g, 4, builder="nope")),
         ("registry", lambda: CoverRegistry(layered),
          lambda: CoverRegistry(LayeredCover(levels={}))),
+        ("sync-sweep",
+         lambda: SynchronizerSweep(g, multi_bfs_spec(2),
+                                   registry=CoverRegistry(layered)),
+         lambda: SynchronizerSweep(g, multi_bfs_spec(2), builder="nope")),
+        ("tbfs-sweep",
+         lambda: ThresholdedBFSSweep(g, 0, 2, registry=CoverRegistry(layered)),
+         lambda: ThresholdedBFSSweep(g, (), 2)),
         ("runtime", lambda: AsyncRuntime(g, process_cls, UniformDelay(1)),
          lambda: AsyncRuntime(g, process_cls, UniformDelay(1),
                               faults=FaultSchedule(seed=1, crash_rate=0.5),
