@@ -677,7 +677,10 @@ class SynchronizerNode:
 
     def _terminus(self, vnode: _VNode, q: int, flow: _VFlow) -> None:
         if vnode.pulse == 0:
-            for cid in list(self._sdereg_pending.get(q, ())):
+            # A sorted copy: a confirmation can shrink the pending set, and
+            # the contribution order is part of the schedule, so it must
+            # not follow the set's hash order of the cluster ids.
+            for cid in sorted(self._sdereg_pending.get(q, ())):
                 self.agg.contribute(cid, _sdereg_tag(q), True)
             if not self._sdereg_pending.get(q):
                 self._release_down(vnode, q)

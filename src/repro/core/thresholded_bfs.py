@@ -515,10 +515,11 @@ class ThresholdedBFSCore:
         if self.pulse == 0:
             # Base case (Section 4.2): q-safety reached the source; its
             # deregistration is the convergecast contribution.  Iterate a
-            # copy: a single-node cluster confirms synchronously, mutating
-            # the pending set.
+            # sorted copy: a single-node cluster confirms synchronously,
+            # mutating the pending set, and the contribution order is part
+            # of the schedule, so it must not follow the set's hash order.
             sdereg = _sdereg_tag(q)
-            for cid in list(self._sdereg_pending.get(q, ())):
+            for cid in sorted(self._sdereg_pending.get(q, ())):
                 self.agg.contribute(cid, sdereg, True)
             if not self._sdereg_pending.get(q):
                 self._release_go_ahead(q)

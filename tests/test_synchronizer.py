@@ -184,3 +184,39 @@ class TestDeterminism:
         assert a.outputs == b.outputs
         assert a.messages == b.messages
         assert a.time_to_quiescence == b.time_to_quiescence
+
+    def test_initiator_terminus_contributes_in_cluster_id_order(
+            self, monkeypatch):
+        """At pulse 0 an initiator's deregistration contributions leave in
+        ascending cluster-id order, not in the hash order of the pending
+        set, so the schedule follows the ids' order, not their values."""
+        from repro.core.cluster_ops import ClusterAggregateModule
+        from repro.core.synchronizer import SynchronizerNode
+
+        terminus = SynchronizerNode._terminus
+        contribute = ClusterAggregateModule.contribute
+        open_calls = []  # (agg, cids) of the pulse-0 terminus running now
+        orders = []
+
+        def spy_terminus(self, vnode, q, flow):
+            if vnode.pulse != 0:
+                return terminus(self, vnode, q, flow)
+            open_calls.append((self.agg, []))
+            try:
+                terminus(self, vnode, q, flow)
+            finally:
+                orders.append(open_calls.pop()[1])
+
+        def spy_contribute(self, cluster_id, tag, value):
+            if open_calls and open_calls[-1][0] is self:
+                open_calls[-1][1].append(cluster_id)
+            return contribute(self, cluster_id, tag, value)
+
+        monkeypatch.setattr(SynchronizerNode, "_terminus", spy_terminus)
+        monkeypatch.setattr(
+            ClusterAggregateModule, "contribute", spy_contribute)
+        g = topology.cycle_graph(512)
+        result = run_synchronized(g, multi_bfs_spec(16), ConstantDelay())
+        assert result.outputs
+        assert any(len(cids) > 1 for cids in orders)
+        assert all(cids == sorted(cids) for cids in orders)
