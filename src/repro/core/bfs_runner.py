@@ -59,6 +59,9 @@ def registry_for_threshold(
     if registry is None:
         layered = build_layered_cover(graph, radius, builder)
         registry = per_graph[(radius, builder)] = CoverRegistry(layered)
+        # The levels every consumer reads (a thresholded BFS also reads
+        # level t, which it loads itself): callers time this as setup.
+        registry.load(registry.level_set(COVER_LEVEL_OFFSET))
     return registry
 
 

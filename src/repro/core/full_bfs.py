@@ -80,6 +80,10 @@ class FullBFSNode:
         self.parent: Optional[NodeId] = None
         self.output_done = False
         self.iterations: Dict[int, _IterationState] = {}
+        # The doubling starts a 2^i-thresholded BFS per iteration i mid-run:
+        # load the levels each reads now, so no run builds one.
+        for i in range(max_iterations):
+            registry.load(ThresholdedBFSCore.cover_levels(registry, 1 << i))
         top_views = {}
         top_level = registry.top_level
         for cid in registry.clusters_at_level(top_level):

@@ -60,8 +60,9 @@ class GatherModule:
         self._member_clusters = tuple(
             tree.cluster_id for tree in cover.clusters if node_id in tree.members
         )
+        self._member_set = frozenset(self._member_clusters)
         self._tree_only_clusters = tuple(
-            cid for cid in views if cid not in set(self._member_clusters)
+            cid for cid in views if cid not in self._member_set
         )
         if priority_fn is None:
             priority_fn = lambda tag: (tag[1],)  # stage index
@@ -126,13 +127,12 @@ class GatherModule:
         _, stage = tag
         if not result:  # pragma: no cover - AND of Trues
             raise AssertionError("gather aggregation must be True")
-        if cid not in set(self._member_clusters):
+        if cid not in self._member_set:
             return  # confirmations on relay-only trees carry no information
         self._confirmed[stage].add(cid)
-        needed = set(self._member_clusters)
         while (
             self._stage_reached < self.num_stages
-            and self._confirmed[self._stage_reached + 1] >= needed
+            and self._confirmed[self._stage_reached + 1] >= self._member_set
         ):
             self._stage_reached += 1
             self.on_complete(self._stage_reached)

@@ -39,7 +39,8 @@ from .bfs_runner import (
     registry_for_threshold,
 )
 from .registry import CoverRegistry
-from .synchronizer import SynchronizerProcess, pulse_bound_for
+from .synchronizer import SynchronizerNode, SynchronizerProcess, pulse_bound_for
+from .thresholded_bfs import ThresholdedBFSCore
 
 
 class _BoundProcessMeta(type):
@@ -108,6 +109,7 @@ class SynchronizerSweep:
             max_pulse = pulse_bound_for(graph, spec)
         if registry is None:
             registry = registry_for_threshold(graph, max_pulse, builder)
+        registry.load(SynchronizerNode.cover_levels(registry))
         self.graph = graph
         self.spec = spec
         self.max_pulse = max_pulse
@@ -186,6 +188,7 @@ class ThresholdedBFSSweep:
             raise ValueError("at least one source required")
         if registry is None:
             registry = registry_for_threshold(graph, threshold, builder)
+        registry.load(ThresholdedBFSCore.cover_levels(registry, threshold))
         self.graph = graph
         self.sources = source_set
         self.threshold = threshold

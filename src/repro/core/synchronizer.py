@@ -43,6 +43,7 @@ from ..net.sync_runtime import run_synchronous
 from .bfs_runner import registry_for_threshold
 from .cluster_ops import ClusterAggregateModule, and_merge
 from .pulse import (
+    COVER_LEVEL_OFFSET,
     gating_pulses_cached,
     assemble_pulses,
     cover_level,
@@ -178,6 +179,13 @@ class SynchronizerNode:
 
     SELF = "_self"
 
+    @staticmethod
+    def cover_levels(registry: CoverRegistry) -> Tuple[int, ...]:
+        """The cover levels a node reads: registration for pulse ``p`` uses
+        level ``clamp_level(cover_level(p))``, never one below
+        ``COVER_LEVEL_OFFSET`` (unless the cover tops out lower)."""
+        return registry.level_set(COVER_LEVEL_OFFSET)
+
     def __init__(
         self,
         node_id: NodeId,
@@ -216,7 +224,7 @@ class SynchronizerNode:
         self.recovery = recovery
         self._pruned: Set[NodeId] = set()
 
-        views = registry.views_of(node_id)
+        views = registry.views_of(node_id, self.cover_levels(registry))
         self.reg = RegistrationModule(
             node_id=node_id,
             clusters=views,

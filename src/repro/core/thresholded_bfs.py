@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..net.graph import NodeId
 from .cluster_ops import ClusterAggregateModule, and_merge
 from .pulse import (
+    COVER_LEVEL_OFFSET,
     gating_pulses_cached,
     assemble_pulses,
     cover_level,
@@ -151,7 +152,8 @@ class ThresholdedBFSCore:
         self._neighbor_links = tuple(links[v] for v in self.neighbors)
         self.on_complete = on_complete
 
-        views = registry.views_of(node_id)
+        views = registry.views_of(
+            node_id, self.cover_levels(registry, threshold))
         # The module priorities are plain stage ints, exactly what the host
         # ``send`` expects — the modules call it directly (priorities are
         # cached per tag inside each module).
@@ -224,6 +226,15 @@ class ThresholdedBFSCore:
         self.recovery = recovery
         self._pruned: Set[NodeId] = set()
         self._answer_wait: Optional[Set[NodeId]] = None
+
+    @staticmethod
+    def cover_levels(registry: CoverRegistry, threshold: int) -> Tuple[int, ...]:
+        """The cover levels a node reads: ``check_level`` (level ``t``) and
+        the registration levels ``clamp_level(cover_level(p))``, none of
+        which is below ``COVER_LEVEL_OFFSET`` (unless the cover tops out
+        lower)."""
+        return registry.level_set(
+            COVER_LEVEL_OFFSET, threshold.bit_length() - 1)
 
     # ------------------------------------------------------------------
     # plumbing

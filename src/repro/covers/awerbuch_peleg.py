@@ -26,33 +26,41 @@ Guarantees (proved by the classic arguments, asserted in tests):
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict, List, Set
 
 from ..net.graph import Graph, NodeId
 from .cluster import ClusterTree, bfs_cluster_tree
-from .cover import LayeredCover, SparseCover, required_top_level
+from .cover import (
+    LayeredCover,
+    LazyLevels,
+    SparseCover,
+    require_connected,
+    required_top_level,
+)
 
 
 def build_ap_cover(graph: Graph, d: int) -> SparseCover:
     """Sparse d-cover with stretch O(log n) and membership O(log n)."""
     if d < 1:
         raise ValueError("radius must be >= 1")
-    _require_connected(graph)
+    require_connected(graph)
     return _grow_cover(graph, d)
 
 
 def build_ap_layered_cover(graph: Graph, d: int) -> LayeredCover:
-    """Layered sparse d-cover: one AP cover per power of two up to d."""
+    """Layered sparse d-cover: one AP cover per power of two up to d.
+
+    Level ``j`` is ``_grow_cover(graph, 2^j)``, built on its first read
+    (:class:`LazyLevels`); bad inputs raise here, not at that read.
+    """
     top = required_top_level(d)
-    _require_connected(graph)
-    return LayeredCover(
-        levels={j: _grow_cover(graph, 1 << j) for j in range(top + 1)}
-    )
+    require_connected(graph)
+    return LayeredCover(levels=LazyLevels(partial(_grow_level, graph.twin()), top))
 
 
-def _require_connected(graph: Graph) -> None:
-    if not graph.is_connected():
-        raise ValueError("sparse covers require a connected graph")
+def _grow_level(graph: Graph, j: int) -> SparseCover:
+    return _grow_cover(graph, 1 << j)
 
 
 def _grow_cover(graph: Graph, d: int) -> SparseCover:

@@ -13,12 +13,19 @@ Three builders:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from ..gcpause import paused_gc
 from ..net.graph import Graph, NodeId
 from .cluster import ClusterTree, bfs_cluster_tree
-from .cover import LayeredCover, SparseCover, required_top_level
+from .cover import (
+    LayeredCover,
+    LazyLevels,
+    SparseCover,
+    require_connected,
+    required_top_level,
+)
 from .awerbuch_peleg import build_ap_cover, build_ap_layered_cover
 from .rozhon_ghaffari import build_rg_cover, build_rg_layered_cover
 
@@ -43,11 +50,21 @@ def build_cover(graph: Graph, d: int, builder: str = "ap") -> SparseCover:
     raise ValueError(f"unknown cover builder {builder!r}")
 
 
+def _trivial_level(graph: Graph, j: int) -> SparseCover:
+    return build_trivial_cover(graph, 1 << j)
+
+
 @paused_gc()
 def build_layered_cover(graph: Graph, d: int, builder: str = "ap") -> LayeredCover:
-    """Layered sparse ``d``-cover from ``builder``, built under the
-    package's GC pause (DESIGN.md §8): the trees are long-lived, and the
-    build's scratch sets die by refcount, so collector passes free nothing.
+    """Layered sparse ``d``-cover from ``builder``, under the package's GC
+    pause (DESIGN.md §8): the trees are long-lived, and the build's
+    scratch sets die by refcount, so collector passes free nothing.
+
+    The ``"ap"`` and ``"trivial"`` levels are built on their first read,
+    each under its own pause (:class:`LazyLevels`); ``"rg"`` builds every
+    level here, because its cost account sums over all of them.  Bad
+    inputs (a disconnected graph, ``d < 1``, an unknown builder) raise
+    here for every builder.
     """
     if builder == "ap":
         return build_ap_layered_cover(graph, d)
@@ -56,7 +73,7 @@ def build_layered_cover(graph: Graph, d: int, builder: str = "ap") -> LayeredCov
         return layered
     if builder == "trivial":
         top = required_top_level(d)
+        require_connected(graph)
         return LayeredCover(
-            levels={j: build_trivial_cover(graph, 1 << j) for j in range(top + 1)}
-        )
+            levels=LazyLevels(partial(_trivial_level, graph.twin()), top))
     raise ValueError(f"unknown cover builder {builder!r}")

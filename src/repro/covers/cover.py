@@ -9,8 +9,11 @@ A *sparse d-cover with stretch s* is a set of clusters such that
   *home cluster*).
 
 A *layered sparse d-cover* is one sparse ``2^j``-cover for every
-``j <= ceil(log2 d)``.  :func:`validate_cover` checks every property and is
-used both in tests and as a guard when experiments build covers.
+``j <= ceil(log2 d)``.  The AP and trivial builders hand its levels out as
+:class:`LazyLevels`: each level is built the first time it is read, so a
+consumer that reads only some levels never pays for the rest (DESIGN.md
+§2).  :func:`validate_cover` checks every property and is used both in
+tests and as a guard when experiments build covers.
 """
 
 from __future__ import annotations
@@ -18,8 +21,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
+    Tuple,
+)
 
+from ..gcpause import paused_gc
 from ..net.graph import Edge, Graph, NodeId
 from .cluster import ClusterTree
 
@@ -132,11 +139,59 @@ def validate_cover(
         )
 
 
+class LazyLevels(Mapping[int, SparseCover]):
+    """Levels ``0..top`` of a layered cover, each built on its first read.
+
+    ``build(j)`` returns the sparse ``2^j``-cover.  It runs at most once per
+    level, under the package's GC pause (DESIGN.md §8), and the level is
+    kept.  Iteration, ``len`` and ``in`` read only the level numbers, so
+    ``LayeredCover.top_level`` and the key set build nothing; ``values()``
+    and ``items()`` build every level.
+    """
+
+    __slots__ = ("_build", "_top", "_built")
+
+    def __init__(self, build: Callable[[int], SparseCover], top: int) -> None:
+        self._build = build
+        self._top = top
+        self._built: Dict[int, SparseCover] = {}
+
+    def __getitem__(self, j: int) -> SparseCover:
+        cover = self._built.get(j)
+        if cover is None:
+            if j not in self:
+                raise KeyError(j)
+            with paused_gc():
+                cover = self._built[j] = self._build(j)
+        return cover
+
+    def __contains__(self, j: object) -> bool:
+        return isinstance(j, int) and 0 <= j <= self._top
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._top + 1))
+
+    def __len__(self) -> int:
+        return self._top + 1
+
+    @property
+    def built(self) -> Tuple[int, ...]:
+        """The levels built so far, ascending."""
+        return tuple(sorted(self._built))
+
+    def __repr__(self) -> str:
+        return f"LazyLevels(top={self._top}, built={self.built})"
+
+
 @dataclass(frozen=True)
 class LayeredCover:
-    """Sparse ``2^j``-covers for every ``j`` in ``0..top_level``."""
+    """Sparse ``2^j``-covers for every ``j`` in ``0..top_level``.
 
-    levels: Dict[int, SparseCover]
+    ``levels`` is a plain dict (the RG builder, hand-built covers) or a
+    :class:`LazyLevels` (the AP and trivial builders).
+    """
+
+    levels: Mapping[int, SparseCover]
 
     @property
     def top_level(self) -> int:
@@ -154,6 +209,11 @@ class LayeredCover:
         return [
             (j, c) for j in sorted(self.levels) for c in self.levels[j].clusters
         ]
+
+
+def require_connected(graph: Graph) -> None:
+    if not graph.is_connected():
+        raise ValueError("sparse covers require a connected graph")
 
 
 def required_top_level(d: int) -> int:

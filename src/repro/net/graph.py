@@ -103,6 +103,21 @@ class Graph:
         self._dist_cache: Dict[FrozenSet[NodeId], Tuple[float, ...]] = {}
         self._ecc_cache: Optional[Tuple[float, ...]] = None
 
+    def twin(self) -> "Graph":
+        """An equal graph object that shares this one's immutable adjacency.
+
+        A lazily built structure keeps the twin, not ``self``, so caching it
+        in a WeakKeyDictionary keyed on ``self`` does not pin the key.
+        """
+        twin = Graph.__new__(Graph)
+        twin._n = self._n
+        twin._adj = self._adj
+        twin._edges = self._edges
+        twin._weights = self._weights
+        twin._dist_cache = {}
+        twin._ecc_cache = self._ecc_cache
+        return twin
+
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------

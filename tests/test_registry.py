@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.core import ClusterView, CoverRegistry
+from repro.core.registry import LEVEL_ID_SHIFT
 from repro.covers import (
     SparseCover,
     bfs_cluster_tree,
@@ -104,13 +105,15 @@ def _built(make, d, builder):
 ], ids=["steiner", "grid-ap", "grid-rg", "erdos-renyi-rg"])
 def test_registry_matches_brute_force_scan(make):
     """Every view, membership tuple and tree-participation tuple equals a
-    scan over the cover's trees, level by level, in global-id order."""
+    scan over the cover's trees, level by level, in global-id order.  The
+    ``i``-th tree of level ``j`` has id ``j << LEVEL_ID_SHIFT | i``."""
     g, layered = make()
     reg = CoverRegistry(layered)
     trees = []  # (global id, level, tree) in registry id order
     for level in sorted(layered.levels):
-        for tree in layered.levels[level].clusters:
-            trees.append((len(trees), level, tree))
+        for index, tree in enumerate(layered.levels[level].clusters):
+            trees.append((level << LEVEL_ID_SHIFT | index, level, tree))
+    assert [cid for cid, _, _ in trees] == sorted(cid for cid, _, _ in trees)
     for v in g.nodes:
         assert reg.views_of(v) == {
             cid: (cid, tree.parent[v], tree.children.get(v, ()))
