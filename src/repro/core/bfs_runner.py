@@ -34,6 +34,19 @@ class BFSOutcome:
         return self.result.time_to_output
 
 
+def bfs_outcome(graph: Graph, result: AsyncResult) -> BFSOutcome:
+    """Check that a BFS run quiesced with every node's ``(distance,
+    parent)`` output, and split the outputs into a :class:`BFSOutcome`."""
+    if result.stop_reason != "quiescent":
+        raise RuntimeError(f"BFS did not finish: {result.stop_reason}")
+    missing = set(graph.nodes) - set(result.outputs)
+    if missing:
+        raise RuntimeError(f"BFS deadlocked: nodes {sorted(missing)} never completed")
+    distances = {v: result.outputs[v][0] for v in graph.nodes}
+    parents = {v: result.outputs[v][1] for v in graph.nodes}
+    return BFSOutcome(distances=distances, parents=parents, result=result)
+
+
 def required_cover_radius(threshold: int) -> int:
     """Top cover radius a 2^t-thresholded BFS needs: 2^(t + 5)."""
     t = max(threshold.bit_length() - 1, 0)
@@ -144,12 +157,4 @@ def run_thresholded_bfs(
     )
     process_cls = type("BoundThresholdedBFS", (ThresholdedBFSProcess,), namespace)
     runtime = AsyncRuntime(graph, process_cls, delay_model)
-    result = runtime.run(max_events=max_events)
-    if result.stop_reason != "quiescent":
-        raise RuntimeError(f"BFS did not finish: {result.stop_reason}")
-    missing = set(graph.nodes) - set(result.outputs)
-    if missing:
-        raise RuntimeError(f"BFS deadlocked: nodes {sorted(missing)} never completed")
-    distances = {v: result.outputs[v][0] for v in graph.nodes}
-    parents = {v: result.outputs[v][1] for v in graph.nodes}
-    return BFSOutcome(distances=distances, parents=parents, result=result)
+    return bfs_outcome(graph, runtime.run(max_events=max_events))

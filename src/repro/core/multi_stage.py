@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from ..net.async_runtime import AsyncResult, AsyncRuntime, Process, ProcessContext
 from ..net.delays import DelayModel
 from ..net.graph import Graph, NodeId
-from .bfs_runner import BFSOutcome, registry_for_threshold
+from .bfs_runner import BFSOutcome, bfs_outcome, registry_for_threshold
 from .registry import CoverRegistry
 from .thresholded_bfs import UNREACHED, ThresholdedBFSCore
 
@@ -166,12 +166,4 @@ def run_multi_stage_bfs(
     )
     process_cls = type("BoundMultiStageBFS", (MultiStageBFSProcess,), namespace)
     runtime = AsyncRuntime(graph, process_cls, delay_model)
-    result = runtime.run(max_events=max_events)
-    if result.stop_reason != "quiescent":
-        raise RuntimeError(f"BFS did not finish: {result.stop_reason}")
-    missing = set(graph.nodes) - set(result.outputs)
-    if missing:
-        raise RuntimeError(f"BFS deadlocked: nodes {sorted(missing)} never completed")
-    distances = {v: result.outputs[v][0] for v in graph.nodes}
-    parents = {v: result.outputs[v][1] for v in graph.nodes}
-    return BFSOutcome(distances=distances, parents=parents, result=result)
+    return bfs_outcome(graph, runtime.run(max_events=max_events))

@@ -36,6 +36,7 @@ from ..net.sweep import AsyncSweep, run_models
 from .bfs_runner import (
     BFSOutcome,
     ThresholdedBFSProcess,
+    bfs_outcome,
     registry_for_threshold,
 )
 from .registry import CoverRegistry
@@ -204,18 +205,8 @@ class ThresholdedBFSSweep:
     def run(
         self, delay_model: DelayModel, max_events: int = 50_000_000
     ) -> BFSOutcome:
-        result = self._sweep.run(delay_model, max_events=max_events)
-        if result.stop_reason != "quiescent":
-            raise RuntimeError(f"BFS did not finish: {result.stop_reason}")
-        graph = self.graph
-        missing = set(graph.nodes) - set(result.outputs)
-        if missing:
-            raise RuntimeError(
-                f"BFS deadlocked: nodes {sorted(missing)} never completed"
-            )
-        distances = {v: result.outputs[v][0] for v in graph.nodes}
-        parents = {v: result.outputs[v][1] for v in graph.nodes}
-        return BFSOutcome(distances=distances, parents=parents, result=result)
+        return bfs_outcome(
+            self.graph, self._sweep.run(delay_model, max_events=max_events))
 
     def run_all(
         self, delay_models: Iterable[DelayModel], max_events: int = 50_000_000

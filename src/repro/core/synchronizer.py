@@ -5,8 +5,12 @@ and a layered sparse cover for a known bound on its round complexity
 (the Theorem 5.3/5.5 setting), this module produces an asynchronous execution
 whose per-node message history is *identical* to the synchronous one.
 
-Mechanics, mirroring the thresholded-BFS machinery over *virtual nodes*
-``(v, p)`` (Section 5.2/5.3):
+Mechanics: the thresholded-BFS machinery run over *virtual nodes*
+``(v, p)`` (Section 5.2/5.3).  :class:`SynchronizerNode` is a
+:class:`~repro.core.gate.PulseGate`, so gate registrations (in the
+``2^{l(p)+5}``-covers), terminus deregistrations, Go-Ahead collection and
+the Section 4.2 base barriers are the gate module's code; this module holds
+what differs:
 
 * A physical node evaluates pulse ``p`` — feeding its program the batch of
   pulse-``p-1`` messages — only upon receiving Go-Ahead(p); Lemma 5.1
@@ -15,15 +19,13 @@ Mechanics, mirroring the thresholded-BFS machinery over *virtual nodes*
 * If the evaluation sends messages, the virtual node ``(v, p)`` is created;
   it picks a parent among the pulse-``p-1`` virtual nodes that triggered it
   and answers chosen/not-chosen to all of them.
-* Safety/emptiness flows, gate registrations (in the ``2^{l(p)+5}``-covers),
-  terminus deregistrations and Go-Ahead releases run on the execution forest
-  exactly as in BFS, with two adaptations documented in DESIGN.md §5:
+* Safety/emptiness flows assemble on the execution forest and Go-Ahead
+  releases walk down it, with two adaptations documented in DESIGN.md §5:
   safety is established from transport acknowledgments (``on_delivered``)
   rather than from the chosen/not-chosen answers, and leaf emptiness is the
   monotone over-approximation "this virtual node sent messages".
-* Pulses with ``prev(prev(p)) = 0`` use the Section 4.2 convergecast base
-  case; initiators hold their pulse-0 sends until every such barrier
-  completes.
+* Initiators are the sources of the Section 4.2 base case: they hold their
+  pulse-0 sends until every source-registration barrier completes.
 
 There is no checking stage (Section 5.3: "we do not require any termination
 of this form"): nodes output whenever their program does.
@@ -41,17 +43,8 @@ from ..net.graph import Graph, NodeId
 from ..net.program import ArrivedBatch, NodeInfo, ProgramSpec, PulseApi
 from ..net.sync_runtime import run_synchronous
 from .bfs_runner import registry_for_threshold
-from .cluster_ops import ClusterAggregateModule, and_merge
-from .pulse import (
-    COVER_LEVEL_OFFSET,
-    gating_pulses_cached,
-    assemble_pulses,
-    cover_level,
-    prev,
-    prev_prev,
-    source_pulses,
-)
-from .registration import RegistrationModule, resolve_link_pair
+from .gate import Flow, PulseGate, Vertex
+from .pulse import COVER_LEVEL_OFFSET, assemble_pulses
 from .registry import CoverRegistry
 
 #: Synchronizer-private wire opcodes, continuing the shared-module range
@@ -66,52 +59,7 @@ OP_VGA = 9
 OP_VRELEASE = 10
 
 
-def _reg_priority(tag: int) -> int:
-    """Registration stage priority: the tag is the pulse number.
-
-    Priorities are bare ints throughout the synchronizer (every send carries
-    one explicitly), ordering the per-link outboxes exactly as the old
-    1-tuples did without a tuple allocation per send.
-    """
-    return tag
-
-
-def _agg_priority(tag: int) -> int:
-    """Aggregate stage priority: the int-coded tag packs
-    ``pulse << 1 | kind`` (kind 0 = source-registration barrier, 1 =
-    source-deregistration barrier), so the stage is the pulse half."""
-    return tag >> 1
-
-
-def _sreg_tag(p: int) -> int:
-    return p << 1
-
-
-def _sdereg_tag(p: int) -> int:
-    return (p << 1) | 1
-
-
-def _and_merge_for(tag: int) -> Any:
-    return and_merge
-
-
-class _VFlow:
-    """Per-(vnode, q) safety/emptiness flow state (plain slots: allocated on
-    the hot path, a dataclass init costs ~3x as much)."""
-
-    __slots__ = ("reports", "self_report", "assembled", "empty",
-                 "gate_wait", "gate_done")
-
-    def __init__(self) -> None:
-        self.reports: Dict[NodeId, bool] = {}
-        self.self_report: Optional[bool] = None
-        self.assembled = False
-        self.empty: Optional[bool] = None
-        self.gate_wait = 0
-        self.gate_done = False
-
-
-class _VNode:
+class _VNode(Vertex):
     """State of virtual node (v, pulse) held by physical node v.
 
     All counters are plain ``__slots__`` int fields (DESIGN.md §6):
@@ -152,7 +100,7 @@ class _VNode:
         self.answers_missing = 0
         self.children: List[NodeId] = []
         self.self_child = False
-        self.flows: Dict[int, _VFlow] = {}
+        self.flows: Dict[int, Flow] = {}
         self.ga_released: Set[int] = set()
         # Recovery mode only (DESIGN.md §11): the identities behind the two
         # counters above, so a crashed neighbor's outstanding ack/answer can
@@ -162,19 +110,8 @@ class _VNode:
         self.ans_wait: Optional[Set[Any]] = None
         self.ack_wait: Optional[Set[NodeId]] = None
 
-    def flow(self, q: int) -> _VFlow:
-        f = self.flows.get(q)
-        if f is None:
-            f = _VFlow()
-            self.flows[q] = f
-        return f
 
-    @property
-    def answers_done(self) -> bool:
-        return self.answers_missing == 0
-
-
-class SynchronizerNode:
+class SynchronizerNode(PulseGate):
     """Per-node engine: program execution + the pulse machinery."""
 
     SELF = "_self"
@@ -203,61 +140,19 @@ class SynchronizerNode:
     ) -> None:
         if max_pulse < 1 or max_pulse & (max_pulse - 1):
             raise ValueError("max_pulse must be a power of two")
-        self.node_id = node_id
+        super().__init__(
+            node_id, registry, max_pulse, self.cover_levels(registry), send,
+            links, send_link, pool, recovery,
+        )
         self.info = info
         self.program = program_factory(info)
         self.is_initiator = is_initiator
-        self.registry = registry
         self.max_pulse = max_pulse
-        links, send_link = resolve_link_pair(
-            "SynchronizerNode", send, links, send_link
-        )
-        self._links = links
-        self._send_link = send_link
         self.set_output = set_output
-        # Recovery mode (DESIGN.md §11): vnodes additionally track *which*
-        # acks/answers are outstanding so :meth:`prune_neighbor` can cancel
-        # exactly the ones a crashed neighbor still owed.  Costs one set per
-        # sending vnode, so it is opt-in; the fault-free schedule is
-        # unchanged either way (the counters drive the protocol in both
-        # modes, the sets are pure bookkeeping).
-        self.recovery = recovery
-        self._pruned: Set[NodeId] = set()
-
-        views = registry.views_of(node_id, self.cover_levels(registry))
-        self.reg = RegistrationModule(
-            node_id=node_id,
-            clusters=views,
-            send=send,
-            on_registered=self._on_registered,
-            on_go_ahead=self._on_cluster_go_ahead,
-            priority_fn=_reg_priority,
-            links=links,
-            send_link=send_link,
-            pool=pool,
-        )
-        self.agg = ClusterAggregateModule(
-            node_id=node_id,
-            clusters=views,
-            send=send,
-            on_result=self._on_agg_result,
-            merge_fn=_and_merge_for,
-            priority_fn=_agg_priority,
-            links=links,
-            send_link=send_link,
-        )
         self._api = PulseApi(info)
-
         self.vnodes: Dict[int, _VNode] = {}
         self.arrived: Dict[int, List[Tuple[NodeId, Any]]] = {}
         self.evaluated: Set[int] = set()
-        self.base_pulses = source_pulses(max_pulse)
-        self._sreg_pending: Dict[int, Set[int]] = {}
-        self._sdereg_pending: Dict[int, Set[int]] = {}
-        self._reg_pending: Dict[int, int] = {}
-        self._registered: Set[int] = set()
-        self._awaiting_dereg: Set[int] = set()
-        self._goahead_pending: Dict[int, Set[int]] = {}
 
         # Opcode-indexed dispatch table (DESIGN.md §6): one tuple index per
         # delivered message in place of the old string-compare chain, calling
@@ -277,9 +172,6 @@ class SynchronizerNode:
         )
 
     # ------------------------------------------------------------------
-    def _level_for(self, p: int) -> int:
-        return self.registry.clamp_level(cover_level(p))
-
     def start(self) -> None:
         """Pulse 0: initiators evaluate; everyone contributes base barriers."""
         root_sends: List[Tuple[NodeId, Any]] = []
@@ -297,28 +189,11 @@ class SynchronizerNode:
             vnode = _VNode(pulse=0, parent=None, parent_is_self=False)
             self._bind_sends(vnode, root_sends)
             self.vnodes[0] = vnode
-            for p in self.base_pulses:
-                members = set(
-                    self.registry.member_clusters(self.node_id, self._level_for(p))
-                )
-                self._sreg_pending[p] = set(members)
-                self._sdereg_pending[p] = set(members)
-        for p in self.base_pulses:
-            lvl = self._level_for(p)
-            for cid in self.registry.tree_clusters_of(self.node_id, lvl):
-                origin_member = is_origin and self.registry.is_member(self.node_id, cid)
-                self.agg.contribute(cid, _sreg_tag(p), True)
-                if not origin_member:
-                    self.agg.contribute(cid, _sdereg_tag(p), True)
-        self._maybe_origin_send()
+        self._start_base_barriers(is_origin)
 
-    def _maybe_origin_send(self) -> None:
+    def _source_send(self) -> None:
         vnode = self.vnodes.get(0)
-        if (
-            vnode is not None
-            and not vnode.sent
-            and all(not pending for pending in self._sreg_pending.values())
-        ):
+        if vnode is not None:
             self._do_sends(vnode)
 
     # ------------------------------------------------------------------
@@ -479,28 +354,16 @@ class SynchronizerNode:
     # ------------------------------------------------------------------
     # churn recovery (DESIGN.md §11)
     # ------------------------------------------------------------------
-    def prune_neighbor(self, dead: NodeId) -> None:
-        """Detach a crashed neighbor from every piece of local state.
+    def _prune_execution(self, dead: NodeId) -> None:
+        """Detach a crashed neighbor from the execution forest.
 
-        Called from the failure detector (``on_neighbor_dead``) in recovery
-        mode.  Cancels exactly the acknowledgments and chosen/not-chosen
-        answers ``dead`` still owed (the ``ack_wait``/``ans_wait`` identity
-        sets make the cancellation idempotent against answers that resolved
-        before the crash was detected), removes ``dead`` from child sets and
-        flow reports, strips it from unsent emit lists, and forwards the
-        prune to the registration and aggregation modules so their
-        convergecasts re-close over the survivors.  Idempotent per neighbor.
+        Called from :meth:`prune_neighbor` once the modules are pruned.
+        Cancels exactly the acknowledgments and chosen/not-chosen answers
+        ``dead`` still owed (the ``ack_wait``/``ans_wait`` identity sets
+        make the cancellation idempotent against answers that resolved
+        before the crash was detected), removes ``dead`` from child sets
+        and flow reports, and strips it from unsent emit lists.
         """
-        if not self.recovery:
-            raise RuntimeError(
-                "prune_neighbor requires recovery mode (SynchronizerNode"
-                " was built with recovery=False)"
-            )
-        if dead in self._pruned:
-            return
-        self._pruned.add(dead)
-        self.reg.prune_child(dead)
-        self.agg.prune_child(dead)
         dead_link = self._links[dead]
         for vnode in list(self.vnodes.values()):
             if not vnode.sent:
@@ -544,31 +407,6 @@ class SynchronizerNode:
                     for q in assemble_pulses(vnode.pulse, self.max_pulse):
                         self._try_assemble(vnode, q)
 
-    def readmit_neighbor(self, returned: NodeId) -> None:
-        """Re-admit a re-joined neighbor into the protocol stacks (§15).
-
-        Inverse of :meth:`prune_neighbor`, restricted to what is sound
-        going *forward*: the neighbor leaves the pruned set (its messages
-        reach the modules again), and the registration and aggregation
-        views are restored so stages and barrier instances created after
-        the readmission address it in its original deterministic position.
-        Nothing is rewound — vnodes that already re-closed their waits over
-        the survivors stay closed (the fresh incarnation never answers for
-        pulses it did not witness), and poisoned pooled slots stay
-        poisoned.  Idempotent per neighbor; a no-op for a neighbor that
-        was never pruned.
-        """
-        if not self.recovery:
-            raise RuntimeError(
-                "readmit_neighbor requires recovery mode (SynchronizerNode"
-                " was built with recovery=False)"
-            )
-        if returned not in self._pruned:
-            return
-        self._pruned.discard(returned)
-        self.reg.readmit_child(returned)
-        self.agg.readmit_child(returned)
-
     def _stale_vnode(self, p: int) -> Optional[_VNode]:
         """Vnode lookup tolerating re-join staleness (DESIGN.md §15).
 
@@ -593,7 +431,7 @@ class SynchronizerNode:
         flows = vnode.flows
         flow = flows.get(q)
         if flow is None:
-            flow = flows[q] = _VFlow()
+            flow = flows[q] = Flow()
         if sender in flow.reports:
             raise AssertionError(f"duplicate flow report from {sender}")
         flow.reports[sender] = payload[3]
@@ -608,7 +446,7 @@ class SynchronizerNode:
         flows = vnode.flows
         flow = flows.get(q)
         if flow is None:
-            flow = flows[q] = _VFlow()
+            flow = flows[q] = Flow()
         if flow.assembled or vnode.answers_missing:
             return
         if q == vnode.pulse + 1:
@@ -631,89 +469,16 @@ class SynchronizerNode:
             empty = False
         self._flow_assembled(vnode, q, empty)
 
-    def _flow_assembled(self, vnode: _VNode, q: int, empty: bool) -> None:
-        flow = vnode.flow(q)
-        if flow.assembled:
-            return
-        flow.assembled = True
-        flow.empty = empty
-        if vnode.pulse == prev(q) and vnode.pulse > 0 and not empty:
-            gates = []
-            for p in gating_pulses_cached(q, self.max_pulse):
-                cids = self.registry.member_clusters(self.node_id, self._level_for(p))
-                if not cids:  # pragma: no cover
-                    continue
-                self._reg_pending[p] = len(cids)
-                flow.gate_wait += 1
-                gates.append((p, cids))
-            for p, cids in gates:
-                for cid in cids:
-                    self.reg.register(cid, p)
-        if flow.gate_wait == 0:
-            self._after_gate(vnode, q)
+    def _vertex(self, pulse: int) -> _VNode:
+        return self.vnodes[pulse]
 
-    def _on_registered(self, cid: int, p: int) -> None:
-        self._reg_pending[p] -= 1
-        if self._reg_pending[p] > 0:
-            return
-        self._registered.add(p)
-        if p in self._awaiting_dereg:
-            self._awaiting_dereg.discard(p)
-            self._do_deregister(p)
-        q = prev(p)
-        vnode = self.vnodes.get(prev_prev(p))
-        if vnode is None:  # pragma: no cover - gate must exist
-            return
-        flow = vnode.flow(q)
-        flow.gate_wait -= 1
-        if flow.gate_wait == 0 and flow.assembled:
-            self._after_gate(vnode, q)
-
-    def _after_gate(self, vnode: _VNode, q: int) -> None:
-        flow = vnode.flow(q)
-        if flow.gate_done:
-            return
-        flow.gate_done = True
-        if vnode.pulse == prev_prev(q):
-            self._terminus(vnode, q, flow)
-        elif vnode.parent_is_self:
+    def _report_up(self, vnode: _VNode, q: int, flow: Flow) -> None:
+        if vnode.parent_is_self:
             self._self_flow_report(self.vnodes[vnode.pulse - 1], q, flow.empty)
         else:
             self._send_link(
                 vnode.parent_link, (OP_VFLOW, vnode.pulse - 1, q, flow.empty), q
             )
-
-    def _terminus(self, vnode: _VNode, q: int, flow: _VFlow) -> None:
-        if vnode.pulse == 0:
-            # A sorted copy: a confirmation can shrink the pending set, and
-            # the contribution order is part of the schedule, so it must
-            # not follow the set's hash order of the cluster ids.
-            for cid in sorted(self._sdereg_pending.get(q, ())):
-                self.agg.contribute(cid, _sdereg_tag(q), True)
-            if not self._sdereg_pending.get(q):
-                self._release_down(vnode, q)
-            return
-        if q in self._registered:
-            self._do_deregister(q)
-        elif self._reg_pending.get(q, 0) > 0:
-            self._awaiting_dereg.add(q)
-        else:
-            assert flow.empty, "non-empty terminus without registration"
-
-    def _do_deregister(self, q: int) -> None:
-        cids = self.registry.member_clusters(self.node_id, self._level_for(q))
-        self._goahead_pending[q] = set(cids)
-        for cid in cids:
-            self.reg.deregister(cid, q)
-
-    def _on_cluster_go_ahead(self, cid: int, q: int) -> None:
-        pending = self._goahead_pending.get(q)
-        if pending is None:
-            return
-        pending.discard(cid)
-        if not pending:
-            vnode = self.vnodes[prev_prev(q)]
-            self._release_down(vnode, q)
 
     # ------------------------------------------------------------------
     # Go-Ahead propagation down the forest
@@ -750,38 +515,6 @@ class SynchronizerNode:
 
     def _handle_vrelease(self, sender: NodeId, payload: Tuple) -> None:
         self._evaluate(payload[1])
-
-    # ------------------------------------------------------------------
-    def _on_agg_result(self, cid: int, tag: int, result: Any) -> None:
-        p = tag >> 1
-        if not tag & 1:  # source-registration barrier
-            pending = self._sreg_pending.get(p)
-            if pending is not None and cid in pending:
-                pending.discard(cid)
-                self._maybe_origin_send()
-        else:  # source-deregistration barrier
-            pending = self._sdereg_pending.get(p)
-            if pending is None or cid not in pending:
-                return
-            pending.discard(cid)
-            vnode = self.vnodes.get(0)
-            if not pending and vnode is not None:
-                flow = vnode.flows.get(p)
-                if flow is not None and flow.assembled:
-                    self._release_down(vnode, p)
-
-    # ------------------------------------------------------------------
-    def handle(self, sender: NodeId, payload: Tuple) -> None:
-        op = payload[0]
-        try:
-            # The explicit sign check keeps a malformed negative opcode from
-            # silently indexing the table from the end.
-            handler = self._dispatch[op] if op >= 0 else None
-        except (IndexError, TypeError):
-            handler = None
-        if handler is None:
-            raise ValueError(f"unknown synchronizer message {payload!r}")
-        handler(sender, payload)
 
 
 class SynchronizerProcess(Process):

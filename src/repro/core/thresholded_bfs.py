@@ -1,7 +1,10 @@
 """Asynchronous 2^t-thresholded multi-source BFS (Sections 4.1 and 4.2).
 
 One :class:`ThresholdedBFSCore` instance per node implements the paper's
-pulse machinery, given a layered sparse cover:
+pulse machinery, given a layered sparse cover.  The core is a
+:class:`~repro.core.gate.PulseGate` and the only vertex of its own join
+tree; the gate, terminus and Section 4.2 base-barrier steps below are the
+gate module's code, shared with the synchronizer.
 
 * Nodes join the *execution tree* by accepting the first ``join`` proposal;
   ``pulse(v) = pulse(parent) + 1`` (Section 4.1.1).  Lemma 4.10 — which the
@@ -36,17 +39,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..net.graph import NodeId
-from .cluster_ops import ClusterAggregateModule, and_merge
-from .pulse import (
-    COVER_LEVEL_OFFSET,
-    gating_pulses_cached,
-    assemble_pulses,
-    cover_level,
-    prev,
-    prev_prev,
-    source_pulses,
-)
-from .registration import RegistrationModule, resolve_link_pair
+from .gate import Flow, PulseGate, Vertex
+from .pulse import COVER_LEVEL_OFFSET, assemble_pulses, cover_level
 from .registry import CoverRegistry
 
 UNREACHED = float("inf")
@@ -66,51 +60,13 @@ _ANSWER_NO = (OP_ANSWER, False)
 
 SendFn = Callable[[NodeId, Tuple, int], None]  # (to, payload, stage-priority)
 
-#: Int-coded aggregate tags (DESIGN.md §10): the Section 4.2 base-case
-#: barriers and the checking stage ride the shared aggregation module as
-#: ``pulse << 2 | kind`` ints (kind 0 = source-registration barrier, 1 =
-#: source-deregistration barrier, 3 = the checking stage) instead of the
-#: historical ``("sreg", p)`` tuples, so every aggregate wire key packs to
-#: one pre-hashed int (the synchronizer made the same move in DESIGN.md §6)
-#: and the ~95% of a thresholded-BFS run that is aggregation traffic stops
-#: hashing tuples on every dict probe.
-_AGG_KIND_SREG = 0
-_AGG_KIND_SDEREG = 1
+#: The checking stage's aggregate tag kind (DESIGN.md §10): kinds 0 and 1
+#: are the Section 4.2 barriers of :mod:`repro.core.gate`, and the check
+#: tag ``(threshold + 1) << 2 | 3`` carries its stage like theirs.
 _AGG_KIND_CHECK = 3
-_CHECK_TAG = _AGG_KIND_CHECK  # pulse field 0
 
 
-def _sreg_tag(p: int) -> int:
-    return (p << 2) | _AGG_KIND_SREG
-
-
-def _sdereg_tag(p: int) -> int:
-    return (p << 2) | _AGG_KIND_SDEREG
-
-
-def _stage_of_pulse_tag(tag: Any) -> Any:
-    return tag
-
-
-def _and_merge_for(tag: Any) -> Any:
-    return and_merge
-
-
-class _Flow:
-    """Per-pulse safety/emptiness flow state at one node (plain slots:
-    allocated on the hot path, a dataclass init costs ~3x as much)."""
-
-    __slots__ = ("reports", "assembled", "empty", "gate_wait", "gate_done")
-
-    def __init__(self) -> None:
-        self.reports: Dict[NodeId, bool] = {}
-        self.assembled = False
-        self.empty: Optional[bool] = None
-        self.gate_wait = 0
-        self.gate_done = False
-
-
-class ThresholdedBFSCore:
+class ThresholdedBFSCore(PulseGate, Vertex):
     """Per-node engine for one thresholded-BFS instance.
 
     The owner routes messages to :meth:`handle`, calls :meth:`activate` once
@@ -133,10 +89,6 @@ class ThresholdedBFSCore:
     ) -> None:
         if threshold < 1 or threshold & (threshold - 1):
             raise ValueError(f"threshold must be a power of two, got {threshold}")
-        self.node_id = node_id
-        self.neighbors = tuple(neighbors)
-        self.registry = registry
-        self.threshold = threshold
         self.t = threshold.bit_length() - 1
         required = cover_level(threshold)
         if registry.top_level < min(required, self.t):
@@ -144,40 +96,15 @@ class ThresholdedBFSCore:
                 f"layered cover top level {registry.top_level} too small for"
                 f" threshold {threshold}"
             )
-        links, send_link = resolve_link_pair(
-            "ThresholdedBFSCore", send, links, send_link
+        super().__init__(
+            node_id, registry, threshold, self.cover_levels(registry, threshold),
+            send, links, send_link, pool, recovery,
         )
-        self._links = links
-        self._send_link = send_link
-        self._neighbor_links = tuple(links[v] for v in self.neighbors)
+        self.neighbors = tuple(neighbors)
+        self.threshold = threshold
+        self._neighbor_links = tuple(self._links[v] for v in self.neighbors)
         self.on_complete = on_complete
-
-        views = registry.views_of(
-            node_id, self.cover_levels(registry, threshold))
-        # The module priorities are plain stage ints, exactly what the host
-        # ``send`` expects — the modules call it directly (priorities are
-        # cached per tag inside each module).
-        self.reg = RegistrationModule(
-            node_id=node_id,
-            clusters=views,
-            send=send,
-            on_registered=self._on_registered,
-            on_go_ahead=self._on_cluster_go_ahead,
-            priority_fn=_stage_of_pulse_tag,  # tag is the pulse = its stage
-            links=links,
-            send_link=send_link,
-            pool=pool,
-        )
-        self.agg = ClusterAggregateModule(
-            node_id=node_id,
-            clusters=views,
-            send=send,
-            on_result=self._on_agg_result,
-            merge_fn=_and_merge_for,
-            priority_fn=self._agg_stage,
-            links=links,
-            send_link=send_link,
-        )
+        self._check_tag = (threshold + 1) << 2 | _AGG_KIND_CHECK
         # Opcode-indexed dispatch table (DESIGN.md §6): one tuple index per
         # delivered message, calling straight into the per-kind handlers.
         self._dispatch = (
@@ -209,22 +136,13 @@ class ThresholdedBFSCore:
         self.answered = False
         self.completed = False
 
-        self._flows: Dict[int, _Flow] = {}
-        self._base_pulses = [p for p in source_pulses(threshold)]
-        self._reg_pending: Dict[int, int] = {}
-        self._registered: Set[int] = set()
-        self._awaiting_dereg: Set[int] = set()
-        self._goahead_pending: Dict[int, Set[int]] = {}
+        self.flows: Dict[int, Flow] = {}
         self._released: Set[int] = set()
-        self._sreg_pending: Dict[int, Set[int]] = {}
-        self._sdereg_pending: Dict[int, Set[int]] = {}
         self._check_pending: Set[int] = set()
         # Recovery mode (DESIGN.md §11): remember which neighbors still owe
         # a join answer so :meth:`prune_neighbor` can count a crashed
         # neighbor's unanswered proposal as a decline.  None outside
         # recovery — the bare counter carries the fault-free protocol.
-        self.recovery = recovery
-        self._pruned: Set[NodeId] = set()
         self._answer_wait: Optional[Set[NodeId]] = None
 
     @staticmethod
@@ -236,37 +154,9 @@ class ThresholdedBFSCore:
         return registry.level_set(
             COVER_LEVEL_OFFSET, threshold.bit_length() - 1)
 
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    def _agg_stage(self, tag: int) -> int:
-        kind = tag & 3
-        if kind == _AGG_KIND_SREG or kind == _AGG_KIND_SDEREG:
-            return tag >> 2
-        if kind == _AGG_KIND_CHECK:
-            return self.threshold + 1
-        raise ValueError(f"unknown aggregate tag {tag!r}")  # pragma: no cover
-
-    def _flow(self, q: int) -> _Flow:
-        flow = self._flows.get(q)
-        if flow is None:
-            flow = _Flow()
-            self._flows[q] = flow
-        return flow
-
-    def _level_for(self, p: int) -> int:
-        return self.registry.clamp_level(cover_level(p))
-
     @property
     def check_level(self) -> int:
         return self.registry.clamp_level(self.t)
-
-    def _participates(self, q: int) -> bool:
-        """Is this node on flow q's path (prev_prev(q) <= pulse <= q-1)?"""
-        return (
-            self.pulse is not None
-            and prev_prev(q) <= self.pulse <= q - 1
-        )
 
     # ------------------------------------------------------------------
     # activation
@@ -288,12 +178,8 @@ class ThresholdedBFSCore:
         self.is_source = is_source
         if is_source:
             self.pulse = 0
-            for p in self._base_pulses:
-                members = set(self.registry.member_clusters(self.node_id, self._level_for(p)))
-                self._sreg_pending[p] = set(members)
-                self._sdereg_pending[p] = set(members)
-        # All bookkeeping state must exist before the first contribution:
-        # on single-node clusters a barrier completes synchronously and the
+        # The check pending set exists before the first contribution: on
+        # single-node clusters a barrier completes synchronously and the
         # whole protocol can cascade inside agg.contribute.
         self._check_pending = set(
             self.registry.member_clusters(self.node_id, self.check_level)
@@ -301,26 +187,11 @@ class ThresholdedBFSCore:
         for cid in self.registry.tree_clusters_of(self.node_id, self.check_level):
             member_source = is_source and self.registry.is_member(self.node_id, cid)
             if not member_source:
-                self.agg.contribute(cid, _CHECK_TAG, True)
-        # Start-time convergecast contributions (Section 4.2 base case):
-        # every tree node contributes; source members defer their
-        # deregistration contribution until p-safe.
-        for p in self._base_pulses:
-            lvl = self._level_for(p)
-            sreg, sdereg = _sreg_tag(p), _sdereg_tag(p)
-            for cid in self.registry.tree_clusters_of(self.node_id, lvl):
-                member_source = is_source and self.registry.is_member(self.node_id, cid)
-                self.agg.contribute(cid, sreg, True)
-                if not member_source:
-                    self.agg.contribute(cid, sdereg, True)
-        self._maybe_source_send()
+                self.agg.contribute(cid, self._check_tag, True)
+        self._start_base_barriers(is_source)
 
-    def _maybe_source_send(self) -> None:
-        if (
-            self.is_source
-            and not self.joins_sent
-            and all(not pending for pending in self._sreg_pending.values())
-        ):
+    def _source_send(self) -> None:
+        if self.is_source:
             self._send_joins()
 
     # ------------------------------------------------------------------
@@ -386,34 +257,23 @@ class ThresholdedBFSCore:
         self._child_pairs = tuple(zip(self.children, self._children_links))
         leaf_flow = self.pulse + 1
         if leaf_flow <= self.threshold:
-            self._flow_assembled(leaf_flow, empty=(len(self.children) == 0))
+            self._flow_assembled(self, leaf_flow, empty=(len(self.children) == 0))
         if self.children:
-            for q in list(self._flows):
+            for q in list(self.flows):
                 self._try_assemble(q)
         else:
             # A childless node is the frontier of every flow through it
             # (prev_prev(q) <= pulse always holds on the memoized table).
             for q in assemble_pulses(self.pulse, self.threshold):
-                self._flow_assembled(q, empty=True)
+                self._flow_assembled(self, q, empty=True)
 
     # ------------------------------------------------------------------
     # churn recovery (DESIGN.md §11, best-effort)
     # ------------------------------------------------------------------
-    def prune_neighbor(self, dead: NodeId) -> None:
-        """Detach a crashed neighbor: its unanswered join proposal counts
-        as a decline, its execution-tree subtree is dropped, and the prune
-        is forwarded to the registration/aggregation modules so cluster
-        convergecasts re-close over the survivors.  Idempotent."""
-        if not self.recovery:
-            raise RuntimeError(
-                "prune_neighbor requires recovery mode (ThresholdedBFSCore"
-                " was built with recovery=False)"
-            )
-        if dead in self._pruned:
-            return
-        self._pruned.add(dead)
-        self.reg.prune_child(dead)
-        self.agg.prune_child(dead)
+    def _prune_execution(self, dead: NodeId) -> None:
+        """Detach a crashed neighbor from the execution tree: its
+        unanswered join proposal counts as a decline and its subtree is
+        dropped."""
         aw = self._answer_wait
         if aw is not None and dead in aw:
             aw.discard(dead)
@@ -424,13 +284,13 @@ class ThresholdedBFSCore:
             i = self.children.index(dead)
             del self.children[i]
             del self._children_links[i]
-            for flow in self._flows.values():
+            for flow in self.flows.values():
                 flow.reports.pop(dead, None)
             if self.answered:
                 self._child_pairs = tuple(
                     zip(self.children, self._children_links)
                 )
-                for q in list(self._flows):
+                for q in list(self.flows):
                     self._try_assemble(q)
                 for q in assemble_pulses(self.pulse, self.threshold):
                     self._try_assemble(q)
@@ -440,10 +300,10 @@ class ThresholdedBFSCore:
     # ------------------------------------------------------------------
     def _handle_flow(self, sender: NodeId, payload: Tuple) -> None:
         q = payload[1]
-        flows = self._flows
+        flows = self.flows
         flow = flows.get(q)
         if flow is None:
-            flow = flows[q] = _Flow()
+            flow = flows[q] = Flow()
         if sender in flow.reports:
             raise AssertionError(
                 f"duplicate flow-{q} report from {sender} at {self.node_id}"
@@ -452,10 +312,10 @@ class ThresholdedBFSCore:
         self._try_assemble(q)
 
     def _try_assemble(self, q: int) -> None:
-        flows = self._flows
+        flows = self.flows
         flow = flows.get(q)
         if flow is None:
-            flow = flows[q] = _Flow()
+            flow = flows[q] = Flow()
         if flow.assembled or not self.answered:
             return
         if q == self.pulse + 1:
@@ -471,102 +331,22 @@ class ThresholdedBFSCore:
             if not reports[c]:
                 empty = False
                 break
-        self._flow_assembled(q, empty)
+        self._flow_assembled(self, q, empty)
 
-    def _flow_assembled(self, q: int, empty: bool) -> None:
-        flow = self._flow(q)
-        if flow.assembled:
-            return
-        flow.assembled = True
-        flow.empty = empty
-        # Gate: register for every pulse p with prev(p) = q before passing
-        # the report on (Section 4.1.2, first bullet).  All gate_wait slots
-        # are reserved before any registration is issued, because a
-        # root-cluster registration confirms synchronously.
-        if self.pulse == prev(q) and self.pulse > 0 and not empty:
-            gates = []
-            for p in gating_pulses_cached(q, self.threshold):
-                cids = self.registry.member_clusters(self.node_id, self._level_for(p))
-                if not cids:  # pragma: no cover - home cluster always exists
-                    continue
-                self._reg_pending[p] = len(cids)
-                flow.gate_wait += 1
-                gates.append((p, cids))
-            for p, cids in gates:
-                for cid in cids:
-                    self.reg.register(cid, p)
-        if flow.gate_wait == 0:
-            self._after_gate(q)
+    def _vertex(self, pulse: int) -> "ThresholdedBFSCore":
+        return self
 
-    def _on_registered(self, cid: int, p: int) -> None:
-        self._reg_pending[p] -= 1
-        if self._reg_pending[p] > 0:
-            return
-        self._registered.add(p)
-        if p in self._awaiting_dereg:
-            self._awaiting_dereg.discard(p)
-            self._do_deregister(p)
-        q = prev(p)
-        flow = self._flow(q)
-        flow.gate_wait -= 1
-        if flow.gate_wait == 0 and flow.assembled:
-            self._after_gate(q)
+    def _report_up(self, at: Vertex, q: int, flow: Flow) -> None:
+        self._send_link(self.parent_link, (OP_FLOW, q, flow.empty), q)
 
-    def _after_gate(self, q: int) -> None:
-        flow = self._flow(q)
-        if flow.gate_done:
-            return
-        flow.gate_done = True
-        if self.pulse == prev_prev(q):
-            self._terminus(q, flow)
-        else:
-            self._send_link(self.parent_link, (OP_FLOW, q, flow.empty), q)
-
-    def _terminus(self, q: int, flow: _Flow) -> None:
-        if self.pulse == 0:
-            # Base case (Section 4.2): q-safety reached the source; its
-            # deregistration is the convergecast contribution.  Iterate a
-            # sorted copy: a single-node cluster confirms synchronously,
-            # mutating the pending set, and the contribution order is part
-            # of the schedule, so it must not follow the set's hash order.
-            sdereg = _sdereg_tag(q)
-            for cid in sorted(self._sdereg_pending.get(q, ())):
-                self.agg.contribute(cid, sdereg, True)
-            if not self._sdereg_pending.get(q):
-                self._release_go_ahead(q)
-            if q == self.threshold:
-                self._contribute_check()
-            return
-        if q in self._registered:
-            self._do_deregister(q)
-        elif self._reg_pending.get(q, 0) > 0:
-            self._awaiting_dereg.add(q)
-        else:
-            # Never registered for q: flow prev(q) was empty here, hence so
-            # is flow q; nothing to release.
-            assert flow.empty, (
-                f"node {self.node_id} reached flow-{q} terminus non-empty"
-                " without having registered"
-            )
-
-    def _do_deregister(self, q: int) -> None:
-        cids = self.registry.member_clusters(self.node_id, self._level_for(q))
-        self._goahead_pending[q] = set(cids)
-        for cid in cids:
-            self.reg.deregister(cid, q)
-
-    def _on_cluster_go_ahead(self, cid: int, q: int) -> None:
-        pending = self._goahead_pending.get(q)
-        if pending is None:
-            return
-        pending.discard(cid)
-        if not pending:
-            self._release_go_ahead(q)
+    def _on_source_safe(self, q: int) -> None:
+        if q == self.threshold:
+            self._contribute_check()
 
     # ------------------------------------------------------------------
     # Go-Ahead propagation down the execution tree
     # ------------------------------------------------------------------
-    def _release_go_ahead(self, q: int) -> None:
+    def _release_down(self, at: Vertex, q: int) -> None:
         if q in self._released:
             return
         self._released.add(q)
@@ -579,7 +359,7 @@ class ThresholdedBFSCore:
             for lid in self._children_links:
                 send_link(lid, payload, q)
             return
-        reports_get = self._flow(q).reports.get
+        reports_get = self.flow(q).reports.get
         for c, lid in self._child_pairs:
             if reports_get(c) is False:
                 send_link(lid, payload, q)
@@ -593,51 +373,20 @@ class ThresholdedBFSCore:
         self._propagate_go_ahead(q)
 
     # ------------------------------------------------------------------
-    # aggregate results (base registrations, base Go-Aheads, checking)
+    # the checking stage (Section 4.1.2)
     # ------------------------------------------------------------------
-    def _on_agg_result(self, cid: int, tag: int, result: Any) -> None:
-        kind = tag & 3
-        if kind == _AGG_KIND_SREG:
-            pending = self._sreg_pending.get(tag >> 2)
-            if pending is not None and cid in pending:
-                pending.discard(cid)
-                self._maybe_source_send()
-        elif kind == _AGG_KIND_SDEREG:
-            q = tag >> 2
-            pending = self._sdereg_pending.get(q)
-            if pending is None or cid not in pending:
-                return
-            pending.discard(cid)
-            flow = self._flows.get(q)
-            if not pending and flow is not None and flow.assembled:
-                self._release_go_ahead(q)
-        elif kind == _AGG_KIND_CHECK:
-            if cid in self._check_pending:
-                self._check_pending.discard(cid)
-                if not self._check_pending:
-                    self._complete()
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown aggregate result tag {tag!r}")
+    def _on_other_result(self, cid: int, tag: int, result: Any) -> None:
+        if cid in self._check_pending:
+            self._check_pending.discard(cid)
+            if not self._check_pending:
+                self._complete()
 
     def _contribute_check(self) -> None:
         for cid in self.registry.member_clusters(self.node_id, self.check_level):
-            self.agg.contribute(cid, _CHECK_TAG, True)
+            self.agg.contribute(cid, self._check_tag, True)
 
     def _complete(self) -> None:
         if self.completed:
             return
         self.completed = True
         self.on_complete(self.pulse)
-
-    # ------------------------------------------------------------------
-    def handle(self, sender: NodeId, payload: Tuple) -> None:
-        op = payload[0]
-        try:
-            # The explicit sign check keeps a malformed negative opcode from
-            # silently indexing the table from the end.
-            handler = self._dispatch[op] if op >= 0 else None
-        except (IndexError, TypeError):
-            handler = None
-        if handler is None:
-            raise ValueError(f"unknown thresholded-BFS message {op!r}")
-        handler(sender, payload)

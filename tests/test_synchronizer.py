@@ -185,38 +185,49 @@ class TestDeterminism:
         assert a.messages == b.messages
         assert a.time_to_quiescence == b.time_to_quiescence
 
+    @pytest.mark.parametrize("host", ["synchronizer", "thresholded_bfs"])
     def test_initiator_terminus_contributes_in_cluster_id_order(
-            self, monkeypatch):
+            self, monkeypatch, host):
         """At pulse 0 an initiator's deregistration contributions leave in
         ascending cluster-id order, not in the hash order of the pending
-        set, so the schedule follows the ids' order, not their values."""
+        set, so the schedule follows the ids' order, not their values.
+        Both hosts reach the shared pulse-0 terminus of the gate module."""
+        from repro.core import run_thresholded_bfs
         from repro.core.cluster_ops import ClusterAggregateModule
-        from repro.core.synchronizer import SynchronizerNode
+        from repro.core.gate import AGG_SDEREG, PulseGate
 
-        terminus = SynchronizerNode._terminus
+        terminus = PulseGate._terminus
         contribute = ClusterAggregateModule.contribute
-        open_calls = []  # (agg, cids) of the pulse-0 terminus running now
+        # (agg, cids) of the pulse-0 terminus running now; only its
+        # source-deregistration contributions count (a thresholded BFS's
+        # terminus at the threshold also joins the checking stage).
+        open_calls = []
         orders = []
 
-        def spy_terminus(self, vnode, q, flow):
-            if vnode.pulse != 0:
-                return terminus(self, vnode, q, flow)
+        def spy_terminus(self, at, q, flow):
+            if at.pulse != 0:
+                return terminus(self, at, q, flow)
             open_calls.append((self.agg, []))
             try:
-                terminus(self, vnode, q, flow)
+                terminus(self, at, q, flow)
             finally:
                 orders.append(open_calls.pop()[1])
 
         def spy_contribute(self, cluster_id, tag, value):
-            if open_calls and open_calls[-1][0] is self:
+            if (open_calls and open_calls[-1][0] is self
+                    and tag & 3 == AGG_SDEREG):
                 open_calls[-1][1].append(cluster_id)
             return contribute(self, cluster_id, tag, value)
 
-        monkeypatch.setattr(SynchronizerNode, "_terminus", spy_terminus)
+        monkeypatch.setattr(PulseGate, "_terminus", spy_terminus)
         monkeypatch.setattr(
             ClusterAggregateModule, "contribute", spy_contribute)
         g = topology.cycle_graph(512)
-        result = run_synchronized(g, multi_bfs_spec(16), ConstantDelay())
+        if host == "synchronizer":
+            result = run_synchronized(g, multi_bfs_spec(16), ConstantDelay())
+        else:
+            result = run_thresholded_bfs(
+                g, range(0, 512, 32), 16, ConstantDelay()).result
         assert result.outputs
         assert any(len(cids) > 1 for cids in orders)
         assert all(cids == sorted(cids) for cids in orders)
