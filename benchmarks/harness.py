@@ -110,7 +110,7 @@ BENCH_DELAYS = UniformDelay(seed=2305)  # arXiv number of the paper
 
 def SWEEP_DELAYS(seed: int = 2305):
     """The 5-model family the sweep benchmarks replay (one shared engine
-    setup per graph via repro.core.sweep; fresh model instances per call)."""
+    setup per graph via the protocol sweeps; fresh model instances per call)."""
     return (
         ConstantDelay(),
         UniformDelay(seed=seed),

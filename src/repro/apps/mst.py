@@ -40,7 +40,7 @@ message carrying a tuple of parts (constant blow-up).
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..net.graph import Graph, NodeId, edge_key
 from ..net.program import (

@@ -11,7 +11,7 @@ synchronizer, and the α/β/γ baselines.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from ..net.graph import Graph, NodeId
 from ..net.program import (

@@ -17,7 +17,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 from ..covers.rozhon_ghaffari import build_rg_decomposition
 from ..net.async_runtime import AsyncResult, AsyncRuntime, Process, ProcessContext
 from ..net.delays import DelayModel
-from ..net.graph import Graph, NodeId, edge_key
+from ..net.graph import Graph, NodeId
 from ..net.program import ArrivedBatch, NodeInfo, ProgramSpec, PulseApi
 from ..net.sync_runtime import run_synchronous
 from ..core.cluster_ops import ClusterAggregateModule, and_merge

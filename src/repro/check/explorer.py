@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..net.async_runtime import AsyncResult
-from .invariants import InvariantViolation, Probe
+from .invariants import InvariantViolation
 from .scheduler import (
     DFSController,
     EventKey,

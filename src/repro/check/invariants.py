@@ -41,7 +41,7 @@ state:
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Set, Tuple
 
 from ..net.async_runtime import AsyncResult, AsyncRuntime
 from ..net.graph import NodeId

@@ -46,10 +46,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..apps.programs import bfs_spec
-from ..core.bfs_runner import registry_for_threshold
 from ..core.recovery import RecoverySynchronizerProcess, _surviving_component
 from ..core.registration import RegistrationModule, cluster_views_for
-from ..core.synchronizer import SynchronizerProcess, pulse_bound_for
+from ..core.synchronizer import SynchronizerProcess
 from ..covers import bfs_cluster_tree
 from ..net.async_runtime import AsyncRuntime, Process
 from ..net.delays import ConstantDelay
@@ -107,9 +106,10 @@ class Workload:
 class SyncWorkload(Workload):
     """Full synchronizer stack running synchronized BFS.
 
-    ``process_cls`` defaults to the stock synchronizer (fault-free cells)
-    or recovery synchronizer (crash cells) bound to the spec; the seeded
-    mutant tests pass their mutated classes through ``base_cls``.
+    ``process_cls`` is the stock synchronizer (fault-free cells) or the
+    recovery synchronizer (crash cells) bound to the spec through
+    ``bind``; the seeded mutant tests pass their mutated classes through
+    ``base_cls``, which bind the same way.
     """
 
     def __init__(
@@ -126,24 +126,12 @@ class SyncWorkload(Workload):
             rejoinable=rejoinable,
         )
         self.spec = bfs_spec(root)
-        self.max_pulse = pulse_bound_for(graph, self.spec)
-        self.registry = registry_for_threshold(graph, self.max_pulse, "ap")
         if base_cls is None:
             base_cls = (
                 RecoverySynchronizerProcess if crashable
                 else SynchronizerProcess
             )
-        self.process_cls = type(
-            "CheckedSynchronizer",
-            (base_cls,),
-            dict(
-                spec=self.spec,
-                registry=self.registry,
-                max_pulse=self.max_pulse,
-                initiators=frozenset(self.spec.initiators(graph)),
-                infos=self.spec.make_infos(graph),
-            ),
-        )
+        self.process_cls = base_cls.bind(graph, self.spec)
         self._reference: Optional[Dict[NodeId, Any]] = None
 
     # ------------------------------------------------------------------

@@ -24,21 +24,16 @@ from .registry import CoverRegistry
 from .thresholded_bfs import UNREACHED, ThresholdedBFSCore
 from .bfs_runner import (
     BFSOutcome,
+    ThresholdedBFSSweep,
     registry_for_threshold,
     required_cover_radius,
     run_thresholded_bfs,
 )
 from .multi_stage import run_multi_stage_bfs
 from .full_bfs import run_full_bfs
-from .synchronizer import pulse_bound_for, run_synchronized
+from .synchronizer import SynchronizerSweep, pulse_bound_for, run_synchronized
 from .recovery import ChurnOutcome, RecoverySynchronizerProcess, run_churn
-from .sweep import (
-    SynchronizerSweep,
-    ThresholdedBFSSweep,
-    bound_process_class,
-    run_sweeps_sharded,
-    sweep_synchronized,
-)
+from ..net.sweep import bound_process_class, run_sweeps_sharded
 
 __all__ = [
     "COVER_LEVEL_OFFSET", "cover_level", "gating_pulses_at", "level", "prev",
@@ -50,6 +45,6 @@ __all__ = [
     "run_thresholded_bfs", "run_multi_stage_bfs", "run_full_bfs",
     "pulse_bound_for", "run_synchronized",
     "ChurnOutcome", "RecoverySynchronizerProcess", "run_churn",
-    "SynchronizerSweep", "ThresholdedBFSSweep", "sweep_synchronized",
+    "SynchronizerSweep", "ThresholdedBFSSweep",
     "bound_process_class", "run_sweeps_sharded",
 ]

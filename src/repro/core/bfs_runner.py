@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from ..covers.builders import build_layered_cover
-from ..covers.cover import LayeredCover
-from ..net.async_runtime import AsyncResult, AsyncRuntime, Process, ProcessContext
+from ..gcpause import paused_gc
+from ..net.async_runtime import AsyncResult, Process, ProcessContext
 from ..net.delays import DelayModel
 from ..net.graph import Graph, NodeId
+from ..net.sweep import ProtocolSweep, bound_process_class
 from .pulse import COVER_LEVEL_OFFSET
 from .registry import CoverRegistry
 from .thresholded_bfs import OP_GA, UNREACHED, ThresholdedBFSCore
@@ -45,6 +45,17 @@ def bfs_outcome(graph: Graph, result: AsyncResult) -> BFSOutcome:
     distances = {v: result.outputs[v][0] for v in graph.nodes}
     parents = {v: result.outputs[v][1] for v in graph.nodes}
     return BFSOutcome(distances=distances, parents=parents, result=result)
+
+
+def source_set(sources: Iterable[NodeId] | NodeId) -> FrozenSet[NodeId]:
+    """A BFS's sources as a frozenset (one node id or an iterable of them);
+    raises on an empty set."""
+    nodes = (
+        frozenset((sources,)) if isinstance(sources, int) else frozenset(sources)
+    )
+    if not nodes:
+        raise ValueError("at least one source required")
+    return nodes
 
 
 def required_cover_radius(threshold: int) -> int:
@@ -81,7 +92,7 @@ def registry_for_threshold(
 class ThresholdedBFSProcess(Process):
     """One-node standalone wrapper: activates at start, outputs its distance."""
 
-    # Set by the factory closure:
+    # Set by :meth:`bind`:
     registry: CoverRegistry
     sources: FrozenSet[NodeId]
     threshold: int
@@ -93,6 +104,26 @@ class ThresholdedBFSProcess(Process):
     #: Opcode range of the core's dispatch tuple (0..OP_GA): the transport
     #: validates the table against this at wiring time.
     NUM_OPCODES = OP_GA + 1
+
+    @classmethod
+    def bind(
+        cls,
+        graph: Graph,
+        sources: Iterable[NodeId] | NodeId,
+        threshold: int,
+        registry: Optional[CoverRegistry] = None,
+        builder: str = "ap",
+    ) -> type:
+        """This class bound to one run's sources (normalized by
+        :func:`source_set`), threshold and cover registry (built when not
+        given), with the levels a node reads loaded."""
+        sources = source_set(sources)
+        if registry is None:
+            registry = registry_for_threshold(graph, threshold, builder)
+        registry.load(ThresholdedBFSCore.cover_levels(registry, threshold))
+        return bound_process_class("Bound" + cls.__name__, cls, dict(
+            registry=registry, sources=sources, threshold=threshold
+        ))
 
     def __init__(self, ctx: ProcessContext) -> None:
         super().__init__(ctx)
@@ -132,6 +163,40 @@ class ThresholdedBFSProcess(Process):
         self.core.handle(sender, payload)
 
 
+class BFSSweep(ProtocolSweep):
+    """Replays of a BFS-family process class (its nodes output ``(distance,
+    parent)``); each replay is checked and split by :func:`bfs_outcome`.
+    The multi-stage and full BFS runners are one-replay uses of it."""
+
+    MAX_EVENTS = 50_000_000
+
+    def finish(self, result: AsyncResult) -> BFSOutcome:
+        return bfs_outcome(self.graph, result)
+
+
+class ThresholdedBFSSweep(BFSSweep):
+    """Replay one 2^t-thresholded (multi-source) BFS under many delay models.
+
+    ``ThresholdedBFSSweep(graph, sources, threshold).run(model)`` is
+    byte-identical to ``run_thresholded_bfs(graph, sources, threshold,
+    model)`` with the cover built once per sweep, under the package's GC
+    pause.
+    """
+
+    @paused_gc()
+    def __init__(
+        self,
+        graph: Graph,
+        sources: Iterable[NodeId] | NodeId,
+        threshold: int,
+        registry: Optional[CoverRegistry] = None,
+        builder: str = "ap",
+    ) -> None:
+        super().__init__(graph, ThresholdedBFSProcess.bind(
+            graph, sources, threshold, registry=registry, builder=builder
+        ))
+
+
 def run_thresholded_bfs(
     graph: Graph,
     sources: Iterable[NodeId] | NodeId,
@@ -146,15 +211,7 @@ def run_thresholded_bfs(
     Every node outputs its distance to the closest source, or ``inf`` when
     that distance exceeds the threshold (Definition 4.2).
     """
-    source_set = frozenset((sources,)) if isinstance(sources, int) else frozenset(sources)
-    if not source_set:
-        raise ValueError("at least one source required")
-    if registry is None:
-        registry = registry_for_threshold(graph, threshold, builder)
-
-    namespace = dict(
-        registry=registry, sources=source_set, threshold=threshold
+    sweep = ThresholdedBFSSweep(
+        graph, sources, threshold, registry=registry, builder=builder
     )
-    process_cls = type("BoundThresholdedBFS", (ThresholdedBFSProcess,), namespace)
-    runtime = AsyncRuntime(graph, process_cls, delay_model)
-    return bfs_outcome(graph, runtime.run(max_events=max_events))
+    return sweep.run(delay_model, max_events=max_events)

@@ -29,7 +29,6 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..net.graph import NodeId
 from .registration import (
-    IDENTITY_LINKS,
     ClusterView,
     Key,
     pack_key,

@@ -31,10 +31,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..net.async_runtime import AsyncResult, AsyncRuntime, Process, ProcessContext
+from ..net.async_runtime import Process, ProcessContext
 from ..net.delays import DelayModel
 from ..net.graph import Graph, NodeId
-from .bfs_runner import BFSOutcome, required_cover_radius, registry_for_threshold
+from ..net.sweep import bound_process_class
+from .bfs_runner import BFSOutcome, BFSSweep, registry_for_threshold, source_set
 from .cluster_ops import ClusterAggregateModule, and_merge
 from .registration import ClusterView
 from .registry import CoverRegistry
@@ -316,28 +317,16 @@ def run_full_bfs(
     """Theorems 4.23/4.24: complete BFS, every node outputs its distance.
 
     When no registry is given, covers are built (sequentially) for the top
-    radius the doubling can need; the asynchronous bootstrap construction
-    lives in :mod:`repro.core.async_cover`.
+    radius the doubling can need; the paper's asynchronous per-iteration
+    cover construction is not implemented (DESIGN.md, Substitution 5).
     """
-    source_set = frozenset((sources,)) if isinstance(sources, int) else frozenset(sources)
-    if not source_set:
-        raise ValueError("at least one source required")
-    dist = graph.bfs_distances(source_set)
+    sources = source_set(sources)
+    dist = graph.bfs_distances(sources)
     reach = max(d for d in dist if d != UNREACHED)
     max_iterations = max(1, math.ceil(math.log2(max(reach, 1))) + 2)
     if registry is None:
         registry = registry_for_threshold(graph, 1 << (max_iterations - 1), builder)
-    namespace = dict(
-        registry=registry, sources=source_set, max_iterations=max_iterations
-    )
-    process_cls = type("BoundFullBFS", (FullBFSProcess,), namespace)
-    runtime = AsyncRuntime(graph, process_cls, delay_model)
-    result = runtime.run(max_events=max_events)
-    if result.stop_reason != "quiescent":
-        raise RuntimeError(f"full BFS did not finish: {result.stop_reason}")
-    missing = set(graph.nodes) - set(result.outputs)
-    if missing:
-        raise RuntimeError(f"full BFS stalled: nodes {sorted(missing)} never output")
-    distances = {v: result.outputs[v][0] for v in graph.nodes}
-    parents = {v: result.outputs[v][1] for v in graph.nodes}
-    return BFSOutcome(distances=distances, parents=parents, result=result)
+    process_cls = bound_process_class("BoundFullBFS", FullBFSProcess, dict(
+        registry=registry, sources=sources, max_iterations=max_iterations
+    ))
+    return BFSSweep(graph, process_cls).run(delay_model, max_events=max_events)

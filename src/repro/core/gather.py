@@ -11,8 +11,7 @@ the d·l-ball extension of Theorem 3.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..covers.cover import SparseCover
 from ..net.graph import NodeId

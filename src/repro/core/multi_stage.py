@@ -21,13 +21,13 @@ Per Remark 4.18 this also yields d-thresholded BFS for arbitrary ``d``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
-from ..net.async_runtime import AsyncResult, AsyncRuntime, Process, ProcessContext
+from ..net.async_runtime import Process, ProcessContext
 from ..net.delays import DelayModel
 from ..net.graph import Graph, NodeId
-from .bfs_runner import BFSOutcome, bfs_outcome, registry_for_threshold
+from ..net.sweep import bound_process_class
+from .bfs_runner import BFSOutcome, BFSSweep, registry_for_threshold, source_set
 from .registry import CoverRegistry
 from .thresholded_bfs import UNREACHED, ThresholdedBFSCore
 
@@ -98,7 +98,7 @@ class MultiStageBFSNode:
 
 
 class MultiStageBFSProcess(Process):
-    """Standalone runner wrapper (bound via a subclass namespace)."""
+    """Standalone runner wrapper (bound by :func:`run_multi_stage_bfs`)."""
 
     registry: CoverRegistry
     sources: FrozenSet[NodeId]
@@ -148,22 +148,19 @@ def run_multi_stage_bfs(
 
     ``distance_filter`` implements Remark 4.18: any d <= 2^t * num_stages.
     """
-    source_set = frozenset((sources,)) if isinstance(sources, int) else frozenset(sources)
-    if not source_set:
-        raise ValueError("at least one source required")
+    sources = source_set(sources)
     if num_stages < 1:
         raise ValueError("need at least one stage")
     if distance_filter is not None and distance_filter > stage_threshold * num_stages:
         raise ValueError("distance_filter exceeds the covered range")
     if registry is None:
         registry = registry_for_threshold(graph, stage_threshold, builder)
-    namespace = dict(
-        registry=registry,
-        sources=source_set,
-        stage_threshold=stage_threshold,
-        num_stages=num_stages,
-        distance_filter=distance_filter,
-    )
-    process_cls = type("BoundMultiStageBFS", (MultiStageBFSProcess,), namespace)
-    runtime = AsyncRuntime(graph, process_cls, delay_model)
-    return bfs_outcome(graph, runtime.run(max_events=max_events))
+    process_cls = bound_process_class(
+        "BoundMultiStageBFS", MultiStageBFSProcess, dict(
+            registry=registry,
+            sources=sources,
+            stage_threshold=stage_threshold,
+            num_stages=num_stages,
+            distance_filter=distance_filter,
+        ))
+    return BFSSweep(graph, process_cls).run(delay_model, max_events=max_events)

@@ -46,7 +46,7 @@ output from the re-anchoring wave.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..net.async_runtime import AsyncRuntime
 from ..net.delays import DelayModel
@@ -60,8 +60,7 @@ from ..net.program import (
     PulseApi,
     fixed_initiators,
 )
-from .bfs_runner import registry_for_threshold
-from .synchronizer import SynchronizerProcess, pulse_bound_for, run_synchronized
+from .synchronizer import SynchronizerProcess, run_synchronized
 
 #: ``spec_factory(root)`` builds the program spec for a given root/source
 #: node id, so the rebuild pass can re-instantiate the same algorithm on the
@@ -72,8 +71,8 @@ SpecFactory = Callable[[NodeId], ProgramSpec]
 class RecoverySynchronizerProcess(SynchronizerProcess):
     """Synchronizer process with churn recovery (DESIGN.md §11).
 
-    Subclass per run via :func:`run_churn` (the same ``type(...)`` binding
-    pattern as :func:`~repro.core.synchronizer.run_synchronized`).
+    Bound per run by :func:`run_churn` through the inherited
+    :meth:`~repro.core.synchronizer.SynchronizerProcess.bind`.
     Deliveries keep the opcode-table fast path: the fail-stop guard
     against a pruned sender's stragglers lives in the transport's link
     table (:meth:`~repro.net.async_runtime.ProcessContext.mute`), so it
@@ -253,19 +252,8 @@ def run_churn(
             f"the root/source {root} is scheduled to crash; protect it"
             f" (FaultSchedule(..., protect=({root},)))"
         )
-    spec = spec_factory(root)
-    if max_pulse is None:
-        max_pulse = pulse_bound_for(graph, spec)
-    registry = registry_for_threshold(graph, max_pulse, builder)
-    namespace = dict(
-        spec=spec,
-        registry=registry,
-        max_pulse=max_pulse,
-        initiators=frozenset(spec.initiators(graph)),
-        infos=spec.make_infos(graph),
-    )
-    process_cls = type(
-        "BoundRecoverySynchronizer", (RecoverySynchronizerProcess,), namespace
+    process_cls = RecoverySynchronizerProcess.bind(
+        graph, spec_factory(root), max_pulse=max_pulse, builder=builder
     )
     runtime = AsyncRuntime(
         graph, process_cls, delay_model,

@@ -14,7 +14,7 @@ scheme.  Benchmark E9 measures exactly this gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Set, Tuple
 
 from ..net.graph import NodeId
 from .registration import ClusterView

@@ -37,10 +37,12 @@ import math
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 from weakref import WeakKeyDictionary
 
-from ..net.async_runtime import AsyncResult, AsyncRuntime, Process, ProcessContext
+from ..gcpause import paused_gc
+from ..net.async_runtime import AsyncResult, Process, ProcessContext
 from ..net.delays import DelayModel
 from ..net.graph import Graph, NodeId
 from ..net.program import ArrivedBatch, NodeInfo, ProgramSpec, PulseApi
+from ..net.sweep import ProtocolSweep, bound_process_class
 from ..net.sync_runtime import run_synchronous
 from .bfs_runner import registry_for_threshold
 from .gate import Flow, PulseGate, Vertex
@@ -541,6 +543,33 @@ class SynchronizerProcess(Process):
     #: fault-free schedule is unchanged either way.
     recovery: bool = False
 
+    @classmethod
+    def bind(
+        cls,
+        graph: Graph,
+        spec: ProgramSpec,
+        registry: Optional[CoverRegistry] = None,
+        max_pulse: Optional[int] = None,
+        builder: str = "ap",
+    ) -> type:
+        """This class bound to one run's immutable setup: the pulse bound
+        (measured when not given), the cover registry (built when not
+        given) with the levels a node reads loaded, the initiators and the
+        node infos.  Subclasses (the recovery process, model-checker
+        mutants) bind the same way."""
+        if max_pulse is None:
+            max_pulse = pulse_bound_for(graph, spec)
+        if registry is None:
+            registry = registry_for_threshold(graph, max_pulse, builder)
+        registry.load(SynchronizerNode.cover_levels(registry))
+        return bound_process_class("Bound" + cls.__name__, cls, dict(
+            spec=spec,
+            registry=registry,
+            max_pulse=max_pulse,
+            initiators=frozenset(spec.initiators(graph)),
+            infos=spec.make_infos(graph),
+        ))
+
     def __init__(self, ctx: ProcessContext) -> None:
         super().__init__(ctx)
         self.node = SynchronizerNode(
@@ -600,6 +629,45 @@ def pulse_bound_for(graph: Graph, spec: ProgramSpec) -> int:
     return bound
 
 
+class SynchronizerSweep(ProtocolSweep):
+    """Replay one event-driven program under many delay models.
+
+    ``SynchronizerSweep(graph, spec).run(model)`` is byte-identical to
+    ``run_synchronized(graph, spec, model)`` — which is exactly that call
+    on a fresh sweep — but the cover/registry/pulse-bound setup is paid
+    once for the whole sweep instead of once per model.  Construction
+    runs under the package's GC pause, like the cover, registry and
+    runtime it builds on.
+    """
+
+    MAX_EVENTS = 100_000_000
+
+    @paused_gc()
+    def __init__(
+        self,
+        graph: Graph,
+        spec: ProgramSpec,
+        registry: Optional[CoverRegistry] = None,
+        max_pulse: Optional[int] = None,
+        builder: str = "ap",
+    ) -> None:
+        super().__init__(graph, SynchronizerProcess.bind(
+            graph, spec, registry=registry, max_pulse=max_pulse,
+            builder=builder,
+        ))
+        bound = self.process_cls
+        self.spec, self.registry, self.max_pulse = (
+            spec, bound.registry, bound.max_pulse)
+
+    def finish(self, result: AsyncResult) -> AsyncResult:
+        """Raise unless the run reached quiescence."""
+        if result.stop_reason != "quiescent":
+            raise RuntimeError(
+                f"synchronizer did not finish: {result.stop_reason}"
+            )
+        return result
+
+
 def run_synchronized(
     graph: Graph,
     spec: ProgramSpec,
@@ -615,20 +683,7 @@ def run_synchronized(
     is measured by one synchronous execution, which is also how the
     benchmark harness computes overhead ratios.
     """
-    if max_pulse is None:
-        max_pulse = pulse_bound_for(graph, spec)
-    if registry is None:
-        registry = registry_for_threshold(graph, max_pulse, builder)
-    namespace = dict(
-        spec=spec,
-        registry=registry,
-        max_pulse=max_pulse,
-        initiators=frozenset(spec.initiators(graph)),
-        infos=spec.make_infos(graph),
+    sweep = SynchronizerSweep(
+        graph, spec, registry=registry, max_pulse=max_pulse, builder=builder
     )
-    process_cls = type("BoundSynchronizer", (SynchronizerProcess,), namespace)
-    runtime = AsyncRuntime(graph, process_cls, delay_model)
-    result = runtime.run(max_events=max_events)
-    if result.stop_reason != "quiescent":
-        raise RuntimeError(f"synchronizer did not finish: {result.stop_reason}")
-    return result
+    return sweep.run(delay_model, max_events=max_events)

@@ -14,11 +14,10 @@ Three builders:
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Optional
 
 from ..gcpause import paused_gc
-from ..net.graph import Graph, NodeId
-from .cluster import ClusterTree, bfs_cluster_tree
+from ..net.graph import Graph
+from .cluster import bfs_cluster_tree
 from .cover import (
     LayeredCover,
     LazyLevels,

@@ -22,12 +22,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
-    Tuple,
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
 )
 
 from ..gcpause import paused_gc
-from ..net.graph import Edge, Graph, NodeId
+from ..net.graph import Graph, NodeId
 from .cluster import ClusterTree
 
 

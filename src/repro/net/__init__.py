@@ -43,7 +43,7 @@ from .shard import (
     run_serial,
     run_sharded,
 )
-from .sweep import AsyncSweep, sweep_asynchronous
+from .sweep import AsyncSweep
 from . import topology
 
 __all__ = [
@@ -87,7 +87,6 @@ __all__ = [
     "link_skeleton_for",
     "run_asynchronous",
     "AsyncSweep",
-    "sweep_asynchronous",
     "CellSummary",
     "default_jobs",
     "digest_outputs",

@@ -528,7 +528,7 @@ class AsyncRuntime(EventQueue):
     """
 
     __slots__ = (
-        "graph", "delay_model", "count_acks", "count_fused_acks", "trace",
+        "graph", "delay_model", "count_fused_acks", "trace",
         "_skeleton", "_lu", "_lv", "_out", "_busy", "_outbox", "_seq",
         "_injected", "_pending", "_deliver", "_table", "_delivered",
         "_ack_prefix", "_blk_fill", "_blk_buf", "_blk_i", "_free_at",
@@ -546,7 +546,6 @@ class AsyncRuntime(EventQueue):
         graph: Graph,
         process_factory: Callable[[ProcessContext], Process],
         delay_model: DelayModel,
-        count_acks: bool = True,
         trace: Optional[Callable[[float, NodeId, NodeId, Payload], None]] = None,
         count_fused_acks: bool = False,
         skeleton: Optional[LinkSkeleton] = None,
@@ -585,7 +584,6 @@ class AsyncRuntime(EventQueue):
         super().__init__()
         self.graph = graph
         self.delay_model = delay_model
-        self.count_acks = count_acks
         self.count_fused_acks = count_fused_acks
         self.trace = trace
         if skeleton is None:
@@ -1305,7 +1303,7 @@ class AsyncRuntime(EventQueue):
             time_to_output=self._time_to_output,
             time_to_quiescence=quiescence,
             messages=self.messages,
-            acks=self.acks if self.count_acks else 0,
+            acks=self.acks,
             outputs=dict(self.outputs),
             output_time=dict(self.output_time),
             events_fired=events,

@@ -49,7 +49,7 @@ from __future__ import annotations
 from math import inf, isfinite
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .delays import _link_base, _mix64, _model_seed, _unit
+from .delays import _link_base, _model_seed, _unit
 from .graph import Edge, NodeId, edge_key
 
 

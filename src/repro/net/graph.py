@@ -10,7 +10,7 @@ and edge weights for the MST application.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 NodeId = int
 Edge = Tuple[NodeId, NodeId]

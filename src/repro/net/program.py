@@ -29,11 +29,8 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
-    Optional,
-    Sequence,
     Set,
     Tuple,
 )

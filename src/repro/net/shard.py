@@ -20,10 +20,10 @@ The determinism contract, in order of importance:
   link-id assignment travels with the bundle, it is never re-derived — so a
   cell's outputs digest and message counts equal the serial ``run_all``'s,
   pinned by the equivalence suite (``tests/test_shard.py``).
-* **``jobs=1`` is the untouched in-process loop** — same iteration, same
-  :func:`~repro.gcpause.paused_gc` discipline as
-  :func:`~repro.net.sweep.run_models`, no pool, no pickling — so 1-core CI
-  runners and the serial baselines pay zero overhead.
+* **``jobs=1`` is the untouched in-process loop** — :func:`run_models`,
+  the serial replay loop every ``run_all`` uses, with its
+  :func:`~repro.gcpause.paused_gc` discipline; no pool, no pickling — so
+  1-core CI runners and the serial baselines pay zero overhead.
 
 Wall-clock fields (``CellSummary.wall``) are *reporting metadata*: they are
 excluded from :meth:`CellSummary.comparable` and never feed schedules,
@@ -38,9 +38,39 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Protocol
+from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol
 
-from .sweep import run_models
+from ..gcpause import paused_gc
+
+
+#: Dead replay engines accumulate as uncollected cycle clusters while the
+#: sweep-wide pause holds; collect after this many replays so peak memory
+#: stays bounded for long delay-model families without giving up the
+#: per-event pause win (typical 5-model sweeps never trigger it).
+REPLAYS_PER_COLLECT = 8
+
+
+def run_models(run_one: Callable[[Any], Any],
+               delay_models: Iterable[Any]) -> List[Any]:
+    """Replay every model through ``run_one`` under one GC pause.
+
+    Each replay's dead engine is a cycle cluster refcounting cannot
+    reclaim; under one sweep-wide pause the clusters are collected together
+    instead of being rescanned generation by generation after every replay.
+
+    Shared by the transport- and protocol-level ``run_all`` methods and
+    by :func:`run_serial` (over cell indices): results align with the
+    input order, and every :data:`REPLAYS_PER_COLLECT` replays the dead
+    engines are collected explicitly (``gc.collect`` works while the
+    collector is disabled).
+    """
+    with paused_gc():
+        results: List[Any] = []
+        for i, model in enumerate(delay_models):
+            if i and i % REPLAYS_PER_COLLECT == 0:
+                gc.collect()
+            results.append(run_one(model))
+        return results
 
 
 def digest_outputs(outputs: Dict[Any, Any]) -> str:
@@ -128,9 +158,9 @@ class CellBundle(Protocol):
 
     A bundle is the *entire* per-worker shipment: it must be picklable
     (``spawn``) or fork-inheritable, carry all shared immutable state, and
-    evaluate any one cell by index.  ``repro.core.sweep`` provides the
-    protocol-level implementation over ``SynchronizerSweep`` /
-    ``ThresholdedBFSSweep``.
+    evaluate any one cell by index.  :func:`repro.net.sweep.run_sweeps_sharded`
+    provides the protocol-level implementation over
+    :class:`~repro.net.sweep.ProtocolSweep` replays.
     """
 
     def __len__(self) -> int: ...
@@ -181,9 +211,8 @@ def _run_cell(index: int) -> CellSummary:
 def run_serial(bundle: CellBundle) -> List[CellSummary]:
     """The untouched in-process loop: every cell, in order, one GC pause.
 
-    Literally :func:`~repro.net.sweep.run_models` over the cell indices —
-    sweep-wide pause, explicit collect every
-    :data:`~repro.net.sweep.REPLAYS_PER_COLLECT` replays — so ``jobs=1``
+    Literally :func:`run_models` over the cell indices — sweep-wide
+    pause, explicit collect every :data:`REPLAYS_PER_COLLECT` replays — so ``jobs=1``
     changes nothing about how serial sweeps have always run.
     """
     return run_models(bundle.run_cell, range(len(bundle)))

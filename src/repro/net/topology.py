@@ -12,7 +12,7 @@ message claims).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
 from .graph import Edge, Graph, edge_key
 

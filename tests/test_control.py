@@ -16,7 +16,7 @@ import pytest
 
 from repro.apps.programs import bfs_spec
 from repro.check.control import ScheduleController
-from repro.core.sweep import SynchronizerSweep
+from repro.core.synchronizer import SynchronizerSweep
 from repro.net import topology
 from repro.net.async_runtime import AsyncRuntime, Process
 from repro.net.delays import standard_adversaries

@@ -24,8 +24,11 @@ from hypothesis import strategies as st
 
 from repro.apps.programs import bfs_spec, broadcast_echo_spec, flood_max_spec
 from repro.core.bfs_runner import registry_for_threshold
-from repro.core.sweep import SynchronizerSweep
-from repro.core.synchronizer import SynchronizerProcess, pulse_bound_for
+from repro.core.synchronizer import (
+    SynchronizerProcess,
+    SynchronizerSweep,
+    pulse_bound_for,
+)
 from repro.net import topology
 from repro.net.async_runtime import AsyncResult, AsyncRuntime, Process
 from repro.net.delays import standard_adversaries

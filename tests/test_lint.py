@@ -11,6 +11,7 @@ clean via the same entry point CI runs, and the ``--json`` output must be
 byte-identical across runs (the linter's own determinism contract).
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -352,3 +353,68 @@ def test_cli_unknown_rule_code(capsys):
 def test_cli_missing_path(capsys):
     assert main(["no/such/dir"]) == 2
     capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# unused imports
+# ----------------------------------------------------------------------
+def _quoted_names(annotation):
+    """Names inside the string parts of an annotation ("Dict[K, V]")."""
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                parsed = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(
+                n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return names
+
+
+def unused_imports(source):
+    """``(line, name)`` of every name ``source`` imports and never
+    references — in code, or inside a quoted annotation."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            used |= _quoted_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns:
+            used |= _quoted_names(node.returns)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_import_scan():
+    source = (
+        "from typing import Dict, List, Optional\n"
+        "import os.path\n"
+        "from .x import Y as Z\n"
+        "CACHE: \"Dict[int, Optional[int]]\" = {}\n"
+        "def f(a: \"Z\") -> None:\n"
+        "    return os.path.sep\n"
+    )
+    assert unused_imports(source) == [(1, "List")]
+
+
+def test_src_has_no_unused_imports():
+    """Every name a module of ``src/repro`` imports is referenced there
+    (package ``__init__.py`` files re-export, so they are skipped)."""
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in unused_imports(path.read_text())
+    ]
+    assert found == []

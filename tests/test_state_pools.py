@@ -26,7 +26,7 @@ from repro.core.registration import (
     RegistrationModule,
     _StageState,
 )
-from repro.core.sweep import SynchronizerSweep
+from repro.core.synchronizer import SynchronizerSweep
 from repro.net import topology
 from repro.net.async_runtime import AsyncRuntime
 from repro.net.delays import UniformDelay, standard_adversaries

@@ -15,7 +15,6 @@ from repro.core import (
     ThresholdedBFSSweep,
     run_synchronized,
     run_thresholded_bfs,
-    sweep_synchronized,
 )
 from repro.net import AsyncRuntime, AsyncSweep, Process, topology
 from repro.net.delays import standard_adversaries
@@ -128,7 +127,7 @@ def test_sweep_synchronized_wrapper_aligns_with_models():
     graph = topology.grid_graph(3, 3)
     spec = bfs_spec(0)
     models = standard_adversaries(5)
-    results = sweep_synchronized(graph, spec, models)
+    results = SynchronizerSweep(graph, spec).run_all(models)
     assert len(results) == len(models)
     for model, result in zip(models, results):
         assert result == run_synchronized(graph, spec, model), repr(model)

@@ -231,3 +231,55 @@ class TestDeterminism:
         assert result.outputs
         assert any(len(cids) > 1 for cids in orders)
         assert all(cids == sorted(cids) for cids in orders)
+
+    def test_terminus_order_is_id_order_where_set_order_differs(self):
+        """A pulse-0 terminus whose pending set iterates out of id order:
+        the ids ``5 << 24 | 7`` and ``5 << 24 | 9`` hash to slots 7 and 1
+        of a small set, so hash order is 9 before 7.  The gate must still
+        contribute 7 first."""
+        from repro.core.gate import AGG_SDEREG, Flow, PulseGate, Vertex
+
+        low, high = 5 << 24 | 7, 5 << 24 | 9
+
+        class TwoClusters:
+            """Registry stub: the node is a member of two level-5 clusters
+            and has no cluster-tree views (the aggregation is recorded)."""
+
+            def views_of(self, node, levels):
+                return {}
+
+            def clamp_level(self, level):
+                return 5
+
+            def member_clusters(self, node, level):
+                return (low, high)
+
+            tree_clusters_of = member_clusters
+
+            def is_member(self, node, cid):
+                return True
+
+        class Recorder:
+            def __init__(self):
+                self.calls = []
+
+            def contribute(self, cid, tag, value):
+                self.calls.append((cid, tag))
+
+        class Source(Vertex):
+            __slots__ = ("pulse", "flows")
+
+            def __init__(self):
+                self.pulse = 0
+                self.flows = {}
+
+        gate = PulseGate(0, TwoClusters(), 8, (5,), send=lambda *a: None)
+        gate.agg = Recorder()
+        gate._start_base_barriers(is_source=True)
+        assert list({low, high}) == [high, low]
+        for q in gate._base_pulses:
+            gate.agg.calls.clear()
+            gate._terminus(Source(), q, Flow())
+            sdereg = [cid for cid, tag in gate.agg.calls
+                      if tag == q << 2 | AGG_SDEREG]
+            assert sdereg == [low, high], q
