@@ -5,7 +5,6 @@ done by t + O(d·l·polylog), using O(m·l·polylog) extra messages — linear
 scaling in l, near-linear in d, near-independent of n beyond that.
 """
 
-import random
 import sys
 from pathlib import Path
 

@@ -90,7 +90,6 @@ top of the ±30% windows above, because a pool's wall clock aggregates
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict
 
 from repro.analysis import Series, fit_power_law

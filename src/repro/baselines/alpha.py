@@ -15,131 +15,44 @@ setting.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from ..net.async_runtime import AsyncResult, AsyncRuntime, Process, ProcessContext
+from ..net.async_runtime import AsyncResult, ProcessContext
 from ..net.delays import DelayModel
 from ..net.graph import Graph, NodeId
-from ..net.program import ArrivedBatch, NodeInfo, ProgramSpec, PulseApi
-from ..net.sync_runtime import run_synchronous
+from ..net.program import ProgramSpec
+from .common import BaselineProcess, BaselineSweep
 
 
-class AlphaNode:
-    """Per-node α engine."""
+class AlphaProcess(BaselineProcess):
+    """α's rule: broadcast ``safe`` to every neighbor, advance once every
+    neighbor's ``safe`` for the pulse is in."""
 
-    def __init__(
-        self,
-        node_id: NodeId,
-        info: NodeInfo,
-        program_factory,
-        is_initiator: bool,
-        max_pulse: int,
-        send,
-        set_output,
-    ) -> None:
-        self.node_id = node_id
-        self.info = info
-        self.program = program_factory(info)
-        self.is_initiator = is_initiator
-        self.max_pulse = max_pulse
-        self._send = send
-        self.set_output = set_output
-        self.pulse = 0
-        self.arrived: Dict[int, List[Tuple[NodeId, Any]]] = {}
-        self.sends_pending = 0
-        self.safe_broadcast: Optional[int] = None
-        self.neighbor_safe: Dict[int, Set[NodeId]] = {}
-        self._sent_last = False
-
-    def start(self) -> None:
-        sends: List[Tuple[NodeId, Any]] = []
-        if self.is_initiator:
-            api = PulseApi(self.info)
-            self.program.on_start(api)
-            sends, has_output, value = api.collect()
-            if has_output:
-                self.set_output(value)
-        self._sent_last = bool(sends)
-        self._emit(sends)
-
-    def _emit(self, sends: List[Tuple[NodeId, Any]]) -> None:
-        self.sends_pending = len(sends)
-        for to, payload in sends:
-            self._send(to, ("m", self.pulse, payload), (self.pulse,))
-        if self.sends_pending == 0:
-            self._declare_safe()
-
-    def on_delivered(self, to: NodeId, payload: Tuple) -> None:
-        if payload[0] != "m" or payload[1] != self.pulse:
-            return
-        self.sends_pending -= 1
-        if self.sends_pending == 0:
-            self._declare_safe()
-
-    def _declare_safe(self) -> None:
-        self.safe_broadcast = self.pulse
-        for v in self.info.neighbors:
-            self._send(v, ("safe", self.pulse), (self.pulse,))
-        self._maybe_advance()
-
-    def _maybe_advance(self) -> None:
-        while (
-            self.safe_broadcast == self.pulse
-            and self.neighbor_safe.get(self.pulse, set())
-            >= set(self.info.neighbors)
-        ):
-            if self.pulse >= self.max_pulse:
-                return
-            batch: ArrivedBatch = tuple(sorted(self.arrived.pop(self.pulse, ())))
-            self.pulse += 1
-            triggered = bool(batch) or self._sent_last
-            api = PulseApi(self.info)
-            if triggered:
-                self.program.on_pulse(api, batch)
-            sends, has_output, value = api.collect()
-            if has_output:
-                self.set_output(value)
-            self._sent_last = bool(sends)
-            self._emit(sends)
-            return  # _emit re-enters _maybe_advance via _declare_safe
-
-    def handle(self, sender: NodeId, payload: Tuple) -> None:
-        kind = payload[0]
-        if kind == "m":
-            self.arrived.setdefault(payload[1], []).append((sender, payload[2]))
-        elif kind == "safe":
-            self.neighbor_safe.setdefault(payload[1], set()).add(sender)
-            self._maybe_advance()
-        else:  # pragma: no cover
-            raise ValueError(f"unknown alpha message {payload!r}")
-
-
-class AlphaProcess(Process):
-    spec: ProgramSpec
-    max_pulse: int
-    initiators: FrozenSet[NodeId]
-    infos: Dict[NodeId, NodeInfo]
+    NAME = "alpha"
 
     def __init__(self, ctx: ProcessContext) -> None:
         super().__init__(ctx)
-        self.node = AlphaNode(
-            node_id=ctx.node_id,
-            info=self.infos[ctx.node_id],
-            program_factory=self.spec.node_factory,
-            is_initiator=ctx.node_id in self.initiators,
-            max_pulse=self.max_pulse,
-            send=lambda to, payload, priority: ctx.send(to, payload, priority),
-            set_output=ctx.set_output,
-        )
+        self.neighbor_safe: Dict[int, Set[NodeId]] = {}
 
-    def on_start(self) -> None:
-        self.node.start()
+    def _safe(self) -> None:
+        p = self.pulse
+        for v in self.info.neighbors:
+            self.ctx.send(v, ("safe", p), (p,))
+        self._maybe_advance()
 
-    def on_message(self, sender: NodeId, payload: Tuple) -> None:
-        self.node.handle(sender, payload)
+    def _maybe_advance(self) -> None:
+        p = self.pulse
+        if self.safe_pulse == p and (
+            self.neighbor_safe.get(p, set()) >= set(self.info.neighbors)
+        ):
+            self._advance()
 
-    def on_delivered(self, to: NodeId, payload: Tuple) -> None:
-        self.node.on_delivered(to, payload)
+    def _control(self, sender: NodeId, payload: Tuple) -> bool:
+        if payload[0] != "safe":  # pragma: no cover
+            return False
+        self.neighbor_safe.setdefault(payload[1], set()).add(sender)
+        self._maybe_advance()
+        return True
 
 
 def run_alpha(
@@ -150,17 +63,5 @@ def run_alpha(
     max_events: int = 100_000_000,
 ) -> AsyncResult:
     """Run ``spec`` under the α synchronizer."""
-    if max_pulse is None:
-        max_pulse = run_synchronous(graph, spec).rounds_total
-    namespace = dict(
-        spec=spec,
-        max_pulse=max_pulse,
-        initiators=frozenset(spec.initiators(graph)),
-        infos=spec.make_infos(graph),
-    )
-    process_cls = type("BoundAlpha", (AlphaProcess,), namespace)
-    runtime = AsyncRuntime(graph, process_cls, delay_model)
-    result = runtime.run(max_events=max_events)
-    if result.stop_reason != "quiescent":
-        raise RuntimeError(f"alpha did not finish: {result.stop_reason}")
-    return result
+    sweep = BaselineSweep(graph, AlphaProcess.bind(graph, spec, max_pulse))
+    return sweep.run(delay_model, max_events=max_events)

@@ -11,149 +11,73 @@ message overhead O(n) per pulse — messages ``M(A) + O(T·n)``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..net.async_runtime import AsyncResult, AsyncRuntime, Process, ProcessContext
+from ..net.async_runtime import AsyncResult, ProcessContext
 from ..net.delays import DelayModel
 from ..net.graph import Graph, NodeId
-from ..net.program import ArrivedBatch, NodeInfo, ProgramSpec, PulseApi
-from ..net.sync_runtime import run_synchronous
+from ..net.program import ProgramSpec
+from .common import BaselineProcess, BaselineSweep
 
 
-class BetaNode:
-    def __init__(
-        self,
-        node_id: NodeId,
-        info: NodeInfo,
-        program_factory,
-        is_initiator: bool,
-        max_pulse: int,
-        tree_parent: Optional[NodeId],
-        tree_children: Tuple[NodeId, ...],
-        send,
-        set_output,
-    ) -> None:
-        self.node_id = node_id
-        self.info = info
-        self.program = program_factory(info)
-        self.is_initiator = is_initiator
-        self.max_pulse = max_pulse
-        self.tree_parent = tree_parent
-        self.tree_children = tree_children
-        self._send = send
-        self.set_output = set_output
-        self.pulse = 0
-        self.arrived: Dict[int, List[Tuple[NodeId, Any]]] = {}
-        self.sends_pending = 0
-        self.self_safe = False
-        self.child_safe: Dict[int, Set[NodeId]] = {}
-        self.reported = False
-        self._sent_last = False
+class BetaProcess(BaselineProcess):
+    """β's rule: convergecast ``tsafe`` up the tree; the root broadcasts
+    ``next`` down it, and every node advances as ``next`` passes."""
 
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        sends: List[Tuple[NodeId, Any]] = []
-        if self.is_initiator:
-            api = PulseApi(self.info)
-            self.program.on_start(api)
-            sends, has_output, value = api.collect()
-            if has_output:
-                self.set_output(value)
-        self._sent_last = bool(sends)
-        self._emit(sends)
+    NAME = "beta"
 
-    def _emit(self, sends: List[Tuple[NodeId, Any]]) -> None:
-        self.sends_pending = len(sends)
-        self.self_safe = False
-        self.reported = False
-        for to, payload in sends:
-            self._send(to, ("m", self.pulse, payload), (self.pulse,))
-        if self.sends_pending == 0:
-            self._mark_safe()
-
-    def on_delivered(self, to: NodeId, payload: Tuple) -> None:
-        if payload[0] != "m" or payload[1] != self.pulse:
-            return
-        self.sends_pending -= 1
-        if self.sends_pending == 0:
-            self._mark_safe()
-
-    def _mark_safe(self) -> None:
-        self.self_safe = True
-        self._maybe_report()
-
-    def _maybe_report(self) -> None:
-        if self.reported or not self.self_safe:
-            return
-        if self.child_safe.get(self.pulse, set()) >= set(self.tree_children):
-            self.reported = True
-            if self.tree_parent is None:
-                self._advance_subtree()
-            else:
-                self._send(self.tree_parent, ("tsafe", self.pulse), (self.pulse,))
-
-    def _advance_subtree(self) -> None:
-        for c in self.tree_children:
-            self._send(c, ("next", self.pulse + 1), (self.pulse,))
-        self._advance()
-
-    def _advance(self) -> None:
-        if self.pulse >= self.max_pulse:
-            return
-        batch: ArrivedBatch = tuple(sorted(self.arrived.pop(self.pulse, ())))
-        self.pulse += 1
-        api = PulseApi(self.info)
-        if batch or self._sent_last:
-            self.program.on_pulse(api, batch)
-        sends, has_output, value = api.collect()
-        if has_output:
-            self.set_output(value)
-        self._sent_last = bool(sends)
-        self._emit(sends)
-
-    def handle(self, sender: NodeId, payload: Tuple) -> None:
-        kind = payload[0]
-        if kind == "m":
-            self.arrived.setdefault(payload[1], []).append((sender, payload[2]))
-        elif kind == "tsafe":
-            self.child_safe.setdefault(payload[1], set()).add(sender)
-            self._maybe_report()
-        elif kind == "next":
-            self._advance_subtree()
-        else:  # pragma: no cover
-            raise ValueError(f"unknown beta message {payload!r}")
-
-
-class BetaProcess(Process):
-    spec: ProgramSpec
-    max_pulse: int
-    initiators: FrozenSet[NodeId]
-    infos: Dict[NodeId, NodeInfo]
+    # Set by :meth:`bind`:
     tree: Dict[NodeId, Optional[NodeId]]
     children: Dict[NodeId, Tuple[NodeId, ...]]
 
     def __init__(self, ctx: ProcessContext) -> None:
         super().__init__(ctx)
-        self.node = BetaNode(
-            node_id=ctx.node_id,
-            info=self.infos[ctx.node_id],
-            program_factory=self.spec.node_factory,
-            is_initiator=ctx.node_id in self.initiators,
-            max_pulse=self.max_pulse,
-            tree_parent=self.tree[ctx.node_id],
-            tree_children=self.children.get(ctx.node_id, ()),
-            send=lambda to, payload, priority: ctx.send(to, payload, priority),
-            set_output=ctx.set_output,
-        )
+        self.tree_parent = self.tree[ctx.node_id]
+        self.tree_children = self.children.get(ctx.node_id, ())
+        self.child_safe: Dict[int, Set[NodeId]] = {}
+        #: The last pulse this node's subtree reported safe for.
+        self.reported = -1
 
-    def on_start(self) -> None:
-        self.node.start()
+    def _safe(self) -> None:
+        """Report once this node and every child subtree are safe."""
+        p = self.pulse
+        if self.reported == p or self.safe_pulse != p:
+            return
+        if self.child_safe.get(p, set()) >= set(self.tree_children):
+            self.reported = p
+            if self.tree_parent is None:
+                self._release()
+            else:
+                self.ctx.send(self.tree_parent, ("tsafe", p), (p,))
 
-    def on_message(self, sender: NodeId, payload: Tuple) -> None:
-        self.node.handle(sender, payload)
+    def _release(self) -> None:
+        for c in self.tree_children:
+            self.ctx.send(c, ("next", self.pulse + 1), (self.pulse,))
+        self._advance()
 
-    def on_delivered(self, to: NodeId, payload: Tuple) -> None:
-        self.node.on_delivered(to, payload)
+    def _control(self, sender: NodeId, payload: Tuple) -> bool:
+        kind = payload[0]
+        if kind == "tsafe":
+            self.child_safe.setdefault(payload[1], set()).add(sender)
+            self._safe()
+        elif kind == "next":
+            self._release()
+        else:  # pragma: no cover
+            return False
+        return True
+
+
+def tree_attrs(graph: Graph, root: NodeId) -> Dict[str, Dict]:
+    """:meth:`BetaProcess.bind`'s ``tree`` (BFS parents from ``root``) and
+    ``children`` (sorted per parent)."""
+    tree = graph.bfs_tree(root)
+    children: Dict[NodeId, List[NodeId]] = {}
+    for v, p in tree.items():
+        if p is not None:
+            children.setdefault(p, []).append(v)
+    return dict(
+        tree=tree, children={v: tuple(sorted(c)) for v, c in children.items()}
+    )
 
 
 def run_beta(
@@ -165,24 +89,6 @@ def run_beta(
     max_events: int = 100_000_000,
 ) -> AsyncResult:
     """Run ``spec`` under the β synchronizer (BFS tree from ``root`` given)."""
-    if max_pulse is None:
-        max_pulse = run_synchronous(graph, spec).rounds_total
-    tree = graph.bfs_tree(root)
-    children: Dict[NodeId, List[NodeId]] = {}
-    for v, p in tree.items():
-        if p is not None:
-            children.setdefault(p, []).append(v)
-    namespace = dict(
-        spec=spec,
-        max_pulse=max_pulse,
-        initiators=frozenset(spec.initiators(graph)),
-        infos=spec.make_infos(graph),
-        tree=tree,
-        children={v: tuple(sorted(c)) for v, c in children.items()},
-    )
-    process_cls = type("BoundBeta", (BetaProcess,), namespace)
-    runtime = AsyncRuntime(graph, process_cls, delay_model)
-    result = runtime.run(max_events=max_events)
-    if result.stop_reason != "quiescent":
-        raise RuntimeError(f"beta did not finish: {result.stop_reason}")
-    return result
+    sweep = BaselineSweep(graph, BetaProcess.bind(
+        graph, spec, max_pulse, **tree_attrs(graph, root)))
+    return sweep.run(delay_model, max_events=max_events)

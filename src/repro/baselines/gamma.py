@@ -12,16 +12,16 @@ height) time and O(n + #preferred edges) messages, i.e. messages
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..covers.rozhon_ghaffari import build_rg_decomposition
-from ..net.async_runtime import AsyncResult, AsyncRuntime, Process, ProcessContext
+from ..net.async_runtime import AsyncResult, ProcessContext
 from ..net.delays import DelayModel
 from ..net.graph import Graph, NodeId
-from ..net.program import ArrivedBatch, NodeInfo, ProgramSpec, PulseApi
-from ..net.sync_runtime import run_synchronous
+from ..net.program import ProgramSpec
 from ..core.cluster_ops import ClusterAggregateModule, and_merge
 from ..core.registration import ClusterView
+from .common import BaselineProcess, BaselineSweep
 
 
 class GammaStructure:
@@ -64,75 +64,42 @@ class GammaStructure:
         return views
 
 
-class GammaNode:
-    def __init__(
-        self,
-        node_id: NodeId,
-        info: NodeInfo,
-        program_factory,
-        is_initiator: bool,
-        max_pulse: int,
-        structure: GammaStructure,
-        send,
-        set_output,
-    ) -> None:
-        self.node_id = node_id
-        self.info = info
-        self.program = program_factory(info)
-        self.is_initiator = is_initiator
-        self.max_pulse = max_pulse
-        self.structure = structure
-        self._send = send
-        self.set_output = set_output
+class GammaProcess(BaselineProcess):
+    """γ's rule: a ``gsafe`` barrier in the node's cluster, ``xsafe`` over
+    the preferred edges to adjacent clusters, then a ``gx`` barrier whose
+    result releases the next pulse.  A node on a foreign cluster's tree
+    (Steiner duty) contributes ``True`` to both barriers of every pulse."""
+
+    NAME = "gamma"
+
+    # Set by :meth:`bind`:
+    structure: GammaStructure
+
+    def __init__(self, ctx: ProcessContext) -> None:
+        super().__init__(ctx)
+        structure, node_id = self.structure, ctx.node_id
         self.my_cluster = structure.cluster_of[node_id]
         self.preferred = tuple(sorted(structure.preferred_of.get(node_id, ())))
-        views = structure.views_of(node_id)
-        self.views = views
+        self.views = structure.views_of(node_id)
         self.agg = ClusterAggregateModule(
             node_id=node_id,
-            clusters=views,
-            send=lambda to, payload, priority: self._send(to, payload, priority),
+            clusters=self.views,
+            send=ctx.send,
             on_result=self._on_result,
             merge_fn=lambda tag: and_merge,
             priority_fn=lambda tag: (tag[1],),
         )
-        self.pulse = 0
-        self.arrived: Dict[int, List[Tuple[NodeId, Any]]] = {}
-        self.sends_pending = 0
-        self._sent_last = False
         self.xsafe_got: Dict[int, Set[NodeId]] = {}
         self.gsafe_result: Set[int] = set()
 
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        sends: List[Tuple[NodeId, Any]] = []
-        if self.is_initiator:
-            api = PulseApi(self.info)
-            self.program.on_start(api)
-            sends, has_output, value = api.collect()
-            if has_output:
-                self.set_output(value)
-        self._sent_last = bool(sends)
-        # Steiner-only duties for pulse 0 on foreign trees.
+    def on_start(self) -> None:
+        # Steiner-only duties for pulse 0 on foreign trees; their barrier
+        # messages leave before the program's pulse-0 messages.
         for cid in self.views:
             if cid != self.my_cluster:
                 self.agg.contribute(cid, ("gsafe", 0), True)
                 self.agg.contribute(cid, ("gx", 0), True)
-        self._emit(sends)
-
-    def _emit(self, sends: List[Tuple[NodeId, Any]]) -> None:
-        self.sends_pending = len(sends)
-        for to, payload in sends:
-            self._send(to, ("m", self.pulse, payload), (self.pulse,))
-        if self.sends_pending == 0:
-            self._safe()
-
-    def on_delivered(self, to: NodeId, payload: Tuple) -> None:
-        if payload[0] != "m" or payload[1] != self.pulse:
-            return
-        self.sends_pending -= 1
-        if self.sends_pending == 0:
-            self._safe()
+        super().on_start()
 
     def _safe(self) -> None:
         self.agg.contribute(self.my_cluster, ("gsafe", self.pulse), True)
@@ -148,7 +115,7 @@ class GammaNode:
         if kind == "gsafe":
             self.gsafe_result.add(p)
             for v in self.preferred:
-                self._send(v, ("xsafe", p), (p,))
+                self.ctx.send(v, ("xsafe", p), (p,))
             self._maybe_xdone(p)
         elif kind == "gx":
             self._advance()
@@ -160,59 +127,12 @@ class GammaNode:
             self.gsafe_result.discard(p)
             self.agg.contribute(self.my_cluster, ("gx", p), True)
 
-    def _advance(self) -> None:
-        if self.pulse >= self.max_pulse:
-            return
-        batch: ArrivedBatch = tuple(sorted(self.arrived.pop(self.pulse, ())))
-        self.pulse += 1
-        api = PulseApi(self.info)
-        if batch or self._sent_last:
-            self.program.on_pulse(api, batch)
-        sends, has_output, value = api.collect()
-        if has_output:
-            self.set_output(value)
-        self._sent_last = bool(sends)
-        self._emit(sends)
-
-    def handle(self, sender: NodeId, payload: Tuple) -> None:
-        kind = payload[0]
-        if kind == "m":
-            self.arrived.setdefault(payload[1], []).append((sender, payload[2]))
-        elif kind == "xsafe":
+    def _control(self, sender: NodeId, payload: Tuple) -> bool:
+        if payload[0] == "xsafe":
             self.xsafe_got.setdefault(payload[1], set()).add(sender)
             self._maybe_xdone(payload[1])
-        elif not self.agg.handle(sender, payload):  # pragma: no cover
-            raise ValueError(f"unknown gamma message {payload!r}")
-
-
-class GammaProcess(Process):
-    spec: ProgramSpec
-    max_pulse: int
-    initiators: FrozenSet[NodeId]
-    infos: Dict[NodeId, NodeInfo]
-    structure: GammaStructure
-
-    def __init__(self, ctx: ProcessContext) -> None:
-        super().__init__(ctx)
-        self.node = GammaNode(
-            node_id=ctx.node_id,
-            info=self.infos[ctx.node_id],
-            program_factory=self.spec.node_factory,
-            is_initiator=ctx.node_id in self.initiators,
-            max_pulse=self.max_pulse,
-            structure=self.structure,
-            send=lambda to, payload, priority: ctx.send(to, payload, priority),
-            set_output=ctx.set_output,
-        )
-
-    def on_start(self) -> None:
-        self.node.start()
-
-    def on_message(self, sender: NodeId, payload: Tuple) -> None:
-        self.node.handle(sender, payload)
-
-    def on_delivered(self, to: NodeId, payload: Tuple) -> None:
-        self.node.on_delivered(to, payload)
+            return True
+        return self.agg.handle(sender, payload)
 
 
 def run_gamma(
@@ -224,20 +144,8 @@ def run_gamma(
     max_events: int = 100_000_000,
 ) -> AsyncResult:
     """Run ``spec`` under the γ synchronizer."""
-    if max_pulse is None:
-        max_pulse = run_synchronous(graph, spec).rounds_total
     if structure is None:
         structure = GammaStructure(graph)
-    namespace = dict(
-        spec=spec,
-        max_pulse=max_pulse,
-        initiators=frozenset(spec.initiators(graph)),
-        infos=spec.make_infos(graph),
-        structure=structure,
-    )
-    process_cls = type("BoundGamma", (GammaProcess,), namespace)
-    runtime = AsyncRuntime(graph, process_cls, delay_model)
-    result = runtime.run(max_events=max_events)
-    if result.stop_reason != "quiescent":
-        raise RuntimeError(f"gamma did not finish: {result.stop_reason}")
-    return result
+    sweep = BaselineSweep(graph, GammaProcess.bind(
+        graph, spec, max_pulse, structure=structure))
+    return sweep.run(delay_model, max_events=max_events)

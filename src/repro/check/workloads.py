@@ -53,6 +53,7 @@ from ..covers import bfs_cluster_tree
 from ..net.async_runtime import AsyncRuntime, Process
 from ..net.delays import ConstantDelay
 from ..net.graph import Graph, NodeId
+from ..net.sweep import bound_process_class
 from ..net.sync_runtime import run_synchronous
 from ..net.topology import cycle_graph, star_graph
 from .control import ScheduleController
@@ -194,9 +195,8 @@ class RegWorkload(Workload):
     ) -> None:
         super().__init__(name, graph, root=root, crashable=crashable)
         tree = bfs_cluster_tree(graph, 0, members=graph.nodes, root=root)
-        self.process_cls = type(
-            "CheckedRegistration",
-            (_RegDriver,),
+        self.process_cls = bound_process_class(
+            "CheckedRegistration", _RegDriver,
             dict(cluster_tree=tree, module_cls=module_cls),
         )
 
@@ -223,7 +223,7 @@ class _RegDriver(Process):
     jammed link, then excise the corpse from the module.
     """
 
-    cluster_tree = None  # bound per workload via type()
+    cluster_tree = None  # bound per workload by bound_process_class
     module_cls = RegistrationModule
 
     def __init__(self, ctx) -> None:

@@ -92,6 +92,6 @@ class TestCostCharacteristics:
         assert result.outputs == sync.outputs
 
     def test_gamma_partition_covers_graph(self):
-        g = topology.er_graph = topology.erdos_renyi_graph(24, 0.1, seed=2)
+        g = topology.erdos_renyi_graph(24, 0.1, seed=2)
         structure = GammaStructure(g)
         assert set(structure.cluster_of) == set(g.nodes)

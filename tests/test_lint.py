@@ -408,12 +408,18 @@ def test_unused_import_scan():
     assert unused_imports(source) == [(1, "List")]
 
 
-def test_src_has_no_unused_imports():
-    """Every name a module of ``src/repro`` imports is referenced there
+#: The trees the CI lint job checks (``python -m repro.lint src benchmarks
+#: examples perfbench``).
+LINTED_TREES = ("src", "benchmarks", "examples", "perfbench")
+
+
+def test_linted_trees_have_no_unused_imports():
+    """Every name a module of the linted trees imports is referenced there
     (package ``__init__.py`` files re-export, so they are skipped)."""
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
-        for path in sorted((SRC / "repro").rglob("*.py"))
+        for tree in LINTED_TREES
+        for path in sorted((ROOT / tree).rglob("*.py"))
         if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text())
     ]

@@ -17,7 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps.programs import bfs_spec, multi_bfs_spec
+from repro.apps.programs import bfs_spec, flood_max_spec, multi_bfs_spec
+from repro.baselines import GammaStructure
+from repro.baselines.common import BaselineSweep
+from repro.baselines.gamma import GammaProcess
 from repro.core import SynchronizerSweep, ThresholdedBFSSweep, run_sweeps_sharded
 from repro.net import AsyncSweep, topology
 from repro.net.async_runtime import (
@@ -69,6 +72,19 @@ def test_sharded_tbfs_matches_serial_on_all_adversaries(start_method):
     models = standard_adversaries(2)
     serial = _serial_reference(sweep, models)
     sharded = sweep.run_all_sharded(models, jobs=3, start_method=start_method)
+    assert _comparable(sharded) == _comparable(serial)
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_sharded_gamma_matches_serial_on_all_adversaries(start_method):
+    """A baseline sweep ships its bound class (cluster structure included)
+    to the workers like the core sweeps do."""
+    graph = topology.grid_graph(4, 4)
+    sweep = BaselineSweep(graph, GammaProcess.bind(
+        graph, flood_max_spec(), structure=GammaStructure(graph)))
+    models = standard_adversaries(7)
+    serial = _serial_reference(sweep, models)
+    sharded = sweep.run_all_sharded(models, jobs=2, start_method=start_method)
     assert _comparable(sharded) == _comparable(serial)
 
 

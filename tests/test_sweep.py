@@ -1,15 +1,22 @@
 """Sweep engines must be byte-identical to standalone runs, per delay model.
 
-The whole point of :class:`repro.net.sweep.AsyncSweep` and the protocol
-sweeps in :mod:`repro.core.sweep` is to amortize setup *without changing a
-single event*: every replay must equal the corresponding standalone run —
-same delivery traces, outputs, message counts, times — and replay order must
-not leak state between models.
+The whole point of :class:`repro.net.sweep.AsyncSweep` and of the protocol
+sweeps built on :class:`repro.net.sweep.ProtocolSweep` (each defined beside
+its process class: ``SynchronizerSweep``, ``ThresholdedBFSSweep``,
+``BaselineSweep``) is to amortize setup *without changing a single event*:
+every replay must equal the corresponding standalone run — same delivery
+traces, outputs, message counts, times — and replay order must not leak
+state between models.
 """
 
 import pytest
 
 from repro.apps.programs import bfs_spec, broadcast_echo_spec, flood_max_spec
+from repro.baselines import GammaStructure, run_alpha, run_beta, run_gamma
+from repro.baselines.alpha import AlphaProcess
+from repro.baselines.beta import BetaProcess, tree_attrs
+from repro.baselines.common import BaselineSweep
+from repro.baselines.gamma import GammaProcess
 from repro.core import (
     SynchronizerSweep,
     ThresholdedBFSSweep,
@@ -155,3 +162,29 @@ def test_thresholded_bfs_sweep_distances_are_model_independent():
         for v in graph.nodes:
             expected = truth[v] if truth[v] <= 8 else float("inf")
             assert outcome.distances[v] == expected
+
+
+def test_baseline_sweep_matches_standalone_runners():
+    """A standalone baseline run is the first replay of a fresh sweep, so
+    replaying every model on one sweep must equal running each alone."""
+    graph = topology.path_graph(10)
+    spec = broadcast_echo_spec(0)
+    sweeps = {
+        run_alpha: BaselineSweep(graph, AlphaProcess.bind(graph, spec)),
+        run_beta: BaselineSweep(graph, BetaProcess.bind(
+            graph, spec, **tree_attrs(graph, 0))),
+        run_gamma: BaselineSweep(graph, GammaProcess.bind(
+            graph, spec, structure=GammaStructure(graph))),
+    }
+    models = standard_adversaries(3)
+    for runner, sweep in sweeps.items():
+        for model, replay in zip(models, sweep.run_all(models)):
+            assert replay == runner(graph, spec, model), (runner, model)
+
+
+def test_baseline_sweep_names_its_family_when_cut_short():
+    graph = topology.path_graph(10)
+    sweep = BaselineSweep(graph, BetaProcess.bind(
+        graph, bfs_spec(0), **tree_attrs(graph, 0)))
+    with pytest.raises(RuntimeError, match="^beta did not finish: "):
+        sweep.run(standard_adversaries(0)[0], max_events=5)
