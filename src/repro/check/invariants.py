@@ -22,13 +22,16 @@ state:
   registration (state ``REGISTERED``) at most once per node, and a live
   stage's state only moves forward through
   ``NONE → REGISTERING → REGISTERED → DEREGISTERED → FREE``.
-* **Pool hygiene** — no stage a crash touched may reach the free list
-  (the PR 6 poisoning rule).  :class:`PoolTaintProbe` shadows the rule
-  from outside: when a ``detect`` step fires it snapshots exactly the
+* **Stage taint** — no stage a crash touched may be retired (the
+  poisoning rule of DESIGN.md §11).  :class:`StageTaintProbe` shadows the
+  rule from outside: when a ``detect`` step fires it snapshots exactly the
   stages ``RegistrationModule.prune_child`` is about to poison, and then
-  asserts none of those objects ever shows up in ``_free``.  The shadow
-  is what lets the seeded ``skip-poisoning`` mutant fail loudly instead
-  of silently recycling a crash-torn slot.
+  asserts each of those objects stays in its module's ``_stages``.  The
+  shadow is what lets the seeded ``skip-poisoning`` mutant fail loudly
+  instead of silently retiring a crash-torn stage.
+* **Message count** — a fault-free run sends the same messages on every
+  interleaving: :class:`MessageCountProbe` compares each quiescent
+  execution's count with one uncontrolled run's.
 * **Output bounds** — fault-free runs must reproduce the synchronous
   reference outputs exactly; crash runs must keep every produced BFS
   distance inside ``dist_G(v) <= out <= dist_H(v)`` (DESIGN.md §11).
@@ -163,7 +166,7 @@ class RegistrationProbe(Probe):
     REGISTERING → REGISTERED → DEREGISTERED → FREE`` — which also makes
     single-completion *within a generation* structural (reaching
     ``REGISTERED`` twice would require a backward move first).  A stage
-    that vanishes from ``_stages`` (recycled through the pool) ends its
+    that vanishes from ``_stages`` (retired once terminal-clean) ends its
     generation; the same key re-registering later is a fresh generation
     and legitimately completes again (a late registrant can reuse a
     (cluster, tag) identity after the first full cycle retired), so no
@@ -197,23 +200,25 @@ class RegistrationProbe(Probe):
                 del state[ident]
 
 
-class PoolTaintProbe(Probe):
-    """No stage a crash touched is ever recycled through the free list.
+class StageTaintProbe(Probe):
+    """No stage a crash touched is ever retired.
 
     Shadow of ``RegistrationModule.prune_child``'s poisoning rule: just
     before a ``detect`` step runs at observer ``u``, snapshot the live
     stages at ``u`` the corpse participates in (parent, marked child, or
-    view child — the exact poisoning condition).  Afterwards, none of
-    those objects may appear in ``reg._free``.  Membership is identity
-    (``is``) over a small list, never ``id()``: object addresses must not
-    feed any ordered or emitted value (DET002), and taint is pure
-    bookkeeping either way.
+    view child — the exact poisoning condition), each with the module
+    that holds it.  Afterwards, each of those objects must stay in that
+    module's ``_stages``; a module a rejoin replaced is out of scope.
+    Membership is identity (``is``), never ``id()``: object addresses
+    must not feed any ordered or emitted value (DET002), and taint is
+    pure bookkeeping either way.
     """
 
-    name = "pool-hygiene"
+    name = "stage-taint"
 
     def reset(self, runtime: AsyncRuntime) -> None:
-        self._tainted: Dict[NodeId, List[Any]] = {}
+        #: observer -> (module, stage) pairs snapshotted at its detects.
+        self._tainted: Dict[NodeId, List[Tuple[Any, Any]]] = {}
 
     def before_step(self, runtime: AsyncRuntime, ev: ControlledEvent) -> None:
         if ev.kind != CTRL_DETECT:
@@ -228,23 +233,20 @@ class PoolTaintProbe(Probe):
             view = stage.view
             if (view.parent == dead or dead in stage.child_marks
                     or dead in view.children):
-                if not any(stage is t for t in tainted):
-                    tainted.append(stage)
+                if not any(stage is t for _reg, t in tainted):
+                    tainted.append((reg, stage))
 
     def after_step(self, runtime: AsyncRuntime, ev: ControlledEvent) -> None:
         if not self._tainted:
             return
         regs = dict(_reg_modules(runtime))
         for v in sorted(self._tainted):
-            reg = regs.get(v)
-            if reg is None:
-                continue
-            free = reg._free
-            for stage in self._tainted[v]:
-                if any(stage is f for f in free):
+            live = regs.get(v)
+            for reg, stage in self._tainted[v]:
+                if reg is live and reg._stages.get(stage.key) is not stage:
                     self.fail(
-                        f"node {v} recycled crash-touched stage"
-                        f" {stage.key!r} into the free pool"
+                        f"node {v} retired crash-touched stage"
+                        f" {stage.key!r}"
                     )
 
 
@@ -375,6 +377,23 @@ class RejoinConsistencyProbe(Probe):
                         f"observer {observer} re-pruned re-joined neighbor"
                         f" {v} by quiescence"
                     )
+
+
+class MessageCountProbe(Probe):
+    """Fault-free terminal check: every interleaving sends exactly the
+    messages of one uncontrolled run (``reference``)."""
+
+    name = "message-count"
+
+    def __init__(self, reference: int) -> None:
+        self.reference = reference
+
+    def at_end(self, runtime: AsyncRuntime, result: AsyncResult) -> None:
+        if result.messages != self.reference:
+            self.fail(
+                f"sent {result.messages} messages, the uncontrolled run"
+                f" sent {self.reference}"
+            )
 
 
 class QuiescentOutputsProbe(Probe):

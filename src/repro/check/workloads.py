@@ -19,9 +19,9 @@ Two workload families:
   running :class:`~repro.core.registration.RegistrationModule` alone over
   the graph's BFS cluster tree, every node performing register →
   deregister cycles across two tags.  This is where the registration
-  single-completion and pool-hygiene invariants have teeth: stages
-  complete, recycle through the free pool, and get reused while crashes
-  race the waves.
+  single-completion and stage-taint invariants have teeth: stages
+  complete and retire, and round 2 re-creates the stages round 1 retired
+  while crashes race the waves.
 
 Workload spec strings (the CLI surface)::
 
@@ -59,13 +59,14 @@ from ..net.topology import cycle_graph, star_graph
 from .control import ScheduleController
 from .invariants import (
     DistanceBoundProbe,
+    MessageCountProbe,
     OutputEqualityProbe,
-    PoolTaintProbe,
     Probe,
     PulseProbe,
     QuiescentOutputsProbe,
     RegistrationProbe,
     RejoinConsistencyProbe,
+    StageTaintProbe,
 )
 
 _TOPOLOGIES: Dict[str, Callable[[int], Graph]] = {
@@ -134,6 +135,7 @@ class SyncWorkload(Workload):
             )
         self.process_cls = base_cls.bind(graph, self.spec)
         self._reference: Optional[Dict[NodeId, Any]] = None
+        self._reference_messages: Optional[int] = None
 
     # ------------------------------------------------------------------
     def reference_outputs(self) -> Dict[NodeId, Any]:
@@ -142,6 +144,15 @@ class SyncWorkload(Workload):
         if self._reference is None:
             self._reference = dict(run_synchronous(self.graph, self.spec).outputs)
         return self._reference
+
+    def reference_messages(self) -> int:
+        """Messages of one uncontrolled run: a fault-free synchronizer
+        sends the same messages on every interleaving."""
+        if self._reference_messages is None:
+            self._reference_messages = AsyncRuntime(
+                self.graph, self.process_cls, ConstantDelay()
+            ).run().messages
+        return self._reference_messages
 
     def probes(self) -> List[Probe]:
         probes: List[Probe] = [PulseProbe(), RegistrationProbe()]
@@ -153,7 +164,7 @@ class SyncWorkload(Workload):
             sub, remap = graph.induced_subgraph(survivors)
             sub_dist = sub.bfs_distances(remap[self.root])
             dist_h = {v: sub_dist[remap[v]] for v in survivors}
-            probes.append(PoolTaintProbe())
+            probes.append(StageTaintProbe())
             # The sandwich over survivors stays sound under rejoin: the
             # crippled-component wave is unaffected by the returning
             # node, so first-wins outputs still respect dist_H, and no
@@ -165,11 +176,12 @@ class SyncWorkload(Workload):
         else:
             probes.append(OutputEqualityProbe(self.reference_outputs()))
             probes.append(QuiescentOutputsProbe())
+            probes.append(MessageCountProbe(self.reference_messages()))
         return probes
 
 
 #: Tags registered in sequence by every node of a registration cell; two
-#: rounds so round 2 *reuses* pooled slots recycled by round 1.
+#: rounds so round 2 re-creates the stages round 1 retired.
 _REG_TAGS: Tuple[int, ...] = (1, 2)
 
 
@@ -177,10 +189,10 @@ class RegWorkload(Workload):
     """Registration waves alone: every node runs register → deregister
     cycles over the graph's BFS cluster tree, one tag after another.
 
-    This is the cell family where the pool-hygiene and single-completion
-    probes are not vacuous: stages complete, recycle, and are reused —
+    This is the cell family where the stage-taint and single-completion
+    probes are not vacuous: stages complete, retire, and are re-created —
     and in crash cells the controller can land the crash mid-wave, which
-    is exactly when ``prune_child`` must poison the touched slots.  The
+    is exactly when ``prune_child`` must poison the touched stages.  The
     seeded skip-poisoning mutant is caught here.  ``module_cls`` lets the
     mutant tests substitute their mutated :class:`RegistrationModule`.
     """
@@ -203,7 +215,7 @@ class RegWorkload(Workload):
     def probes(self) -> List[Probe]:
         probes: List[Probe] = [RegistrationProbe()]
         if self.crashable:
-            probes.append(PoolTaintProbe())
+            probes.append(StageTaintProbe())
         else:
             done = ("reg-done", len(_REG_TAGS))
             probes.append(OutputEqualityProbe(

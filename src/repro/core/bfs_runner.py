@@ -97,10 +97,6 @@ class ThresholdedBFSProcess(Process):
     sources: FrozenSet[NodeId]
     threshold: int
 
-    #: Recycle registration stage slots (DESIGN.md §10).  Subclasses (or
-    #: the byte-identity A/B tests) set False to force fresh allocation.
-    pool: bool = True
-
     #: Opcode range of the core's dispatch tuple (0..OP_GA): the transport
     #: validates the table against this at wiring time.
     NUM_OPCODES = OP_GA + 1
@@ -143,7 +139,6 @@ class ThresholdedBFSProcess(Process):
             # node-id sends (the identity link map).
             links=getattr(ctx, "links", None),
             send_link=getattr(ctx, "send_link", None),
-            pool=self.pool,
         )
         # Shadow the class method: the transport calls the node engine
         # directly (one frame less per delivered message), and the opcode

@@ -293,7 +293,7 @@ class FullBFSProcess(Process):
             registry=self.registry,
             is_source=ctx.node_id in self.sources,
             max_iterations=self.max_iterations,
-            send=lambda to, payload, priority: ctx.send(to, payload, priority),
+            send=ctx.send,
             on_output=lambda dist, parent: ctx.set_output(
                 (dist if dist is not None else UNREACHED, parent)
             ),

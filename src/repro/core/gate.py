@@ -120,7 +120,6 @@ class PulseGate:
         send,  # (to, payload, priority) -> None
         links=None,  # neighbor -> dense link id (ProcessContext.links)
         send_link=None,  # (link_id, payload, priority) -> None
-        pool: bool = True,  # recycle registration stage slots (DESIGN.md §10)
         recovery: bool = False,
     ) -> None:
         links, send_link = resolve_link_pair(
@@ -142,7 +141,6 @@ class PulseGate:
             priority_fn=_reg_stage,
             links=links,
             send_link=send_link,
-            pool=pool,
         )
         self.agg = ClusterAggregateModule(
             node_id=node_id,
@@ -349,9 +347,9 @@ class PulseGate:
         the readmission address it in its original deterministic position.
         Nothing is rewound — execution state that already re-closed its
         waits over the survivors stays closed (the fresh incarnation never
-        answers for pulses it did not witness), and poisoned pooled slots
-        stay poisoned.  Idempotent per neighbor; a no-op for a neighbor
-        that was never pruned.
+        answers for pulses it did not witness), and poisoned registration
+        stages stay poisoned, so they are never retired.  Idempotent per
+        neighbor; a no-op for a neighbor that was never pruned.
         """
         self._require_recovery("readmit_neighbor")
         if returned not in self._pruned:

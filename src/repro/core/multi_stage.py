@@ -115,7 +115,7 @@ class MultiStageBFSProcess(Process):
             stage_threshold=self.stage_threshold,
             num_stages=self.num_stages,
             is_original_source=ctx.node_id in self.sources,
-            send=lambda to, payload, priority: ctx.send(to, payload, priority),
+            send=ctx.send,
             on_final=self._on_final,
         )
 

@@ -140,10 +140,9 @@ def unpack_key(key: Key) -> Tuple[int, Tag]:
 class _StageState:
     """Per-(cluster, tag) registration state at one node.
 
-    Plain slots, and *pooled* (DESIGN.md §10): the synchronizer stack burns
-    about one stage per six messages, so terminal-clean stages are recycled
-    through the module's free list and :meth:`reuse` resets a slot in place
-    — the child-mark dict and invoker list are cleared, not reallocated.
+    Plain slots, one lifecycle: a stage is created on first touch, run,
+    and retired (dropped from the module's stage dict) once terminal-clean
+    (DESIGN.md §10).
     """
 
     __slots__ = ("key", "cluster_id", "tag", "view", "state", "finished",
@@ -154,24 +153,6 @@ class _StageState:
     def __init__(self, key: Key, cluster_id: int, tag: Tag,
                  view: "ClusterView", finished: bool, priority: Any,
                  parent_link: Optional[int]) -> None:
-        # Only the two containers are created here; every scalar field is
-        # set by reuse(), so the field list exists exactly once and a slot
-        # added to one path cannot silently go stale on the other.
-        self.child_marks: Dict[NodeId, str] = {}
-        # Children owed an R confirmation, stored as resolved link ids (they
-        # are only ever used to emit).
-        self.pending_child_invokers: List[int] = []
-        self.reuse(key, cluster_id, tag, view, finished, priority, parent_link)
-
-    def reuse(self, key: Key, cluster_id: int, tag: Tag,
-              view: "ClusterView", finished: bool, priority: Any,
-              parent_link: Optional[int]) -> None:
-        """Reset a (recycled or brand-new) slot for a new (cluster, tag).
-
-        A slot only reaches the free list in the terminal-clean state (all
-        marks CLEAN, nothing in flight), which is behaviorally identical to
-        a fresh stage; this reset makes it *literally* fresh.
-        """
         # The identity travels with the stage so emits reuse the packed
         # wire key and callbacks never decode.
         self.key = key
@@ -181,22 +162,24 @@ class _StageState:
         self.state = NONE
         self.finished = finished
         self.parent_mark = CLEAN
-        self.child_marks.clear()
+        self.child_marks: Dict[NodeId, str] = {}
         # Counts of DIRTY / WAITING entries in child_marks, maintained
         # incrementally so the wave handlers need no per-call scan of the
-        # marks (and the pool's completion test is a pair of int loads).
+        # marks (and the retirement test is a pair of int loads).
         self.dirty_children = 0
         self.waiting_children = 0
         self.r_in_flight = False
-        self.pending_child_invokers.clear()
+        # Children owed an R confirmation, stored as resolved link ids (they
+        # are only ever used to emit).
+        self.pending_child_invokers: List[int] = []
         self.local_pending = False
         # The stage's link priority and parent link id, resolved once at
         # creation so emits skip the per-tag / per-destination dict probes.
         self.priority = priority
         self.parent_link = parent_link
         # Set by prune_child when a node crash touched this stage: a
-        # poisoned slot's counters no longer tell the full wave story, so
-        # it must never reach the free list looking terminal-clean.
+        # poisoned stage's counters no longer tell the full wave story, so
+        # it must never be retired as if it were terminal-clean.
         self.poisoned = False
 
 
@@ -242,7 +225,6 @@ class RegistrationModule:
         priority_fn: Callable[[Tag], Any],
         links: Optional[Mapping[NodeId, int]] = None,
         send_link: Optional[Callable[[int, Tuple, Any], None]] = None,
-        pool: bool = True,
     ) -> None:
         """``links``/``send_link`` wire the module onto the transport's
         dense link table (``ProcessContext.links`` / ``.send_link``): stages
@@ -251,19 +233,14 @@ class RegistrationModule:
         tagging, standalone tests) omit them and keep node-id sends —
         supplying exactly one half warns (see :func:`resolve_link_pair`).
 
-        ``pool`` (default on) recycles completed stage slots through a free
-        list (DESIGN.md §10).  A stage is recycled only once it is
-        *terminal-clean* — every edge mark CLEAN, no wave in flight, this
-        node's own register/deregister cycle over — where its observable
-        behavior is identical to a fresh stage's, so schedules are
-        byte-identical either way (pinned by the equivalence suites and the
-        pooled-vs-fresh property tests).  Two things do become invisible
-        once a stage completes and its slot is recycled: :meth:`state_of`
-        reports ``NONE`` instead of ``FREE``, and the exactly-once
-        :meth:`register` contract is only checkable while the stage is
-        live (a contract-violating re-register after completion builds a
-        fresh stage instead of raising).  Pass ``pool=False`` to retain
-        every stage for inspection and full contract checking.
+        A stage is retired once it is *terminal-clean* — every edge mark
+        CLEAN, no wave in flight, this node's own register/deregister
+        cycle over — so live state stays bounded by the stages in flight
+        (DESIGN.md §10).  Two things become invisible once a stage
+        retires: :meth:`state_of` reports ``NONE`` instead of ``FREE``,
+        and the exactly-once :meth:`register` contract is only checkable
+        while the stage is live (a contract-violating re-register after
+        completion builds a fresh stage instead of raising).
         """
         self.node_id = node_id
         self.clusters = clusters
@@ -278,8 +255,6 @@ class RegistrationModule:
         self.on_go_ahead = on_go_ahead
         self.priority_fn = priority_fn
         self._stages: Dict[Key, _StageState] = {}
-        self._pool = pool
-        self._free: List[_StageState] = []
         self.messages_sent = 0
 
     # ------------------------------------------------------------------
@@ -295,17 +270,10 @@ class RegistrationModule:
             )
         parent = view.parent
         parent_link = None if parent is None else self._links[parent]
-        free = self._free
-        if free:
-            # Pool hit: reset a terminal-clean slot in place (§10).
-            stage = free.pop()
-            stage.reuse(key, cluster_id, tag, view, parent is None,
-                        self.priority_fn(tag), parent_link)
-        else:
-            stage = _StageState(
-                key, cluster_id, tag, view, parent is None,
-                self.priority_fn(tag), parent_link,
-            )
+        stage = _StageState(
+            key, cluster_id, tag, view, parent is None,
+            self.priority_fn(tag), parent_link,
+        )
         self._stages[key] = stage
         return stage
 
@@ -351,9 +319,8 @@ class RegistrationModule:
     def state_of(self, cluster_id: int, tag: Tag) -> str:
         """This node's lifecycle state for one stage.
 
-        With pooling (the default), a completed stage's slot is recycled,
-        so this reports ``NONE`` rather than ``FREE`` once the stage is
-        terminal-clean; construct with ``pool=False`` to retain slots.
+        A completed stage is retired once terminal-clean, so this reports
+        ``NONE`` rather than ``FREE`` after completion.
         """
         stage = self._stages.get(pack_key(cluster_id, tag))
         return NONE if stage is None else stage.state
@@ -510,14 +477,13 @@ class RegistrationModule:
         # Terminal-clean: every mark CLEAN, no wave in flight, and this
         # node's own register/deregister cycle over (state NONE for pure
         # relays, FREE after a Go-Ahead).  Nothing the stage can still
-        # receive distinguishes it from a fresh slot, so recycle it — the
-        # next stage at this node resets it in place instead of allocating.
-        if (self._pool and not stage.dirty_children
+        # receive distinguishes it from a fresh one, so retire it — a later
+        # message for this key builds a new stage.
+        if (not stage.dirty_children
                 and stage.parent_mark == CLEAN and not stage.r_in_flight
                 and not stage.local_pending and not stage.poisoned
                 and (stage.state is NONE or stage.state is FREE)):
             del self._stages[stage.key]
-            self._free.append(stage)
 
     # ------------------------------------------------------------------
     # recovery (DESIGN.md §11)
@@ -532,9 +498,9 @@ class RegistrationModule:
         child was holding up is re-driven — a root stage re-checks
         Go-Ahead, a relay stage re-runs ``D``.  Stages whose *parent* is
         the corpse are orphans: they can never complete and are only
-        poisoned (satellite: a crash during a pooled slot's lifetime must
-        never return a live-looking slot to the free list — every stage a
-        crash touched is marked ``poisoned`` and excluded from recycling).
+        poisoned.  Every stage a crash touched is marked ``poisoned`` and
+        never retired: its counters no longer tell the full wave story,
+        so it stays in the stage dict for inspection.
 
         Cluster views are pruned copy-on-write: the view dicts may be
         shared with sibling modules on this node and cached across sweep
@@ -591,9 +557,9 @@ class RegistrationModule:
         they carry re-closed over the survivors when the crash was
         detected, and un-closing them would make a barrier wait on a
         contribution the fresh incarnation (which starts with blank
-        protocol state) never sends.  Poisoned slots stay poisoned — the
-        crash happened; readmission does not launder the slot back into
-        the free list.  Idempotent per neighbor.
+        protocol state) never sends.  Poisoned stages stay poisoned — the
+        crash happened; readmission does not make them retirable.
+        Idempotent per neighbor.
         """
         pristine = self._pristine_clusters
         clusters = dict(self.clusters)

@@ -137,14 +137,13 @@ class SynchronizerNode(PulseGate):
         set_output,  # (value) -> None
         links=None,  # neighbor -> dense link id (ProcessContext.links)
         send_link=None,  # (link_id, payload, priority) -> None
-        pool: bool = True,  # recycle registration stage slots (DESIGN.md §10)
         recovery: bool = False,  # track ack/answer identities for pruning
     ) -> None:
         if max_pulse < 1 or max_pulse & (max_pulse - 1):
             raise ValueError("max_pulse must be a power of two")
         super().__init__(
             node_id, registry, max_pulse, self.cover_levels(registry), send,
-            links, send_link, pool, recovery,
+            links, send_link, recovery,
         )
         self.info = info
         self.program = program_factory(info)
@@ -534,10 +533,6 @@ class SynchronizerProcess(Process):
     #: the transport validates the table against this at wiring time.
     NUM_OPCODES = OP_VRELEASE + 1
 
-    #: Recycle registration stage slots (DESIGN.md §10).  Subclasses (or
-    #: the byte-identity A/B tests) set False to force fresh allocation.
-    pool: bool = True
-
     #: Track ack/answer identities for churn pruning (DESIGN.md §11).  The
     #: recovery subclass in :mod:`repro.core.recovery` sets True; the
     #: fault-free schedule is unchanged either way.
@@ -586,7 +581,6 @@ class SynchronizerProcess(Process):
             # node-id sends (the identity link map).
             links=getattr(ctx, "links", None),
             send_link=getattr(ctx, "send_link", None),
-            pool=self.pool,
             recovery=self.recovery,
         )
         # Instance-level binds shadow the class methods below so the

@@ -84,7 +84,6 @@ class ThresholdedBFSCore(PulseGate, Vertex):
         on_complete: Callable[[Optional[int]], None],
         links=None,  # neighbor -> dense link id (ProcessContext.links)
         send_link=None,  # (link_id, payload, priority) -> None
-        pool: bool = True,  # recycle registration stage slots (DESIGN.md §10)
         recovery: bool = False,  # track join answers for churn pruning
     ) -> None:
         if threshold < 1 or threshold & (threshold - 1):
@@ -98,7 +97,7 @@ class ThresholdedBFSCore(PulseGate, Vertex):
             )
         super().__init__(
             node_id, registry, threshold, self.cover_levels(registry, threshold),
-            send, links, send_link, pool, recovery,
+            send, links, send_link, recovery,
         )
         self.neighbors = tuple(neighbors)
         self.threshold = threshold

@@ -17,8 +17,8 @@ against) at runtime, lifted to a static check that runs at commit time:
 * **DET003** — pooled-state reset completeness: a class with a
   ``reuse()``/``reset()`` method must reset every attribute its
   ``__init__`` assigns.  A field added to ``__init__`` but not to the reset
-  path silently leaks the previous occupant's state into the recycled slot
-  — exactly the poisoning bug class the PR 5/6 pools defend against.
+  path silently leaks the previous occupant's state into the recycled
+  object (today ``PulseApi.reset``, one api per node across pulses).
 * **DET004** — ``__slots__`` classes assigning undeclared attributes
   (silently impossible at runtime, so the assignment *raises* mid-protocol),
   and opcode dispatch tables (``on_message_table``/``_dispatch``) that

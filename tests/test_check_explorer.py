@@ -9,6 +9,7 @@ import pytest
 from repro.check import explore
 from repro.check.cli import main as check_main
 from repro.check.scheduler import ReplayMismatch
+from repro.check.state import canon
 from repro.check.trace import (
     canonical_bytes,
     load_trace,
@@ -19,6 +20,7 @@ from repro.check.trace import (
     trace_signature,
 )
 from repro.check.workloads import build_workload, expand_workloads
+from repro.core.registration import ClusterView, RegistrationModule
 from repro.net.async_runtime import AsyncRuntime, Process
 from repro.net.delays import ConstantDelay
 from repro.net.topology import path_graph
@@ -99,7 +101,7 @@ class TestExploration:
 #: of these counts.
 SCHEDULE_SPACE_PINS = (
     ("sync-bfs:cycle:3", None, (224, 619, 38, 279, 302, 38, 13378)),
-    ("reg:star:4:crash:1", None, (349, 980, 244, 643, 523, 26, 12369)),
+    ("reg:star:4:crash:1", None, (190, 507, 114, 377, 279, 26, 5707)),
     ("rejoin:cycle:4:crash:1", 100, (100, 319, 3, 137, 297, 88, 15314)),
     ("churn:cycle:5:crash:2", 100, (100, 373, 41, 214, 393, 112, 20918)),
 )
@@ -117,6 +119,38 @@ class TestScheduleSpacePins:
         assert (report.executions, report.states, report.pruned_executions,
                 report.sleep_pruned, report.races, report.max_depth,
                 report.steps_total) == expected
+
+
+class TestProbes:
+    def test_message_count_probe_fires_on_wrong_reference(self):
+        """Every fault-free interleaving sends the uncontrolled run's
+        messages; a reference one off is caught on the first execution."""
+        workload = build_workload("sync-bfs:cycle:3")
+        assert workload.reference_messages() == 38
+        workload.reference_messages = lambda: 37
+        report = explore(workload, budget=1)
+        assert report.violation == (
+            "message-count", "sent 38 messages, the uncontrolled run sent 37"
+        )
+
+    def test_retired_stage_leaves_no_fingerprint(self):
+        """A finished register/deregister cycle leaves a registration
+        module indistinguishable from a fresh one, so the state dedup
+        merges the two."""
+        def module():
+            return RegistrationModule(
+                node_id=0,
+                clusters={0: ClusterView(0, parent=None, children=())},
+                send=lambda *a: None,
+                on_registered=lambda *a: None,
+                on_go_ahead=lambda *a: None,
+                priority_fn=lambda tag: (0,),
+            )
+
+        used = module()
+        used.register(0, 1)
+        used.deregister(0, 1)
+        assert canon(used, {}) == canon(module(), {})
 
 
 class TestWorkloadSpecs:

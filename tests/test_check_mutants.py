@@ -9,9 +9,9 @@ Mutant 1 drops the recovery synchronizer's straggler guard: answers from
 a pruned (dead) child are no longer discarded, so a corpse-sent CHILD_ANS
 deferred across the down interval lands in a force-closed wave and trips
 the Lemma 5.1 oracle inside the core.  Mutant 2 skips crash poisoning in
-the registration pool: ``prune_child`` no longer marks crash-touched
-stages, so a torn slot recycles into the free list and the pool-hygiene
-probe catches the reuse.  Mutant 3 drops the readmission on
+the registration module: ``prune_child`` no longer marks crash-touched
+stages, so a torn stage is retired as if terminal-clean and the
+stage-taint probe catches the retirement.  Mutant 3 drops the readmission on
 ``on_neighbor_alive``: a re-joined neighbor stays pruned forever, and the
 rejoin-consistency probe catches the stale prune on every interleaving
 where a detect fired before the rejoin (DESIGN.md §15).
@@ -157,8 +157,8 @@ def test_checker_finds_poisoning_mutant(poisoning_mutant):
         f"skip-poisoning mutant survived {report.executions} executions"
     )
     probe, message = report.violation
-    assert probe == "pool-hygiene"
-    assert "free pool" in message
+    assert probe == "stage-taint"
+    assert "retired crash-touched stage" in message
     assert report.violation_choices
 
 

@@ -266,3 +266,33 @@ class TestLinkPairResolution:
         self._make()
         self._make(links={0: 0}, send_link=lambda *a: None)
         assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
+
+def test_readmit_does_not_resurrect_evicted_flow_reports():
+    """Re-join hygiene (DESIGN.md §15): a barrier that re-closed over the
+    survivors when the crash was detected must not accept the returned
+    incarnation's late convergecast value after readmission — the evicted
+    flow report stays evicted, the result already reported stands, and
+    the child participates again only from the next instance onward."""
+    results = []
+    view = {0: ClusterView(0, parent=None, children=(1,))}
+    module = ClusterAggregateModule(
+        0, view, lambda *a: None,
+        lambda cid, tag, result: results.append((cid, tag, result)),
+        lambda tag: min_merge, lambda tag: (0,),
+    )
+    module.contribute(0, 1, 5)     # the root waits on child 1
+    assert results == []
+    module.prune_child(1)          # crash detected: the barrier re-closes
+    assert results == [(0, 1, 5)]  # corpse contributes the identity
+    key = next(iter(module._instances))
+    module.readmit_child(1)
+    assert module.clusters[0].children == (1,)  # topology restored...
+    module.handle_up(1, (0, key, 0))            # OP_AGG_UP, late report
+    assert results == [(0, 1, 5)]  # ...but the stale word is dropped
+    # The readmitted child is addressed again by the *next* instance.
+    module.contribute(0, 2, 9)
+    assert results == [(0, 1, 5)]  # waiting on child 1's fresh value
+    key2 = next(k for k, inst in module._instances.items() if inst.tag == 2)
+    module.handle_up(1, (0, key2, 3))
+    assert results == [(0, 1, 5), (0, 2, 3)]

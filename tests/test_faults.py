@@ -4,9 +4,9 @@ Covers, per fault kind, the exact transport semantics the equivalence
 property pins statistically: down intervals defer (never lose), crashed
 receivers jam the link until an explicit ``reset_link``, per-link drops are
 receiver-side losses with a link-layer acknowledgment.  Plus the draw-time
-delay validation (:class:`InvalidDelayError`), the pooled-stage poison
-regression, schedule validation, sweep-replay byte-identity, and the sync
-engine's round-granular fault mode.
+delay validation (:class:`InvalidDelayError`), the registration-stage
+poison regression, schedule validation, sweep-replay byte-identity, and
+the sync engine's round-granular fault mode.
 """
 
 from math import inf, nan
@@ -783,7 +783,7 @@ def test_invalid_delay_error_is_value_error():
 
 
 # ----------------------------------------------------------------------
-# pooled-stage poison regression (satellite 2)
+# registration-stage poison regression
 # ----------------------------------------------------------------------
 class TestStagePoisoning:
     def _module(self, children, events):
@@ -805,7 +805,7 @@ class TestStagePoisoning:
         module.register(0, TAG)
         module.deregister(0, TAG)
         assert ("go", 0, TAG) in events
-        assert len(module._free) == 1
+        assert module._stages == {}
 
     def test_crash_during_stage_poisons_slot(self):
         events = []
@@ -813,13 +813,13 @@ class TestStagePoisoning:
         module.register(0, TAG)
         stage = next(iter(module._stages.values()))
         # The only child crashes mid-wave: the stage completes over the
-        # survivors but its slot must never reach the free list.
+        # survivors but must never be retired.
         module.prune_child(1)
         assert stage.poisoned
         assert ("registered", 0, TAG) in events
         module.deregister(0, TAG)
         assert ("go", 0, TAG) in events
-        assert module._free == []
+        assert stage in module._stages.values()
 
     def test_poisoned_slot_never_reused(self):
         events = []
@@ -828,7 +828,7 @@ class TestStagePoisoning:
         stage = next(iter(module._stages.values()))
         module.prune_child(1)
         module.deregister(0, TAG)
-        # A later stage allocates fresh: it must not be the poisoned slot.
+        # A later stage allocates fresh: it must not be the poisoned stage.
         module.register(0, TAG + 1)
         new_stage = module._stages.get((0 << 32) | (TAG + 1))
         assert new_stage is not None
@@ -837,8 +837,8 @@ class TestStagePoisoning:
     def test_poisoned_slot_stays_unpooled_after_readmit(self):
         """Re-join hygiene (DESIGN.md §15): readmission restores the
         pristine cluster view but is not absolution — a crash-touched
-        slot never reaches the free list, and the next stage allocates
-        fresh while addressing the returned child again."""
+        stage is never retired, and the next stage allocates fresh while
+        addressing the returned child again."""
         events = []
         module = self._module((1,), events)
         module.register(0, TAG)
@@ -849,7 +849,7 @@ class TestStagePoisoning:
         assert stage.poisoned                         # stays poisoned
         assert module.clusters[0].children == (1,)    # pristine view back
         module.deregister(0, TAG)
-        assert module._free == []                     # never pooled
+        assert stage in module._stages.values()       # never retired
         module.register(0, TAG + 1)
         new_stage = module._stages.get((0 << 32) | (TAG + 1))
         assert new_stage is not None and new_stage is not stage
@@ -876,7 +876,7 @@ class TestStagePoisoning:
         stage = next(iter(module._stages.values()))
         module.prune_child(1)  # the parent died: the stage is orphaned
         assert stage.poisoned
-        assert module._free == []
+        assert stage in module._stages.values()
 
 
 # ----------------------------------------------------------------------

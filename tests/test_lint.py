@@ -4,9 +4,9 @@ Every rule DET001-DET005 is exercised in both directions — a fixture file
 of true positives that must all be flagged, and a fixture of true
 negatives (sorted wrapping, sanctioned modules, order-insensitive
 consumers, complete resets) that must pass silently.  On top of the
-fixtures: the real pooled class (`_StageState`) is re-checked with a
+fixtures: the real recycled class (`PulseApi`) is re-checked with a
 deliberately-injected missing-reset field to prove
-DET003 guards the actual PR 5/6 bug class, the repo itself must lint
+DET003 guards a class the tree actually recycles, the repo itself must lint
 clean via the same entry point CI runs, and the ``--json`` output must be
 byte-identical across runs (the linter's own determinism contract).
 """
@@ -20,7 +20,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import check_file, check_module, discover_files, module_name_for, run
+from repro.lint import (
+    apply_suppressions,
+    check_file,
+    check_module,
+    discover_files,
+    module_name_for,
+    run,
+    scan_directives,
+)
 from repro.lint.cli import main
 from repro.lint.rules import RULES, UNSUPPRESSIBLE
 
@@ -101,7 +109,7 @@ def test_det002_sanctioned_module_passes():
 
 
 # ----------------------------------------------------------------------
-# DET003 — pooled-state reset completeness
+# DET003 — recycled-state reset completeness
 # ----------------------------------------------------------------------
 def test_det003_positive_fixture():
     findings, _ = lint_fixture("det003_positive.py")
@@ -117,8 +125,8 @@ def test_det003_negative_fixture():
 
 
 def test_real_pooled_classes_are_reset_complete():
-    """The live pool must stay clean — this is the shipped audit result."""
-    findings, _ = check_file(str(SRC / "repro" / "core" / "registration.py"))
+    """The recycled classes must stay clean — the shipped audit result."""
+    findings, _ = check_file(str(SRC / "repro" / "net" / "program.py"))
     assert findings == [], [f.render() for f in findings]
 
 
@@ -126,20 +134,26 @@ def test_real_pooled_classes_are_reset_complete():
     "module, anchor, classname",
     [
         (
-            "registration",
-            "        self.child_marks: Dict[NodeId, str] = {}\n",
-            "_StageState",
+            "repro.net.program",
+            "        self._output: Any = None\n",
+            "PulseApi",
         ),
     ],
+    ids=["PulseApi"],
 )
 def test_det003_would_catch_field_added_to_real_pool(module, anchor, classname):
-    """Inject the PR 5/6 regression into the REAL source: a field added to
-    ``__init__`` but not to ``reuse()`` must fire DET003 on today's code."""
-    path = SRC / "repro" / "core" / f"{module}.py"
+    """Inject the regression into the REAL source: a field added to
+    ``__init__`` but not to ``reset()`` must fire DET003 on today's code."""
+    path = SRC.joinpath(*module.split(".")).with_suffix(".py")
     source = path.read_text(encoding="utf-8")
     assert source.count(anchor) == 1
     broken = source.replace(anchor, anchor + "        self.sneaky_field = None\n")
-    findings = check_module(broken, str(path), f"repro.core.{module}")
+    # Suppressions apply as on the real tree (PulseApi keeps its node
+    # identity across resets under a justified DET003 suppression).
+    findings = apply_suppressions(
+        str(path), check_module(broken, str(path), module),
+        scan_directives(broken),
+    )
     det003 = [f for f in findings if f.code == "DET003"]
     assert len(det003) == 1
     assert "sneaky_field" in det003[0].message

@@ -11,11 +11,16 @@ import random
 
 import pytest
 
+from repro.apps.programs import bfs_spec, multi_bfs_spec
+from repro.core.bfs_runner import ThresholdedBFSProcess
 from repro.core.registration import (
+    FREE,
+    NONE,
     ClusterView,
     RegistrationModule,
     cluster_views_for,
 )
+from repro.core.synchronizer import SynchronizerProcess
 from repro.covers import bfs_cluster_tree
 from repro.net import (
     AsyncRuntime,
@@ -268,6 +273,54 @@ class TestApiErrors:
         assert ("registered", 0, TAG) in events
         assert ("go", 0, TAG) in events
         assert not [e for e in events if e[0] == "send"]
+
+
+class TestStageRetirement:
+    """A stage lives from its first touch until it is terminal-clean, then
+    leaves the module (DESIGN.md §10)."""
+
+    def test_finished_stage_reads_none(self):
+        seen = []
+        view = {0: ClusterView(cluster_id=0, parent=None, children=())}
+        module = RegistrationModule(
+            node_id=0,
+            clusters=view,
+            send=lambda *a: None,
+            on_registered=lambda *a: None,
+            on_go_ahead=lambda c, t: seen.append(module.state_of(c, t)),
+            priority_fn=lambda tag: tag,
+        )
+        module.register(0, TAG)
+        module.deregister(0, TAG)
+        assert seen == [FREE]  # live through its own Go-Ahead...
+        assert module.state_of(0, TAG) == NONE  # ...then retired
+        assert module._stages == {}
+
+    @pytest.mark.parametrize("graph", [
+        topology.cycle_graph(32), topology.grid_graph(6, 6),
+    ], ids=["cycle32", "grid6x6"])
+    @pytest.mark.parametrize("spec", [bfs_spec(0), multi_bfs_spec(3)],
+                             ids=["bfs", "multi_bfs3"])
+    def test_synchronized_runs_retire_every_stage(self, graph, spec):
+        process_cls = SynchronizerProcess.bind(graph, spec)
+        for model in standard_adversaries(seed=5)[:3]:
+            runtime = AsyncRuntime(graph, process_cls, model)
+            assert runtime.run().stop_reason == "quiescent"
+            regs = [p.node.reg for p in runtime.processes.values()]
+            assert sum(reg.messages_sent for reg in regs) > 0
+            assert not any(reg._stages for reg in regs)
+
+    @pytest.mark.parametrize("graph", [
+        topology.cycle_graph(64), topology.grid_graph(8, 8),
+    ], ids=["cycle64", "grid8x8"])
+    def test_thresholded_bfs_runs_retire_every_stage(self, graph):
+        process_cls = ThresholdedBFSProcess.bind(graph, 0, 16)
+        for model in standard_adversaries(seed=5)[:4]:
+            runtime = AsyncRuntime(graph, process_cls, model)
+            assert runtime.run().stop_reason == "quiescent"
+            regs = [p.core.reg for p in runtime.processes.values()]
+            assert sum(reg.messages_sent for reg in regs) > 0
+            assert not any(reg._stages for reg in regs)
 
 
 class TestLinkPairResolution:
