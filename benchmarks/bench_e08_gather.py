@@ -27,7 +27,7 @@ def _run_gather(graph, cover, stages):
             self.module = GatherModule(
                 node_id=ctx.node_id,
                 cover=cover,
-                send=lambda to, payload, priority: ctx.send(to, payload, priority),
+                send=ctx.send,
                 on_complete=lambda stage: completions.__setitem__(
                     (ctx.node_id, stage), ctx.now
                 ),

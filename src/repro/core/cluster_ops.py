@@ -53,13 +53,19 @@ MergeFn = Callable[[Any, Any], Any]
 #: the merge functions having to know about crashes.
 _PRUNED = object()
 
+#: Tombstone that replaces a finished instance in ``_instances``: the
+#: instance's state is dropped, but its key stays so a second
+#: contribution, a stray convergecast value or a second broadcast for it
+#: still raises (DESIGN.md §10).
+_RETIRED = object()
+
 
 class _InstanceState:
     """Per-(cluster, tag) aggregation state at one node (plain slots)."""
 
     __slots__ = ("key", "cluster_id", "tag", "view", "contributed", "value",
-                 "child_values", "missing", "sent_up", "result", "done",
-                 "priority", "parent_link", "children_links")
+                 "child_values", "missing", "sent_up", "priority",
+                 "parent_link", "children_links")
 
     def __init__(self, key: Key, cluster_id: int, tag: Tag,
                  view: "ClusterView", priority: Any,
@@ -78,8 +84,6 @@ class _InstanceState:
         children = view.children
         self.missing = len(children)
         self.sent_up = False
-        self.result: Any = None
-        self.done = False
         # The instance's link priority and tree destinations, resolved once
         # at creation so emits skip the per-tag / per-destination probes.
         self.priority = priority
@@ -101,7 +105,9 @@ class ClusterAggregateModule:
     call :meth:`contribute` exactly once per instance on every tree node of
     the cluster; ``merge_fn(tag)`` and ``priority_fn(tag)`` must be pure and
     identical across nodes.  ``on_result(cluster_id, tag, result)`` fires on
-    every tree node once the broadcast reaches it.
+    every tree node once the broadcast reaches it.  The node then retires
+    the instance: its state is dropped for the :data:`_RETIRED` tombstone,
+    and any later contribution or message for it raises (DESIGN.md §10).
     """
 
     def __init__(
@@ -134,7 +140,9 @@ class ClusterAggregateModule:
         self.on_result = on_result
         self.merge_fn = merge_fn
         self.priority_fn = priority_fn
-        self._instances: Dict[Key, _InstanceState] = {}
+        # Live instances, and the :data:`_RETIRED` tombstone of each
+        # finished one.
+        self._instances: Dict[Key, Any] = {}
         self._merges: Dict[Tag, MergeFn] = {}
         self.messages_sent = 0
 
@@ -150,12 +158,12 @@ class ClusterAggregateModule:
         self._instances[key] = instance
         return instance
 
-    def _instance(self, cluster_id: int, tag: Tag) -> _InstanceState:
-        key = pack_key(cluster_id, tag)
-        instance = self._instances.get(key)
-        if instance is None:
-            instance = self._make_instance(key, cluster_id, tag)
-        return instance
+    def _finished_error(self, key: Key, what: str) -> ValueError:
+        cluster_id, tag = unpack_key(key)
+        return ValueError(
+            f"node {self.node_id} got {what} for finished instance"
+            f" {cluster_id}/{tag}"
+        )
 
     def _instance_from_wire(self, key: Key) -> _InstanceState:
         """Handler miss path: first message of an instance at this node."""
@@ -165,20 +173,17 @@ class ClusterAggregateModule:
     # ------------------------------------------------------------------
     def contribute(self, cluster_id: int, tag: Tag, value: Any) -> None:
         """Provide this node's input to the instance (exactly once)."""
-        instance = self._instance(cluster_id, tag)
-        if instance.contributed:
+        key = pack_key(cluster_id, tag)
+        instance = self._instances.get(key)
+        if instance is None:
+            instance = self._make_instance(key, cluster_id, tag)
+        if instance is _RETIRED or instance.contributed:
             raise ValueError(
                 f"node {self.node_id} double-contributes to {cluster_id}/{tag}"
             )
         instance.contributed = True
         instance.value = value
         self._maybe_forward(instance)
-
-    def result_of(self, cluster_id: int, tag: Tag) -> Optional[Any]:
-        """Result of a completed instance, else ``None``."""
-        key = pack_key(cluster_id, tag)
-        instance = self._instances.get(key)
-        return instance.result if instance is not None and instance.done else None
 
     # ------------------------------------------------------------------
     def _maybe_forward(self, instance: _InstanceState) -> None:
@@ -213,8 +218,10 @@ class ClusterAggregateModule:
             )
 
     def _finish(self, instance: _InstanceState, result: Any) -> None:
-        instance.result = result
-        instance.done = True
+        # Retire the instance unless a pruned child's slot is still needed
+        # to drop that child's late value (DESIGN.md §15).
+        if _PRUNED not in instance.child_values.values():
+            self._instances[instance.key] = _RETIRED
         children_links = instance.children_links
         if children_links:
             priority = instance.priority
@@ -248,6 +255,8 @@ class ClusterAggregateModule:
         instance = self._instances.get(key)
         if instance is None:
             instance = self._instance_from_wire(key)
+        elif instance is _RETIRED:
+            raise self._finished_error(key, f"a convergecast value from {sender}")
         if instance.child_values.get(sender) is _PRUNED:
             # A re-joined child's late value: this barrier already re-closed
             # over the survivors when the crash was detected, so the fresh
@@ -297,7 +306,7 @@ class ClusterAggregateModule:
         if changed:
             self.clusters = clusters
         for instance in list(self._instances.values()):
-            if dead not in instance.view.children:
+            if instance is _RETIRED or dead not in instance.view.children:
                 continue
             if instance.children_links:
                 instance.children_links = tuple(
@@ -347,6 +356,8 @@ class ClusterAggregateModule:
         instance = self._instances.get(key)
         if instance is None:
             instance = self._instance_from_wire(key)
+        elif instance is _RETIRED:
+            raise self._finished_error(key, f"a broadcast result from {sender}")
         self._finish(instance, payload[2])
 
 

@@ -253,7 +253,7 @@ class UniformDelay:
     when the *pattern* of slow messages is what the experiment stresses.
     """
 
-    __slots__ = ("seed", "low", "high", "_span", "_seed64", "_links", "_blocks")
+    __slots__ = ("seed", "low", "high", "_span", "_seed64", "_links")
 
     def __init__(self, seed: int, low: float = _MIN_DELAY, high: float = TAU) -> None:
         if not 0 < low <= high <= TAU:
@@ -264,7 +264,6 @@ class UniformDelay:
         self._span = high - low
         self._seed64 = _model_seed("uniform", seed)
         self._links: Dict[Tuple[NodeId, NodeId], float] = {}
-        self._blocks: Dict[Tuple[NodeId, NodeId], object] = {}
 
     def __call__(self, u: NodeId, v: NodeId, seq: int, now: float) -> float:
         links = self._links
@@ -276,9 +275,6 @@ class UniformDelay:
         return self.low + self._span * ((base + seq * _WEYL) % 1.0)
 
     def block_stream(self, u: NodeId, v: NodeId):
-        fill = self._blocks.get((u, v))
-        if fill is not None:
-            return fill
         fwd = _link_base(self._seed64, u, v) * _INV_2_32
         rev = _link_base(self._seed64, v, u) * _INV_2_32
         low = self.low
@@ -295,13 +291,13 @@ class UniformDelay:
                 buf[i + 1] = low + span * ((rev - w) % 1.0)
                 i += 2
 
-        self._blocks[(u, v)] = fill
         return fill
 
     def __reduce__(self):
-        # The block closures memoized on the instance are pure functions
-        # of (seed, link) and don't pickle; a shipped model rebuilds from
-        # its constructor state and re-derives bit-equal fills on demand (shard workers rely on this — DESIGN.md §14).
+        # The per-link base cache is a pure function of (seed, link): a
+        # shipped model rebuilds from its constructor state and starts the
+        # cache cold, re-deriving bit-equal fills on demand (shard workers
+        # rely on this — DESIGN.md §14).
         return (UniformDelay, (self.seed, self.low, self.high))
 
     def __repr__(self) -> str:

@@ -43,33 +43,27 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol
 from ..gcpause import paused_gc
 
 
-#: Dead replay engines accumulate as uncollected cycle clusters while the
-#: sweep-wide pause holds; collect after this many replays so peak memory
-#: stays bounded for long delay-model families without giving up the
-#: per-event pause win (typical 5-model sweeps never trigger it).
-REPLAYS_PER_COLLECT = 8
-
-
 def run_models(run_one: Callable[[Any], Any],
                delay_models: Iterable[Any]) -> List[Any]:
     """Replay every model through ``run_one`` under one GC pause.
 
-    Each replay's dead engine is a cycle cluster refcounting cannot
-    reclaim; under one sweep-wide pause the clusters are collected together
-    instead of being rescanned generation by generation after every replay.
+    The pause keeps the collector from rescanning each replay's young
+    objects generation by generation.  Each replay's dead engine is a
+    cycle cluster refcounting cannot reclaim, so one young collection
+    (``gc.collect(0)``, which works while the collector is disabled)
+    frees it right after its replay: under the pause every object the
+    replay allocated is still in generation 0, and the sweep holds one
+    engine at a time (DESIGN.md §8).
 
     Shared by the transport- and protocol-level ``run_all`` methods and
     by :func:`run_serial` (over cell indices): results align with the
-    input order, and every :data:`REPLAYS_PER_COLLECT` replays the dead
-    engines are collected explicitly (``gc.collect`` works while the
-    collector is disabled).
+    input order.
     """
     with paused_gc():
         results: List[Any] = []
-        for i, model in enumerate(delay_models):
-            if i and i % REPLAYS_PER_COLLECT == 0:
-                gc.collect()
+        for model in delay_models:
             results.append(run_one(model))
+            gc.collect(0)
         return results
 
 
@@ -212,8 +206,8 @@ def run_serial(bundle: CellBundle) -> List[CellSummary]:
     """The untouched in-process loop: every cell, in order, one GC pause.
 
     Literally :func:`run_models` over the cell indices — sweep-wide
-    pause, explicit collect every :data:`REPLAYS_PER_COLLECT` replays — so ``jobs=1``
-    changes nothing about how serial sweeps have always run.
+    pause, one young collection after each replay — so ``jobs=1``
+    changes nothing about how serial sweeps run.
     """
     return run_models(bundle.run_cell, range(len(bundle)))
 

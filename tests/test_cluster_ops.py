@@ -4,9 +4,18 @@ import random
 
 import pytest
 
-from repro.core.cluster_ops import ClusterAggregateModule, and_merge, min_merge
+from repro.apps.programs import bfs_spec
+from repro.core import SynchronizerSweep
+from repro.core.cluster_ops import (
+    _RETIRED,
+    OP_AGG_DOWN,
+    OP_AGG_UP,
+    ClusterAggregateModule,
+    and_merge,
+    min_merge,
+)
 from repro.core.gather import GatherModule
-from repro.core.registration import ClusterView, cluster_views_for
+from repro.core.registration import ClusterView, cluster_views_for, pack_key
 from repro.covers import bfs_cluster_tree, build_ap_cover
 from repro.net import (
     AsyncRuntime,
@@ -28,7 +37,7 @@ def make_agg_driver(tree, values, on_results):
             self.module = ClusterAggregateModule(
                 node_id=ctx.node_id,
                 clusters=views,
-                send=lambda to, payload, priority: ctx.send(to, payload, priority),
+                send=ctx.send,
                 on_result=lambda cid, tag, result: on_results.append(
                     (self.ctx.now, ctx.node_id, result)
                 ),
@@ -97,31 +106,90 @@ class TestAggregate:
         with pytest.raises(ValueError, match="double-contributes"):
             module.contribute(0, "t", 2)
 
-    def test_result_of_only_after_completion_and_then_retained(self):
-        # The root of a two-node cluster has its own value but still misses
-        # its child's: no result yet.  A single-node cluster completes at
-        # once and keeps its result for later queries.
-        view = {
-            0: ClusterView(0, parent=None, children=(1,)),
-            1: ClusterView(1, parent=None, children=()),
-        }
-        module = ClusterAggregateModule(
-            0, view, lambda *a: None, lambda *a: None,
-            lambda tag: min_merge, lambda tag: (0,),
-        )
-        module.contribute(0, "t", 4)
-        assert module.result_of(0, "t") is None
-        module.contribute(1, "t", 9)
-        assert module.result_of(1, "t") == 9
-        assert module.result_of(1, "t") == 9
-        assert module.result_of(1, "other") is None
-
     def test_merges(self):
         assert and_merge(True, False) is False
         assert and_merge(True, True) is True
         assert min_merge(None, 3) == 3
         assert min_merge(2, None) == 2
         assert min_merge(5, 3) == 3
+
+
+class TestInstanceRetirement:
+    """A finished instance leaves only the shared tombstone behind, and
+    the tombstone still enforces exactly-once delivery (DESIGN.md §10)."""
+
+    def _module(self, views, results, sent):
+        return ClusterAggregateModule(
+            0, views,
+            lambda to, payload, priority: sent.append((to, payload)),
+            lambda cid, tag, result: results.append((cid, tag, result)),
+            lambda tag: min_merge, lambda tag: (0,),
+        )
+
+    def test_finished_instance_leaves_only_the_tombstone(self):
+        # The root of a two-node cluster has its own value but still misses
+        # its child's; a single-node cluster finishes at once.
+        results = []
+        module = self._module({
+            0: ClusterView(0, parent=None, children=(1,)),
+            1: ClusterView(1, parent=None, children=()),
+        }, results, [])
+        waiting, single = pack_key(0, "t"), pack_key(1, "t")
+        module.contribute(0, "t", 4)
+        module.contribute(1, "t", 9)
+        assert results == [(1, "t", 9)]
+        assert module._instances[single] is _RETIRED
+        assert module._instances[waiting] is not _RETIRED
+        module.handle_up(1, (OP_AGG_UP, waiting, 2))
+        assert results == [(1, "t", 9), (0, "t", 2)]
+        assert module._instances == {waiting: _RETIRED, single: _RETIRED}
+
+    def test_retired_instance_rejects_late_traffic(self):
+        # A relay between parent 9 and child 1: it forwards up, takes the
+        # broadcast, passes it down and retires.
+        results, sent = [], []
+        module = self._module(
+            {0: ClusterView(0, parent=9, children=(1,))}, results, sent)
+        key = pack_key(0, "t")
+        module.contribute(0, "t", 4)
+        module.handle_up(1, (OP_AGG_UP, key, 2))
+        module.handle_down(9, (OP_AGG_DOWN, key, 2))
+        assert sent == [(9, (OP_AGG_UP, key, 2)), (1, (OP_AGG_DOWN, key, 2))]
+        assert results == [(0, "t", 2)]
+        assert module._instances == {key: _RETIRED}
+        with pytest.raises(ValueError, match="double-contributes"):
+            module.contribute(0, "t", 5)
+        with pytest.raises(ValueError, match="convergecast value from 1"):
+            module.handle_up(1, (OP_AGG_UP, key, 2))
+        with pytest.raises(ValueError, match="broadcast result from 9"):
+            module.handle_down(9, (OP_AGG_DOWN, key, 2))
+        assert results == [(0, "t", 2)]  # on_result never fires twice
+        assert len(sent) == 2
+
+    def test_instance_with_pruned_child_is_kept(self):
+        # The late-value guard of DESIGN.md §15 needs the pruned slot.
+        results = []
+        module = self._module(
+            {0: ClusterView(0, parent=None, children=(1, 2))}, results, [])
+        key = pack_key(0, "t")
+        module.contribute(0, "t", 4)
+        module.handle_up(2, (OP_AGG_UP, key, 3))
+        module.prune_child(1)
+        assert results == [(0, "t", 3)]
+        assert module._instances[key] is not _RETIRED
+        module.handle_up(1, (OP_AGG_UP, key, 0))  # dropped, not raised
+        assert results == [(0, "t", 3)]
+
+    def test_synchronized_run_retires_every_instance(self):
+        graph = topology.cycle_graph(64)
+        sweep = SynchronizerSweep(graph, bfs_spec(0))
+        runtime = sweep._sweep.runtime(UniformDelay(seed=5))
+        assert runtime.run().stop_reason == "quiescent"
+        aggs = [p.node.agg for p in runtime.processes.values()]
+        assert sum(agg.messages_sent for agg in aggs) > 0
+        for agg in aggs:
+            assert agg._instances
+            assert all(inst is _RETIRED for inst in agg._instances.values())
 
 
 def make_gather_driver(cover, done_delays, completions, num_stages):
@@ -131,7 +199,7 @@ def make_gather_driver(cover, done_delays, completions, num_stages):
             self.module = GatherModule(
                 node_id=ctx.node_id,
                 cover=cover,
-                send=lambda to, payload, priority: ctx.send(to, payload, priority),
+                send=ctx.send,
                 on_complete=lambda stage: completions.append(
                     (self.ctx.now, ctx.node_id, stage)
                 ),

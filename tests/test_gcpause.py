@@ -9,7 +9,7 @@ import gc
 
 import pytest
 
-from repro.apps.programs import multi_bfs_spec
+from repro.apps.programs import bfs_spec, multi_bfs_spec
 from repro.core import (
     CoverRegistry,
     SynchronizerSweep,
@@ -20,7 +20,14 @@ from repro.core import (
 from repro.covers import build_ap_cover, build_layered_cover
 from repro.covers.cover import LayeredCover
 from repro.gcpause import paused_gc
-from repro.net import AsyncRuntime, FaultSchedule, UniformDelay, topology
+from repro.net import (
+    AsyncRuntime,
+    FaultSchedule,
+    UniformDelay,
+    standard_adversaries,
+    topology,
+)
+from repro.net.sweep import run_models
 from repro.check.control import ScheduleController
 
 
@@ -167,4 +174,28 @@ def test_paused_gc_nests_and_restores():
     with pytest.raises(RuntimeError):
         with paused_gc():
             raise RuntimeError("boom")
+    assert gc.isenabled()
+
+
+def _live_engines():
+    return sum(isinstance(obj, AsyncRuntime) for obj in gc.get_objects())
+
+
+def test_run_models_holds_one_engine_at_a_time():
+    """Each replay's dead engine is collected before the next replay starts
+    (DESIGN.md §8), and the collector is re-enabled afterwards."""
+    sweep = SynchronizerSweep(topology.cycle_graph(16), bfs_spec(0))
+    models = standard_adversaries(seed=3)[:4]
+    gc.collect()
+    before = _live_engines()
+    seen = []
+
+    def run_one(model):
+        seen.append(_live_engines())
+        return sweep.run(model)
+
+    results = run_models(run_one, models)
+    assert [r.stop_reason for r in results] == ["quiescent"] * len(models)
+    assert seen == [before] * len(models)
+    assert _live_engines() == before
     assert gc.isenabled()

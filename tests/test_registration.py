@@ -83,7 +83,7 @@ def make_driver(tree, script, timeline):
             self.module = RegistrationModule(
                 node_id=node,
                 clusters=views,
-                send=lambda to, payload, priority: ctx.send(to, payload, priority),
+                send=ctx.send,
                 on_registered=self._on_registered,
                 on_go_ahead=self._on_go_ahead,
                 priority_fn=lambda tag: (0,),
