@@ -25,6 +25,8 @@ from repro.net import (
     standard_adversaries,
     topology,
 )
+from repro.net.delays import BimodalDelay
+from repro.net.shard import digest_outputs
 
 
 def make_agg_driver(tree, values, on_results):
@@ -309,6 +311,47 @@ class TestGather:
         cover = build_ap_cover(g, 1)
         with pytest.raises(ValueError):
             GatherModule(0, cover, lambda *a: None, lambda s: None, num_stages=0)
+
+
+GATHER_PIN_GRAPHS = {
+    "grid5x5": lambda: topology.grid_graph(5, 5),
+    "cycle16": lambda: topology.cycle_graph(16),
+}
+GATHER_PIN_MODELS = (UniformDelay(seed=4), BimodalDelay(7))
+
+#: (graph, model index, num_stages) -> (messages, events_fired, digest of
+#: the (node, stage) -> completion-time map), over the d = 1 AP cover.
+GATHER_PINS = {
+    ('grid5x5', 0, 1): (82, 136, '178e6101ce2026dd'),
+    ('grid5x5', 0, 3): (246, 316, 'c7594b7196c7aa92'),
+    ('grid5x5', 1, 1): (82, 136, '094f5c002d822d3e'),
+    ('grid5x5', 1, 3): (246, 319, 'df810a4b2ffa2c93'),
+    ('cycle16', 0, 1): (48, 84, '9c061a2b1426b5f9'),
+    ('cycle16', 0, 3): (144, 203, 'b979cd1f65cf5d1b'),
+    ('cycle16', 1, 1): (48, 85, 'fc9538345f92105c'),
+    ('cycle16', 1, 3): (144, 207, '88eb4ce0d1c83fbc'),
+}
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(GATHER_PINS), ids=lambda c: "-".join(map(str, c)))
+def test_gather_schedule_pinned(cell):
+    """The gather driver's schedule, pinned: output checks would not notice
+    an aggregation message or event that moves."""
+    graph_name, model, stages = cell
+    g = GATHER_PIN_GRAPHS[graph_name]()
+    cover = build_ap_cover(g, 1)
+    rng = random.Random(3)
+    done_delays = {v: rng.uniform(0, 10) for v in g.nodes}
+    completions = []
+    out = AsyncRuntime(
+        g, make_gather_driver(cover, done_delays, completions, stages),
+        GATHER_PIN_MODELS[model],
+    ).run(max_events=1_000_000)
+    assert out.stop_reason == "quiescent"
+    got = (out.messages, out.events_fired,
+           digest_outputs({(v, s): t for t, v, s in completions}))
+    assert got == GATHER_PINS[cell]
 
 
 class TestLinkPairResolution:

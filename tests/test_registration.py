@@ -30,6 +30,8 @@ from repro.net import (
     standard_adversaries,
     topology,
 )
+from repro.net.delays import BimodalDelay
+from repro.net.shard import digest_outputs
 
 TAG = 1
 
@@ -177,6 +179,30 @@ def test_register_guarantees_many_schedules(seed):
         for u, u_registered in timeline.registered_at.items():
             if u_registered < v_dereg:
                 assert timeline.dereg_called_at[u] <= t_go
+
+
+PIN_MODELS = (UniformDelay(seed=4), BimodalDelay(7))
+
+#: (tree kind, model index) -> (messages, events_fired, output-time digest,
+#: output digest) of the scripted driver at script seed 11.
+PINNED = {
+    ('binary', 0): (47, 76, 'b7001ae98211d69f', '55d62310ba5158d1'),
+    ('binary', 1): (47, 76, 'e26ff1a5b95f48f0', '55d62310ba5158d1'),
+    ('random', 0): (43, 71, '5e6afb310498551e', '50ffa4372158c3e9'),
+    ('random', 1): (43, 71, 'a5c9b94324e176e2', '50ffa4372158c3e9'),
+}
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(PINNED), ids=lambda c: "-".join(map(str, c)))
+def test_schedule_pinned(cell):
+    """The standalone driver's schedule, pinned: the guarantee checks
+    above would not notice a registration message or event that moves."""
+    tree_kind, model = cell
+    _, _, result = run_scripted(tree_kind, 11, PIN_MODELS[model])
+    got = (result.messages, result.events_fired,
+           digest_outputs(result.output_time), digest_outputs(result.outputs))
+    assert got == PINNED[cell]
 
 
 class TestComplexity:

@@ -6,6 +6,8 @@ from repro.core.registration import RegistrationModule, cluster_views_for
 from repro.core.registration_naive import NaiveRegistrationModule
 from repro.covers import bfs_cluster_tree
 from repro.net import AsyncRuntime, ConstantDelay, Graph, Process, UniformDelay, topology
+from repro.net.delays import BimodalDelay
+from repro.net.shard import digest_outputs
 
 
 def broom(k):
@@ -88,6 +90,37 @@ class TestNaiveCorrectness:
         with pytest.raises(ValueError, match="before registration"):
             module.deregister(0, 2)
         assert module.handle(1, ("other",)) is False
+
+
+PIN_GRAPHS = {
+    "random12": lambda: (topology.random_tree(12, seed=0), range(1, 9)),
+    "broom8": lambda: (broom(8), range(2, 10)),
+}
+PIN_MODELS = (UniformDelay(seed=4), BimodalDelay(7))
+
+#: (graph, model index) -> (messages, events_fired, output-time digest,
+#: output digest) of the naive driver.
+PINNED = {
+    ('random12', 0): (56, 94, 'aa2a5b586e3b4e4e', '6daf8f1c83a53745'),
+    ('random12', 1): (56, 94, '828db7bbd9fd2035', '6daf8f1c83a53745'),
+    ('broom8', 0): (64, 107, '23cc335a79a6c0d5', '7ef7dff906533e63'),
+    ('broom8', 1): (64, 107, '4e0952c1efd9aca9', '7ef7dff906533e63'),
+}
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(PINNED), ids=lambda c: "-".join(map(str, c)))
+def test_schedule_pinned(cell):
+    """The naive driver's schedule, pinned: every registrant sits below
+    the root, so the Go-Aheads retrace recorded registration paths."""
+    graph_name, model = cell
+    g, registrants = PIN_GRAPHS[graph_name]()
+    tree = bfs_cluster_tree(g, 0, members=g.nodes, root=0)
+    *_, result = run(
+        NaiveRegistrationModule, g, tree, set(registrants), PIN_MODELS[model])
+    got = (result.messages, result.events_fired,
+           digest_outputs(result.output_time), digest_outputs(result.outputs))
+    assert got == PINNED[cell]
 
 
 class TestCongestionGap:
