@@ -20,7 +20,7 @@ from ..net.delays import DelayModel
 from ..net.graph import Graph, NodeId
 from ..net.program import ProgramSpec
 from ..core.cluster_ops import ClusterAggregateModule, and_merge
-from ..core.registration import ClusterView
+from ..core.registration import cluster_views_for
 from .common import BaselineProcess, BaselineSweep
 
 
@@ -52,17 +52,6 @@ class GammaStructure:
             self.preferred_of.setdefault(u, []).append(v)
             self.preferred_of.setdefault(v, []).append(u)
 
-    def views_of(self, node: NodeId) -> Dict[int, ClusterView]:
-        views = {}
-        for cid, tree in self.trees.items():
-            if node in tree.parent:
-                views[cid] = ClusterView(
-                    cluster_id=cid,
-                    parent=tree.parent[node],
-                    children=tree.children.get(node, ()),
-                )
-        return views
-
 
 class GammaProcess(BaselineProcess):
     """γ's rule: a ``gsafe`` barrier in the node's cluster, ``xsafe`` over
@@ -80,13 +69,13 @@ class GammaProcess(BaselineProcess):
         structure, node_id = self.structure, ctx.node_id
         self.my_cluster = structure.cluster_of[node_id]
         self.preferred = tuple(sorted(structure.preferred_of.get(node_id, ())))
-        self.views = structure.views_of(node_id)
+        self.views = cluster_views_for(structure.trees, node_id)
         self.agg = ClusterAggregateModule(
             node_id=node_id,
             clusters=self.views,
             send=ctx.send,
             on_result=self._on_result,
-            merge_fn=lambda tag: and_merge,
+            merge=and_merge,
             priority_fn=lambda tag: (tag[1],),
         )
         self.xsafe_got: Dict[int, Set[NodeId]] = {}

@@ -1,15 +1,21 @@
 """Convergecast/broadcast aggregation on cluster trees.
 
-One primitive covers several of the paper's building blocks:
+One primitive, a per-cluster barrier, serves four hosts:
 
-* information gathering in covers (Section 3.1, Theorems 3.1/3.2): aggregate
-  "everyone in this cluster is done with P" (boolean AND) and broadcast the
-  confirmation;
-* the multi-source registration base case (Section 4.2): convergecast "all
-  sources in the cluster have p-registered / p-deregistered", broadcast the
-  confirmation / the Go-Ahead;
-* leader election (Section 6): convergecast the minimum candidate identifier
-  per cluster and broadcast it.
+* the pulse gate's multi-source registration base case (Section 4.2,
+  :mod:`repro.core.gate`): convergecast "all sources in the cluster have
+  p-registered / p-deregistered", broadcast the confirmation / the
+  Go-Ahead;
+* information gathering in covers (Section 3.1, Theorems 3.1/3.2,
+  :mod:`repro.core.gather`): aggregate "everyone in this cluster is done
+  with P" and broadcast the confirmation;
+* the full BFS's per-iteration "is anyone still alive?" barrier on the top
+  cover level (:mod:`repro.core.full_bfs`);
+* γ's per-pulse cluster barriers (:mod:`repro.baselines.gamma`).
+
+All four merge with :func:`and_merge`.  Leader election (Section 6) runs its
+own minimum convergecast (:mod:`repro.apps.leader_election`), not this
+module.
 
 An *instance* is identified by ``(cluster_id, tag)``; on the wire the
 pair travels as the packed key of :func:`repro.core.registration.pack_key`
@@ -29,10 +35,10 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..net.graph import NodeId
 from .registration import (
+    ClusterTreeModule,
     ClusterView,
     Key,
     pack_key,
-    resolve_link_pair,
     unpack_key,
 )
 
@@ -42,8 +48,6 @@ from .registration import (
 #: :mod:`repro.core.registration`); hosts number their private kinds from 6.
 OP_AGG_UP = 0
 OP_AGG_DOWN = 1
-
-_AGG_OPS = (OP_AGG_UP, OP_AGG_DOWN)
 
 Tag = Any
 MergeFn = Callable[[Any, Any], Any]
@@ -96,18 +100,17 @@ class _InstanceState:
         )
 
 
-class ClusterAggregateModule:
+class ClusterAggregateModule(ClusterTreeModule):
     """Per-node engine for tree aggregation, multiplexed over (cluster, tag).
 
-    Host contract: route payloads whose first element is :data:`OP_AGG_UP` or
-    :data:`OP_AGG_DOWN` to :meth:`handle` (or, when the host dispatches on
-    opcodes itself, straight to :meth:`handle_up` / :meth:`handle_down`);
-    call :meth:`contribute` exactly once per instance on every tree node of
-    the cluster; ``merge_fn(tag)`` and ``priority_fn(tag)`` must be pure and
-    identical across nodes.  ``on_result(cluster_id, tag, result)`` fires on
-    every tree node once the broadcast reaches it.  The node then retires
-    the instance: its state is dropped for the :data:`_RETIRED` tombstone,
-    and any later contribution or message for it raises (DESIGN.md §10).
+    On top of the :class:`~repro.core.registration.ClusterTreeModule` host
+    contract: call :meth:`contribute` exactly once per instance on every
+    tree node of the cluster, and supply one ``merge(a, b)``, pure and
+    identical across nodes, that combines two values of any instance.
+    ``on_result(cluster_id, tag, result)`` fires on every tree node once
+    the broadcast reaches it.  The node then retires the instance: its
+    state is dropped for the :data:`_RETIRED` tombstone, and any later
+    contribution or message for it raises (DESIGN.md §10).
     """
 
     def __init__(
@@ -116,35 +119,17 @@ class ClusterAggregateModule:
         clusters: Dict[int, ClusterView],
         send: Callable[[NodeId, Tuple, Any], None],
         on_result: Callable[[int, Tag, Any], None],
-        merge_fn: Callable[[Tag], MergeFn],
+        merge: MergeFn,
         priority_fn: Callable[[Tag], Any],
         links: Optional[Mapping[NodeId, int]] = None,
         send_link: Optional[Callable[[int, Tuple, Any], None]] = None,
     ) -> None:
-        """``links``/``send_link`` wire the module onto the transport's
-        dense link table (``ProcessContext.links`` / ``.send_link``):
-        instances resolve their tree destinations to link ids once and
-        every emit takes the int-indexed fast path.  Hosts that wrap
-        ``send`` (payload tagging, standalone tests) omit them and keep
-        node-id sends — supplying exactly one half warns (see
-        :func:`~repro.core.registration.resolve_link_pair`).
-        """
-        self.node_id = node_id
-        self.clusters = clusters
-        # Never mutated (prunes are copy-on-write): the pristine topology a
-        # readmitted child is restored from (DESIGN.md §15).
-        self._pristine_clusters = clusters
-        self._links, self._send_link = resolve_link_pair(
-            "ClusterAggregateModule", send, links, send_link
-        )
+        super().__init__(node_id, clusters, send, priority_fn, links, send_link)
         self.on_result = on_result
-        self.merge_fn = merge_fn
-        self.priority_fn = priority_fn
+        self.merge = merge
         # Live instances, and the :data:`_RETIRED` tombstone of each
         # finished one.
         self._instances: Dict[Key, Any] = {}
-        self._merges: Dict[Tag, MergeFn] = {}
-        self.messages_sent = 0
 
     def _make_instance(self, key: Key, cluster_id: int, tag: Tag) -> _InstanceState:
         view = self.clusters.get(cluster_id)
@@ -195,12 +180,7 @@ class ClusterAggregateModule:
         combined = instance.value
         children = view.children
         if children:
-            # The merge closure is only looked up when there is something
-            # to merge — leaf instances (most of a tree) skip the probe.
-            tag = instance.tag
-            merge = self._merges.get(tag)
-            if merge is None:
-                merge = self._merges[tag] = self.merge_fn(tag)
+            merge = self.merge
             child_values = instance.child_values
             for child in children:
                 cv = child_values[child]
@@ -233,22 +213,6 @@ class ClusterAggregateModule:
         self.on_result(instance.cluster_id, instance.tag, result)
 
     # ------------------------------------------------------------------
-    def handle(self, sender: NodeId, payload: Tuple) -> bool:
-        """Process one aggregate message; returns False if not ours."""
-        if not (isinstance(payload, tuple) and payload and payload[0] in _AGG_OPS):
-            return False
-        self.handle_known(sender, payload)
-        return True
-
-    def handle_known(self, sender: NodeId, payload: Tuple) -> None:
-        """Like :meth:`handle` for hosts that already routed on the opcode."""
-        if payload[0] == OP_AGG_UP:
-            self.handle_up(sender, payload)
-        elif payload[0] == OP_AGG_DOWN:
-            self.handle_down(sender, payload)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown aggregate message kind {payload[0]!r}")
-
     def handle_up(self, sender: NodeId, payload: Tuple) -> None:
         """One convergecast value — ``(OP_AGG_UP, key, value)``."""
         key = payload[1]
@@ -277,6 +241,16 @@ class ClusterAggregateModule:
         instance.missing -= 1
         self._maybe_forward(instance)
 
+    def handle_down(self, sender: NodeId, payload: Tuple) -> None:
+        """The broadcast result — ``(OP_AGG_DOWN, key, result)``."""
+        key = payload[1]
+        instance = self._instances.get(key)
+        if instance is None:
+            instance = self._instance_from_wire(key)
+        elif instance is _RETIRED:
+            raise self._finished_error(key, f"a broadcast result from {sender}")
+        self._finish(instance, payload[2])
+
     # ------------------------------------------------------------------
     def prune_child(self, dead: NodeId) -> None:
         """Excise a crashed child from every cluster view and live instance.
@@ -288,23 +262,12 @@ class ClusterAggregateModule:
         immediately; the broadcast stops addressing the corpse.  A value
         the child delivered *before* crashing is kept (it was validly
         contributed).  Instances whose parent is the corpse are orphans and
-        simply stall.  Cluster views are pruned copy-on-write — the view
-        dicts may be shared with sibling modules and cached across sweep
-        replays.
+        simply stall.  After a readmission (:meth:`readmit_child`) the
+        returned child's late values for instances that re-closed without
+        it are dropped by the ``_PRUNED`` guard in :meth:`handle_up`.
         """
         dead_link = self._links[dead]
-        clusters = dict(self.clusters)
-        changed = False
-        for cid, view in clusters.items():
-            if dead in view.children:
-                clusters[cid] = ClusterView(
-                    cluster_id=cid,
-                    parent=view.parent,
-                    children=tuple(c for c in view.children if c != dead),
-                )
-                changed = True
-        if changed:
-            self.clusters = clusters
+        self._prune_views(dead)
         for instance in list(self._instances.values()):
             if instance is _RETIRED or dead not in instance.view.children:
                 continue
@@ -317,48 +280,7 @@ class ClusterAggregateModule:
                 instance.missing -= 1
                 self._maybe_forward(instance)
 
-    def readmit_child(self, returned: NodeId) -> None:
-        """Restore a re-joined child into the cluster views (DESIGN.md §15).
-
-        Topology-only inverse of :meth:`prune_child`, mirroring
-        :meth:`RegistrationModule.readmit_child
-        <repro.core.registration.RegistrationModule.readmit_child>`: the
-        child re-enters every pristine view in its original sibling
-        position, so instances created after the readmission address it
-        again.  Live instances keep their pruned closure — a barrier the
-        crash already re-closed must not start waiting on a contribution
-        the fresh (blank-state) incarnation never sends, and its late
-        values are dropped by the ``_PRUNED`` guard in :meth:`handle_up`.
-        Idempotent per neighbor.
-        """
-        pristine = self._pristine_clusters
-        clusters = dict(self.clusters)
-        changed = False
-        for cid, view in clusters.items():
-            pv = pristine.get(cid)
-            if (pv is None or returned not in pv.children
-                    or returned in view.children):
-                continue
-            keep = set(view.children)
-            keep.add(returned)
-            clusters[cid] = ClusterView(
-                cluster_id=cid,
-                parent=view.parent,
-                children=tuple(c for c in pv.children if c in keep),
-            )
-            changed = True
-        if changed:
-            self.clusters = clusters
-
-    def handle_down(self, sender: NodeId, payload: Tuple) -> None:
-        """The broadcast result — ``(OP_AGG_DOWN, key, result)``."""
-        key = payload[1]
-        instance = self._instances.get(key)
-        if instance is None:
-            instance = self._instance_from_wire(key)
-        elif instance is _RETIRED:
-            raise self._finished_error(key, f"a broadcast result from {sender}")
-        self._finish(instance, payload[2])
+    _dispatch = {OP_AGG_UP: handle_up, OP_AGG_DOWN: handle_down}
 
 
 def and_merge(a: Any, b: Any) -> Any:

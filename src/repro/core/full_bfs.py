@@ -37,7 +37,6 @@ from ..net.graph import Graph, NodeId
 from ..net.sweep import bound_process_class
 from .bfs_runner import BFSOutcome, BFSSweep, registry_for_threshold, source_set
 from .cluster_ops import ClusterAggregateModule, and_merge
-from .registration import ClusterView
 from .registry import CoverRegistry
 from .thresholded_bfs import UNREACHED, ThresholdedBFSCore
 
@@ -85,24 +84,14 @@ class FullBFSNode:
         # load the levels each reads now, so no run builds one.
         for i in range(max_iterations):
             registry.load(ThresholdedBFSCore.cover_levels(registry, 1 << i))
-        top_views = {}
-        top_level = registry.top_level
-        for cid in registry.clusters_at_level(top_level):
-            gc = registry.cluster(cid)
-            if node_id in gc.tree.parent:
-                top_views[cid] = ClusterView(
-                    cluster_id=cid,
-                    parent=gc.tree.parent[node_id],
-                    children=gc.tree.children.get(node_id, ()),
-                )
         self._alive_agg = ClusterAggregateModule(
             node_id=node_id,
-            clusters=top_views,
+            clusters=registry.views_of(node_id, (registry.top_level,)),
             send=lambda to, payload, priority: self._send(
                 to, ("fb_alive", payload), priority
             ),
             on_result=self._on_alive_result,
-            merge_fn=lambda tag: and_merge,
+            merge=and_merge,
             priority_fn=lambda tag: (tag[1], 1 << 30),
         )
         self._alive_members = set(

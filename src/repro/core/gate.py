@@ -55,10 +55,6 @@ def _agg_stage(tag: int) -> int:
     return tag >> 2
 
 
-def _and_merge_for(tag: int) -> Any:
-    return and_merge
-
-
 class Flow:
     """Safety/emptiness flow ``q`` at one vertex (plain slots: allocated on
     the hot path, a dataclass init costs ~3x as much).  ``self_report`` is
@@ -147,7 +143,7 @@ class PulseGate:
             clusters=views,
             send=send,
             on_result=self._on_agg_result,
-            merge_fn=_and_merge_for,
+            merge=and_merge,
             priority_fn=_agg_stage,
             links=links,
             send_link=send_link,

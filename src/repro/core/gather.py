@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple
 from ..covers.cover import SparseCover
 from ..net.graph import NodeId
 from .cluster_ops import ClusterAggregateModule, and_merge
-from .registration import ClusterView
+from .registration import cluster_views_for
 
 
 class GatherModule:
@@ -47,15 +47,7 @@ class GatherModule:
         self.num_stages = num_stages
         self.on_complete = on_complete
         self.name = name
-        views: Dict[int, ClusterView] = {}
-        for tree in cover.clusters:
-            if node_id in tree.parent:
-                views[tree.cluster_id] = ClusterView(
-                    cluster_id=tree.cluster_id,
-                    parent=tree.parent[node_id],
-                    children=tree.children.get(node_id, ()),
-                )
-        self._views = views
+        views = cluster_views_for(cover.by_id, node_id)
         self._member_clusters = tuple(
             tree.cluster_id for tree in cover.clusters if node_id in tree.members
         )
@@ -70,7 +62,7 @@ class GatherModule:
             clusters=views,
             send=send,
             on_result=self._on_result,
-            merge_fn=lambda tag: and_merge,
+            merge=and_merge,
             priority_fn=priority_fn,
         )
         self._done_local = False

@@ -32,6 +32,10 @@ correctness (see DESIGN.md §5): ``D(u)`` also terminates immediately while
 paper's "if u is still registered" check starts one message too late
 otherwise, and a deregistration wave could erase the dirty mark that ``u``'s
 pending registration depends on.
+
+The module also holds :class:`ClusterTreeModule`, the base this module
+shares with :class:`~repro.core.cluster_ops.ClusterAggregateModule`, and
+:func:`cluster_views_for`, the per-node view builder (DESIGN.md §3).
 """
 
 from __future__ import annotations
@@ -106,8 +110,6 @@ OP_REG_UP = 2
 OP_REG_DONE = 3
 OP_REG_DEREG = 4
 OP_REG_GO_AHEAD = 5
-
-_REG_OPS = (OP_REG_UP, OP_REG_DONE, OP_REG_DEREG, OP_REG_GO_AHEAD)
 
 Tag = Any
 #: Packed (cluster_id, tag) wire key — an int for int tags, else a tuple.
@@ -200,19 +202,129 @@ class ClusterView(NamedTuple):
         return self.parent is None
 
 
-class RegistrationModule:
+class ClusterTreeModule:
+    """Shared core of the per-node modules that run waves on cluster trees.
+
+    :class:`RegistrationModule` (Section 3.2) and
+    :class:`~repro.core.cluster_ops.ClusterAggregateModule` (Theorem 3.1)
+    are the two subclasses.  The base owns what they have in common: the
+    node id, this node's :class:`ClusterView` of every tree it is on, the
+    link wiring, the priority function, the message count, the crash prune
+    of the views, the readmission of a returned child, and the opcode
+    dispatch of :meth:`handle`.  Each subclass keeps its own waves and its
+    per-(cluster, tag) state.
+
+    Host contract, for both modules:
+
+    * build ``clusters`` with :func:`cluster_views_for` or
+      :meth:`CoverRegistry.views_of
+      <repro.core.registry.CoverRegistry.views_of>`; the module never
+      mutates that dict, so hosts and sibling modules may share it;
+    * route every message whose payload starts with one of the module's
+      opcodes (the keys of ``_dispatch``) to :meth:`handle`, or, when the
+      host dispatches on opcodes itself, straight to the per-kind
+      ``handle_*`` methods;
+    * supply ``priority_fn(tag)``, pure and identical across nodes, that
+      maps a tag to the link priority of its messages;
+    * under churn, call :meth:`prune_child` when a neighbor crashes and
+      :meth:`readmit_child` when it returns (DESIGN.md §11, §15).
+
+    ``links``/``send_link`` wire the module onto the transport's dense
+    link table (``ProcessContext.links`` / ``.send_link``): a stage or
+    instance resolves its tree destinations to link ids once and every
+    emit takes the int-indexed fast path.  Hosts that wrap ``send``
+    (payload tagging, standalone tests) omit them and keep node-id sends;
+    supplying exactly one half warns (see :func:`resolve_link_pair`).
+    """
+
+    #: Opcode -> handler function, declared by each subclass after its
+    #: handlers (a subclass that overrides a handler re-declares it).
+    _dispatch: Dict[int, Callable[..., None]]
+
+    def __init__(
+        self,
+        node_id: NodeId,
+        clusters: Dict[int, ClusterView],
+        send: SendFn,
+        priority_fn: Callable[[Tag], Any],
+        links: Optional[Mapping[NodeId, int]],
+        send_link: Optional[Callable[[int, Tuple, Any], None]],
+    ) -> None:
+        self.node_id = node_id
+        self.clusters = clusters
+        # The ctor view dict is never mutated (prunes are copy-on-write), so
+        # it doubles as the pristine topology a readmitted child is restored
+        # from (DESIGN.md §15).
+        self._pristine_clusters = clusters
+        self._links, self._send_link = resolve_link_pair(
+            type(self).__name__, send, links, send_link
+        )
+        self.priority_fn = priority_fn
+        self.messages_sent = 0
+
+    def handle(self, sender: NodeId, payload: Tuple) -> bool:
+        """Process one message of this module; returns False if not ours."""
+        if not (isinstance(payload, tuple) and payload):
+            return False
+        handler = self._dispatch.get(payload[0])
+        if handler is None:
+            return False
+        handler(self, sender, payload)
+        return True
+
+    # ------------------------------------------------------------------
+    # recovery (DESIGN.md §11, §15)
+    # ------------------------------------------------------------------
+    def _set_children(self, children: Dict[int, Tuple[NodeId, ...]]) -> None:
+        """Give the views in ``children`` their new child tuples.
+
+        Copy-on-write: the view dicts may be shared with sibling modules
+        on this node and cached across sweep replays, so they are never
+        mutated in place, and an empty update keeps the current dict.
+        """
+        if children:
+            clusters = dict(self.clusters)
+            for cid, kids in children.items():
+                clusters[cid] = clusters[cid]._replace(children=kids)
+            self.clusters = clusters
+
+    def _prune_views(self, dead: NodeId) -> None:
+        """Excise a crashed child from every cluster view."""
+        self._set_children({
+            cid: tuple(c for c in view.children if c != dead)
+            for cid, view in self.clusters.items() if dead in view.children
+        })
+
+    def readmit_child(self, returned: NodeId) -> None:
+        """Restore a re-joined child into the cluster views (DESIGN.md §15).
+
+        The inverse of ``prune_child``, restricted to topology: the child
+        re-enters every view it held in the pristine (construction time)
+        trees, in its original sibling position, so stages and instances
+        created after the readmission address it again in the same
+        deterministic child order a never-crashed run would see.  Live
+        stages and instances are *not* rewound: the waves they carry
+        re-closed over the survivors when the crash was detected, and
+        un-closing them would make a barrier wait on a contribution the
+        fresh incarnation (which starts with blank protocol state) never
+        sends.  Idempotent per neighbor.
+        """
+        pristine = self._pristine_clusters
+        self._set_children({
+            cid: tuple(c for c in pristine[cid].children
+                       if c == returned or c in view.children)
+            for cid, view in self.clusters.items()
+            if returned in pristine[cid].children
+            and returned not in view.children
+        })
+
+
+class RegistrationModule(ClusterTreeModule):
     """Per-node engine for Section 3.2, multiplexed over (cluster, tag) stages.
 
-    Host protocol contract:
-
-    * route every message whose payload starts with one of the registration
-      opcodes (:data:`OP_REG_UP` .. :data:`OP_REG_GO_AHEAD`) to
-      :meth:`handle` — or, when the host dispatches on opcodes itself,
-      straight to the per-kind ``handle_*`` methods;
-    * call :meth:`register` / :meth:`deregister` at most once each per
-      (cluster, tag);
-    * supply ``priority_fn(tag)`` mapping a tag to the link priority of its
-      stage, and the two callbacks.
+    On top of the :class:`ClusterTreeModule` host contract: call
+    :meth:`register` / :meth:`deregister` at most once each per
+    (cluster, tag), and supply the two callbacks.
     """
 
     def __init__(
@@ -226,14 +338,7 @@ class RegistrationModule:
         links: Optional[Mapping[NodeId, int]] = None,
         send_link: Optional[Callable[[int, Tuple, Any], None]] = None,
     ) -> None:
-        """``links``/``send_link`` wire the module onto the transport's
-        dense link table (``ProcessContext.links`` / ``.send_link``): stages
-        resolve their tree destinations to link ids once and every emit
-        takes the int-indexed fast path.  Hosts that wrap ``send`` (payload
-        tagging, standalone tests) omit them and keep node-id sends —
-        supplying exactly one half warns (see :func:`resolve_link_pair`).
-
-        A stage is retired once it is *terminal-clean* — every edge mark
+        """A stage is retired once it is *terminal-clean* — every edge mark
         CLEAN, no wave in flight, this node's own register/deregister
         cycle over — so live state stays bounded by the stages in flight
         (DESIGN.md §10).  Two things become invisible once a stage
@@ -242,20 +347,10 @@ class RegistrationModule:
         while the stage is live (a contract-violating re-register after
         completion builds a fresh stage instead of raising).
         """
-        self.node_id = node_id
-        self.clusters = clusters
-        # The ctor view dict is never mutated (prunes are copy-on-write), so
-        # it doubles as the pristine topology a readmitted child is restored
-        # from (DESIGN.md §15).
-        self._pristine_clusters = clusters
-        self._links, self._send_link = resolve_link_pair(
-            "RegistrationModule", send, links, send_link
-        )
+        super().__init__(node_id, clusters, send, priority_fn, links, send_link)
         self.on_registered = on_registered
         self.on_go_ahead = on_go_ahead
-        self.priority_fn = priority_fn
         self._stages: Dict[Key, _StageState] = {}
-        self.messages_sent = 0
 
     # ------------------------------------------------------------------
     def _make_stage(self, key: Key) -> _StageState:
@@ -485,6 +580,20 @@ class RegistrationModule:
                 and (stage.state is NONE or stage.state is FREE)):
             del self._stages[stage.key]
 
+    def handle_go_ahead(self, sender: NodeId, payload: Tuple) -> None:
+        """The parent's Go-Ahead — ``(OP_REG_GO_AHEAD, key)``."""
+        key = payload[1]
+        stage = self._stages.get(key)
+        if stage is None:
+            stage = self._make_stage(key)
+        if stage.parent_mark != WAITING:
+            # A registration wave re-dirtied this edge while the Go-Ahead was
+            # in flight; drop it — a newer Go-Ahead will follow (Lemma 3.5's
+            # case analysis).
+            return
+        stage.parent_mark = CLEAN
+        self._run_g(stage)
+
     # ------------------------------------------------------------------
     # recovery (DESIGN.md §11)
     # ------------------------------------------------------------------
@@ -502,23 +611,11 @@ class RegistrationModule:
         never retired: its counters no longer tell the full wave story,
         so it stays in the stage dict for inspection.
 
-        Cluster views are pruned copy-on-write: the view dicts may be
-        shared with sibling modules on this node and cached across sweep
-        replays, so they are never mutated in place.
+        Readmission (:meth:`readmit_child`) leaves poisoned stages
+        poisoned: the crash happened, so they stay unretirable.
         """
         dead_link = self._links[dead]
-        clusters = dict(self.clusters)
-        changed = False
-        for cid, view in clusters.items():
-            if dead in view.children:
-                clusters[cid] = ClusterView(
-                    cluster_id=cid,
-                    parent=view.parent,
-                    children=tuple(c for c in view.children if c != dead),
-                )
-                changed = True
-        if changed:
-            self.clusters = clusters
+        self._prune_views(dead)
         for stage in list(self._stages.values()):
             view = stage.view
             if view.parent == dead:
@@ -546,75 +643,12 @@ class RegistrationModule:
             elif not stage.dirty_children:
                 self._run_d(stage)
 
-    def readmit_child(self, returned: NodeId) -> None:
-        """Restore a re-joined child into the cluster views (DESIGN.md §15).
-
-        The inverse of :meth:`prune_child`, restricted to topology: the
-        child re-enters every view it held in the pristine (construction
-        time) trees — in its original sibling position, so stages created
-        after the readmission see the same deterministic child order a
-        never-crashed run would.  Live stages are *not* rewound: the waves
-        they carry re-closed over the survivors when the crash was
-        detected, and un-closing them would make a barrier wait on a
-        contribution the fresh incarnation (which starts with blank
-        protocol state) never sends.  Poisoned stages stay poisoned — the
-        crash happened; readmission does not make them retirable.
-        Idempotent per neighbor.
-        """
-        pristine = self._pristine_clusters
-        clusters = dict(self.clusters)
-        changed = False
-        for cid, view in clusters.items():
-            pv = pristine.get(cid)
-            if (pv is None or returned not in pv.children
-                    or returned in view.children):
-                continue
-            keep = set(view.children)
-            keep.add(returned)
-            clusters[cid] = ClusterView(
-                cluster_id=cid,
-                parent=view.parent,
-                children=tuple(c for c in pv.children if c in keep),
-            )
-            changed = True
-        if changed:
-            self.clusters = clusters
-
-    def handle_go_ahead(self, sender: NodeId, payload: Tuple) -> None:
-        """The parent's Go-Ahead — ``(OP_REG_GO_AHEAD, key)``."""
-        key = payload[1]
-        stage = self._stages.get(key)
-        if stage is None:
-            stage = self._make_stage(key)
-        if stage.parent_mark != WAITING:
-            # A registration wave re-dirtied this edge while the Go-Ahead was
-            # in flight; drop it — a newer Go-Ahead will follow (Lemma 3.5's
-            # case analysis).
-            return
-        stage.parent_mark = CLEAN
-        self._run_g(stage)
-
-    # ------------------------------------------------------------------
-    def handle(self, sender: NodeId, payload: Tuple) -> bool:
-        """Process one registration message; returns False if not ours."""
-        if not (isinstance(payload, tuple) and payload and payload[0] in _REG_OPS):
-            return False
-        self.handle_known(sender, payload)
-        return True
-
-    def handle_known(self, sender: NodeId, payload: Tuple) -> None:
-        """Like :meth:`handle` for hosts that already routed on the opcode."""
-        op = payload[0]
-        if op == OP_REG_UP:
-            self.handle_reg_up(sender, payload)
-        elif op == OP_REG_DONE:
-            self.handle_reg_done(sender, payload)
-        elif op == OP_REG_DEREG:
-            self.handle_dereg(sender, payload)
-        elif op == OP_REG_GO_AHEAD:
-            self.handle_go_ahead(sender, payload)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown registration message kind {op!r}")
+    _dispatch = {
+        OP_REG_UP: handle_reg_up,
+        OP_REG_DONE: handle_reg_done,
+        OP_REG_DEREG: handle_dereg,
+        OP_REG_GO_AHEAD: handle_go_ahead,
+    }
 
 
 def cluster_views_for(

@@ -29,6 +29,9 @@ Key = Tuple[int, Tag]
 class _RootLedger:
     registered: Set[NodeId] = field(default_factory=set)
     deregistered: Set[NodeId] = field(default_factory=set)
+    #: Registrant -> the hop path its registration took, which its
+    #: Go-Ahead retraces.
+    paths: Dict[NodeId, Tuple[NodeId, ...]] = field(default_factory=dict)
 
 
 class NaiveRegistrationModule:
@@ -94,6 +97,7 @@ class NaiveRegistrationModule:
         ledger = self._ledgers.setdefault(key, _RootLedger())
         if kind == "reg":
             ledger.registered.add(origin)
+            ledger.paths[origin] = path
             self._reply(cluster_id, tag, "ack", origin, path)
         elif kind == "dereg":
             ledger.deregistered.add(origin)
@@ -107,31 +111,17 @@ class NaiveRegistrationModule:
         if origin == self.node_id and not path:
             self._deliver_reply(cluster_id, tag, kind)
             return
-        target_path = path
-        next_hop = target_path[-1] if target_path else origin
+        next_hop = path[-1] if path else origin
         self._emit(
             next_hop,
-            (MSG_PREFIX, "down", kind, cluster_id, tag, origin, target_path[:-1]),
+            (MSG_PREFIX, "down", kind, cluster_id, tag, origin, path[:-1]),
             tag,
         )
 
     def _reply_go(self, cluster_id: int, tag: Tag, target: NodeId) -> None:
-        # Go-Aheads are routed down the tree by address (hop-by-hop search
-        # is avoided by retracing the stored registration path).
-        ledger = self._ledgers[(cluster_id, tag)]
-        path = getattr(ledger, "paths", {}).get(target)
-        if target == self.node_id:
-            self._deliver_reply(cluster_id, tag, "go")
-            return
-        if path is None:
-            # Fall back to the recorded ack path: store at registration.
-            raise AssertionError("missing return path for Go-Ahead")
-        next_hop = path[-1]
-        self._emit(
-            next_hop,
-            (MSG_PREFIX, "down", "go", cluster_id, tag, target, path[:-1]),
-            tag,
-        )
+        # A Go-Ahead retraces the path its target's registration took.
+        path = self._ledgers[(cluster_id, tag)].paths[target]
+        self._reply(cluster_id, tag, "go", target, path)
 
     def _deliver_reply(self, cluster_id: int, tag: Tag, kind: str) -> None:
         key = (cluster_id, tag)
@@ -148,30 +138,9 @@ class NaiveRegistrationModule:
             return False
         _, direction, kind, cluster_id, tag, origin, path = payload
         if direction == "up":
-            view = self.clusters[cluster_id]
-            if view.is_root:
-                ledger = self._ledgers.setdefault((cluster_id, tag), _RootLedger())
-                if not hasattr(ledger, "paths"):
-                    ledger.paths = {}
-                if kind == "reg":
-                    ledger.paths[origin] = path
-                self._root_receive(cluster_id, tag, kind, origin, path)
-            else:
-                self._emit(
-                    view.parent,
-                    (MSG_PREFIX, "up", kind, cluster_id, tag, origin, path + (self.node_id,)),
-                    tag,
-                )
+            self._route_up(cluster_id, tag, kind, origin, path)
         elif direction == "down":
-            if origin == self.node_id and not path:
-                self._deliver_reply(cluster_id, tag, kind)
-            else:
-                next_hop = path[-1] if path else origin
-                self._emit(
-                    next_hop,
-                    (MSG_PREFIX, "down", kind, cluster_id, tag, origin, path[:-1]),
-                    tag,
-                )
+            self._reply(cluster_id, tag, kind, origin, path)
         else:  # pragma: no cover
             raise ValueError(direction)
         return True

@@ -2,12 +2,13 @@
 
 Every message in this codebase is a tuple headed by a small-int opcode
 constant (``OP_*``), and the receiving side consumes it through one of
-three shapes: a dense dispatch table (``_dispatch`` /
-``on_message_table``) indexed by opcode value, an explicit comparison
+four shapes: a dense dispatch table (``_dispatch`` /
+``on_message_table``) indexed by opcode value, a ``_dispatch`` dict keyed
+by opcode (the cluster-tree modules'), an explicit comparison
 (``op == OP_REG_UP``, ``payload[0] != OP_APP``), or membership in an
-opcode-set tuple (``_REG_OPS``).  The emitter and the consumer routinely
-live in *different* modules — registration emits ``OP_REG_UP`` waves that
-the synchronizer's dispatch table routes back into
+opcode-set tuple (``op in (OP_A, OP_B)``).  The emitter and the consumer
+routinely live in *different* modules — registration emits ``OP_REG_UP``
+waves that the synchronizer's dispatch table routes back into
 ``RegistrationModule.handle_reg_up`` — so no single-file check can see a
 dangling flow.
 

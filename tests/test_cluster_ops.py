@@ -43,7 +43,7 @@ def make_agg_driver(tree, values, on_results):
                 on_result=lambda cid, tag, result: on_results.append(
                     (self.ctx.now, ctx.node_id, result)
                 ),
-                merge_fn=lambda tag: min_merge,
+                merge=min_merge,
                 priority_fn=lambda tag: (0,),
             )
 
@@ -102,7 +102,7 @@ class TestAggregate:
         view = {0: ClusterView(0, parent=None, children=())}
         module = ClusterAggregateModule(
             0, view, lambda *a: None, lambda *a: None,
-            lambda tag: min_merge, lambda tag: (0,),
+            min_merge, lambda tag: (0,),
         )
         module.contribute(0, "t", 1)
         with pytest.raises(ValueError, match="double-contributes"):
@@ -125,7 +125,7 @@ class TestInstanceRetirement:
             0, views,
             lambda to, payload, priority: sent.append((to, payload)),
             lambda cid, tag, result: results.append((cid, tag, result)),
-            lambda tag: min_merge, lambda tag: (0,),
+            min_merge, lambda tag: (0,),
         )
 
     def test_finished_instance_leaves_only_the_tombstone(self):
@@ -192,6 +192,11 @@ class TestInstanceRetirement:
         for agg in aggs:
             assert agg._instances
             assert all(inst is _RETIRED for inst in agg._instances.values())
+            # Outside its instances a module holds only its cluster views:
+            # no container that grows with the tags (pulses) of the run.
+            for name, value in vars(agg).items():
+                if name != "_instances" and isinstance(value, (dict, list, set)):
+                    assert len(value) <= len(agg._pristine_clusters), name
 
 
 def make_gather_driver(cover, done_delays, completions, num_stages):
@@ -362,7 +367,7 @@ class TestLinkPairResolution:
         view = {0: ClusterView(0, parent=None, children=())}
         return ClusterAggregateModule(
             0, view, lambda *a: None, lambda *a: None,
-            lambda tag: min_merge, lambda tag: (0,), **kwargs,
+            min_merge, lambda tag: (0,), **kwargs,
         )
 
     def test_links_without_send_link_warns(self):
@@ -390,7 +395,7 @@ def test_readmit_does_not_resurrect_evicted_flow_reports():
     module = ClusterAggregateModule(
         0, view, lambda *a: None,
         lambda cid, tag, result: results.append((cid, tag, result)),
-        lambda tag: min_merge, lambda tag: (0,),
+        min_merge, lambda tag: (0,),
     )
     module.contribute(0, 1, 5)     # the root waits on child 1
     assert results == []
