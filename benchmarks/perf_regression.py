@@ -3,9 +3,9 @@
 Measures wall time and throughput of the synchronizer stack on a fixed
 workload matrix and records them in ``BENCH_core.json`` next to this script,
 so every future change has a perf trajectory to beat.  Determinism is pinned
-alongside speed: each entry stores the message count and a digest of the
-node outputs, and ``--check`` fails on any mismatch (the engine must stay
-byte-for-byte reproducible, not merely fast).
+alongside speed: each entry stores the message count, the events fired and
+a digest of the node outputs, and ``--check`` fails on any mismatch (the
+engine must stay byte-for-byte reproducible, not merely fast).
 
 The matrix includes the 5-delay-model sweep workloads (cycle+grid at n=256,
 and the n=512 / n=1024 multi-source cells with sampled initiator sets — the
@@ -58,8 +58,8 @@ messages/second (the most stable throughput proxy), (b) rescales the
 committed baseline by a host-speed calibration loop recorded alongside it
 (so a runner half as fast as the authoring host is held to half the
 absolute floor), and (c) keeps a generous threshold on top.  Exact fields
-(messages, outputs digest) are compared strictly — determinism does not get
-a noise allowance.
+(messages, events fired, outputs digest) are compared strictly — determinism
+does not get a noise allowance.
 """
 
 from __future__ import annotations
@@ -690,6 +690,14 @@ def check(current: dict, committed: dict, threshold: float) -> int:
         elif entry["messages"] != base_messages:
             failures.append(
                 f"{name}: message count changed {base_messages} -> {entry['messages']}"
+            )
+        base_events = base.get("events_fired")
+        if base_events is None:
+            print(f"WARNING: {name}: baseline lacks 'events_fired', skipping")
+        elif entry["events_fired"] != base_events:
+            failures.append(
+                f"{name}: events fired changed {base_events}"
+                f" -> {entry['events_fired']}"
             )
         base_digest = base.get("outputs_digest")
         if base_digest is None:

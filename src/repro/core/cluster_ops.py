@@ -27,10 +27,15 @@ a node forwards up once it holds its own value and one value per child,
 and the root broadcasts the combined result down.  Cost: exactly two
 messages per tree edge per instance and one round trip of the tree height —
 the counts Theorem 3.1 charges.
+
+At each node an instance is *live* until it forwards up, *settled* (holding
+only what its guards still read) until the broadcast reaches it, and then
+*retired* to a shared tombstone (DESIGN.md §10).
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..net.graph import NodeId
@@ -63,9 +68,24 @@ _PRUNED = object()
 #: still raises (DESIGN.md §10).
 _RETIRED = object()
 
+#: The one shared, read-only ``child_values`` of every leaf instance and of
+#: every settled instance that holds no pruned child.
+_NO_CHILD_VALUES: Mapping[NodeId, Any] = MappingProxyType({})
+
+#: A tree view's resolved destinations: the parent link (None at the root)
+#: and the child links in child order.
+TreeLinks = Tuple[Optional[int], Tuple[int, ...]]
+
 
 class _InstanceState:
-    """Per-(cluster, tag) aggregation state at one node (plain slots)."""
+    """Per-(cluster, tag) aggregation state at one node (plain slots).
+
+    An instance is *live* until it sends its value up, then *settled*
+    until the broadcast reaches it, then *retired* (DESIGN.md §10).  On
+    settling ``child_values`` shrinks to the :data:`_PRUNED` slots, the
+    only entries a guard still reads; an orphan whose broadcast never
+    comes (DESIGN.md §11) stalls in this settled form.
+    """
 
     __slots__ = ("key", "cluster_id", "tag", "view", "contributed", "value",
                  "child_values", "missing", "sent_up", "priority",
@@ -73,7 +93,7 @@ class _InstanceState:
 
     def __init__(self, key: Key, cluster_id: int, tag: Tag,
                  view: "ClusterView", priority: Any,
-                 links: Mapping[NodeId, int]) -> None:
+                 tree_links: TreeLinks) -> None:
         # The identity travels with the instance so emits reuse the packed
         # wire key and ``on_result`` never decodes.
         self.key = key
@@ -82,22 +102,20 @@ class _InstanceState:
         self.view = view  # this node's tree view, bound at creation
         self.contributed = False
         self.value: Any = None
-        self.child_values: Dict[NodeId, Any] = {}
         # Child values still owed before this node may forward up; counted
         # down as they arrive so the forward check is one attribute test.
         children = view.children
         self.missing = len(children)
-        self.sent_up = False
-        # The instance's link priority and tree destinations, resolved once
-        # at creation so emits skip the per-tag / per-destination probes.
-        self.priority = priority
-        parent = view.parent
-        self.parent_link = None if parent is None else links[parent]
-        # map() keeps the resolution frame-free (instances are allocated on
-        # the hot path, and most are leaves with no children at all).
-        self.children_links = (
-            tuple(map(links.__getitem__, children)) if children else ()
+        # Most instances are leaves, which never store a child value.
+        self.child_values: Mapping[NodeId, Any] = (
+            {} if children else _NO_CHILD_VALUES
         )
+        self.sent_up = False
+        # The instance's link priority and tree destinations; the links
+        # are the module's per-view tuples, shared until a prune filters
+        # this instance's own copy.
+        self.priority = priority
+        self.parent_link, self.children_links = tree_links
 
 
 class ClusterAggregateModule(ClusterTreeModule):
@@ -110,7 +128,9 @@ class ClusterAggregateModule(ClusterTreeModule):
     ``on_result(cluster_id, tag, result)`` fires on every tree node once
     the broadcast reaches it.  The node then retires the instance: its
     state is dropped for the :data:`_RETIRED` tombstone, and any later
-    contribution or message for it raises (DESIGN.md §10).
+    contribution or message for it raises (DESIGN.md §10).  Before that,
+    an instance that has sent its value up is *settled*: it keeps only
+    the pruned-child slots its guards still read.
     """
 
     def __init__(
@@ -127,9 +147,15 @@ class ClusterAggregateModule(ClusterTreeModule):
         super().__init__(node_id, clusters, send, priority_fn, links, send_link)
         self.on_result = on_result
         self.merge = merge
-        # Live instances, and the :data:`_RETIRED` tombstone of each
-        # finished one.
+        # Live and settled instances, and the :data:`_RETIRED` tombstone of
+        # each finished one.
         self._instances: Dict[Key, Any] = {}
+        # Each cluster view's tree links, resolved once.  A prune or a
+        # readmission builds new views, which miss and resolve afresh.
+        self._view_links: Dict[ClusterView, TreeLinks] = {}
+        # Whether any child was ever pruned: until then no instance holds a
+        # :data:`_PRUNED` slot, so settling keeps nothing.
+        self._pruned_any = False
 
     def _make_instance(self, key: Key, cluster_id: int, tag: Tag) -> _InstanceState:
         view = self.clusters.get(cluster_id)
@@ -137,8 +163,16 @@ class ClusterAggregateModule(ClusterTreeModule):
             raise ValueError(
                 f"node {self.node_id} is not on the tree of cluster {cluster_id}"
             )
+        tree_links = self._view_links.get(view)
+        if tree_links is None:
+            links = self._links
+            parent = view.parent
+            tree_links = self._view_links[view] = (
+                None if parent is None else links[parent],
+                tuple([links[child] for child in view.children]),
+            )
         instance = _InstanceState(
-            key, cluster_id, tag, view, self.priority_fn(tag), self._links
+            key, cluster_id, tag, view, self.priority_fn(tag), tree_links
         )
         self._instances[key] = instance
         return instance
@@ -187,6 +221,11 @@ class ClusterAggregateModule(ClusterTreeModule):
                 if cv is _PRUNED:
                     continue
                 combined = merge(combined, cv)
+            # Settle: from here on the guards read only the pruned slots,
+            # and there are none before the module's first prune.
+            pruned = self._pruned_any and {
+                c: v for c, v in child_values.items() if v is _PRUNED}
+            instance.child_values = pruned or _NO_CHILD_VALUES
         instance.sent_up = True
         if view.parent is None:
             self._finish(instance, combined)
@@ -221,23 +260,30 @@ class ClusterAggregateModule(ClusterTreeModule):
             instance = self._instance_from_wire(key)
         elif instance is _RETIRED:
             raise self._finished_error(key, f"a convergecast value from {sender}")
-        if instance.child_values.get(sender) is _PRUNED:
-            # A re-joined child's late value: this barrier already re-closed
-            # over the survivors when the crash was detected, so the fresh
-            # incarnation's word is dropped (degrade semantics, DESIGN.md
-            # §15) — it participates from the next instance onward.
-            return
-        if sender in instance.child_values:
-            raise ValueError(
-                f"duplicate convergecast value from {sender} in"
-                f" {instance.cluster_id}/{instance.tag}"
-            )
-        if sender not in instance.view.children:
+        child_values = instance.child_values
+        children = instance.view.children
+        # A settled instance has heard from every child: a slot it dropped
+        # on settling held a value, so a second word from that child is a
+        # duplicate.
+        if sender in child_values or instance.sent_up:
+            if child_values.get(sender) is _PRUNED:
+                # A re-joined child's late value: this barrier already
+                # re-closed over the survivors when the crash was detected,
+                # so the fresh incarnation's word is dropped (degrade
+                # semantics, DESIGN.md §15) — it participates from the next
+                # instance onward.
+                return
+            if sender in children:
+                raise ValueError(
+                    f"duplicate convergecast value from {sender} in"
+                    f" {instance.cluster_id}/{instance.tag}"
+                )
+        if sender not in children:
             raise ValueError(
                 f"convergecast value from non-child {sender} in"
                 f" {instance.cluster_id}/{instance.tag}"
             )
-        instance.child_values[sender] = payload[2]
+        child_values[sender] = payload[2]
         instance.missing -= 1
         self._maybe_forward(instance)
 
@@ -264,10 +310,13 @@ class ClusterAggregateModule(ClusterTreeModule):
         contributed).  Instances whose parent is the corpse are orphans and
         simply stall.  After a readmission (:meth:`readmit_child`) the
         returned child's late values for instances that re-closed without
-        it are dropped by the ``_PRUNED`` guard in :meth:`handle_up`.
+        it are dropped by the ``_PRUNED`` guard in :meth:`handle_up`.  A
+        settled instance owes the dead child nothing; only its broadcast
+        stops addressing it.
         """
         dead_link = self._links[dead]
         self._prune_views(dead)
+        self._pruned_any = True
         for instance in list(self._instances.values()):
             if instance is _RETIRED or dead not in instance.view.children:
                 continue
@@ -275,7 +324,7 @@ class ClusterAggregateModule(ClusterTreeModule):
                 instance.children_links = tuple(
                     lnk for lnk in instance.children_links if lnk != dead_link
                 )
-            if dead not in instance.child_values:
+            if not instance.sent_up and dead not in instance.child_values:
                 instance.child_values[dead] = _PRUNED
                 instance.missing -= 1
                 self._maybe_forward(instance)

@@ -73,6 +73,22 @@ class Flow:
         self.gate_done = False
 
 
+class _ReleasedFlow:
+    """Read-only stand-in for a flow whose Go-Ahead has walked past its
+    vertex (DESIGN.md §10): assembled and gated, so the gate and assembly
+    paths pass it by.  It keeps no reports; a host must reject a late
+    report for it explicitly."""
+
+    __slots__ = ()
+    assembled = True
+    gate_done = True
+
+
+#: The one released-flow tombstone a synchronizer vnode keeps per released
+#: flow pulse in place of its :class:`Flow`.
+RELEASED_FLOW = _ReleasedFlow()
+
+
 class Vertex:
     """A vertex of a host's execution structure: a ``pulse`` and its flows
     (``flows``, keyed by flow pulse ``q``)."""

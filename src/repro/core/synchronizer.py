@@ -45,7 +45,7 @@ from ..net.program import ArrivedBatch, NodeInfo, ProgramSpec, PulseApi
 from ..net.sweep import ProtocolSweep, bound_process_class
 from ..net.sync_runtime import run_synchronous
 from .bfs_runner import registry_for_threshold
-from .gate import Flow, PulseGate, Vertex
+from .gate import RELEASED_FLOW, Flow, PulseGate, Vertex
 from .pulse import COVER_LEVEL_OFFSET, assemble_pulses
 from .registry import CoverRegistry
 
@@ -77,7 +77,7 @@ class _VNode(Vertex):
     __slots__ = ("pulse", "parent", "parent_link", "parent_is_self",
                  "emits", "release_links",
                  "sends_pending", "sent", "answers_missing", "children",
-                 "self_child", "flows", "ga_released", "ans_wait", "ack_wait")
+                 "self_child", "flows", "ans_wait", "ack_wait")
 
     def __init__(
         self, pulse: int, parent: Optional[NodeId], parent_is_self: bool,
@@ -102,8 +102,8 @@ class _VNode(Vertex):
         self.answers_missing = 0
         self.children: List[NodeId] = []
         self.self_child = False
+        # A released flow's entry is the shared ``RELEASED_FLOW``.
         self.flows: Dict[int, Flow] = {}
-        self.ga_released: Set[int] = set()
         # Recovery mode only (DESIGN.md §11): the identities behind the two
         # counters above, so a crashed neighbor's outstanding ack/answer can
         # be cancelled exactly once (and not cancelled again if it already
@@ -401,7 +401,8 @@ class SynchronizerNode(PulseGate):
                 # surviving children.
                 vnode.children.remove(dead)
                 for flow in vnode.flows.values():
-                    flow.reports.pop(dead, None)
+                    if flow is not RELEASED_FLOW:
+                        flow.reports.pop(dead, None)
                 if vnode.answers_missing == 0:
                     for q in list(vnode.flows):
                         self._try_assemble(vnode, q)
@@ -433,7 +434,8 @@ class SynchronizerNode(PulseGate):
         flow = flows.get(q)
         if flow is None:
             flow = flows[q] = Flow()
-        if sender in flow.reports:
+        elif flow is RELEASED_FLOW or sender in flow.reports:
+            # A released flow took every report before its Go-Ahead left.
             raise AssertionError(f"duplicate flow report from {sender}")
         flow.reports[sender] = payload[3]
         self._try_assemble(vnode, q)
@@ -485,20 +487,24 @@ class SynchronizerNode(PulseGate):
     # Go-Ahead propagation down the forest
     # ------------------------------------------------------------------
     def _release_down(self, vnode: _VNode, q: int) -> None:
-        if q in vnode.ga_released:
+        """Walk Go-Ahead(q) down from ``vnode`` once; the released flow's
+        state gives way to the shared tombstone (DESIGN.md §10)."""
+        flows = vnode.flows
+        if flows.get(q) is RELEASED_FLOW:
             return
-        vnode.ga_released.add(q)
         send_link = self._send_link
         if vnode.pulse == q - 1:
             # The fan-out rides the precomputed release links (distinct
             # recipients in ascending node-id order — the emit order is
             # part of the pinned schedule, resolved once at vnode creation).
+            flows[q] = RELEASED_FLOW
             payload = (OP_VRELEASE, q)
             for lid in vnode.release_links:
                 send_link(lid, payload, q)
             self._evaluate(q)  # a pulse-(q-1) sender is itself triggered
             return
         flow = vnode.flow(q)
+        flows[q] = RELEASED_FLOW
         reports_get = flow.reports.get
         links = self._links
         payload = (OP_VGA, q, vnode.pulse + 1)

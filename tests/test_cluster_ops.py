@@ -7,6 +7,8 @@ import pytest
 from repro.apps.programs import bfs_spec
 from repro.core import SynchronizerSweep
 from repro.core.cluster_ops import (
+    _NO_CHILD_VALUES,
+    _PRUNED,
     _RETIRED,
     OP_AGG_DOWN,
     OP_AGG_UP,
@@ -15,11 +17,13 @@ from repro.core.cluster_ops import (
     min_merge,
 )
 from repro.core.gather import GatherModule
+from repro.core.recovery import RecoverySynchronizerProcess
 from repro.core.registration import ClusterView, cluster_views_for, pack_key
 from repro.covers import bfs_cluster_tree, build_ap_cover
 from repro.net import (
     AsyncRuntime,
     ConstantDelay,
+    FaultSchedule,
     Process,
     UniformDelay,
     standard_adversaries,
@@ -197,6 +201,116 @@ class TestInstanceRetirement:
             for name, value in vars(agg).items():
                 if name != "_instances" and isinstance(value, (dict, list, set)):
                     assert len(value) <= len(agg._pristine_clusters), name
+
+    def test_churn_run_keeps_only_pruned_slots_and_bounded_link_cache(
+            self, monkeypatch):
+        # Crashes, certain rejoins and flapping links on cycle(64), with the
+        # root's 4-ball protected: orphaned instances stall settled.
+        views_built = {}
+        set_children = ClusterAggregateModule._set_children
+
+        def recording_set_children(self, children):
+            set_children(self, children)
+            views_built.setdefault(self, set()).update(
+                self.clusters[cid] for cid in children)
+
+        monkeypatch.setattr(
+            ClusterAggregateModule, "_set_children", recording_set_children)
+        graph = topology.cycle_graph(64)
+        faults = FaultSchedule(
+            seed=3, crash_rate=0.1, rejoin_rate=1.0, down_rate=0.05,
+            recurrent=True, protect=[v % 64 for v in range(-4, 5)],
+        )
+        runtime = AsyncRuntime(
+            graph, RecoverySynchronizerProcess.bind(graph, bfs_spec(0)),
+            UniformDelay(seed=5), faults=faults,
+        )
+        assert runtime.run().stop_reason == "quiescent"
+        aggs = [p.node.agg for p in runtime.processes.values()]
+        settled = pruned_slots = 0
+        for agg in aggs:
+            for inst in agg._instances.values():
+                if inst is _RETIRED or not inst.sent_up:
+                    continue
+                settled += 1
+                assert all(v is _PRUNED for v in inst.child_values.values())
+                pruned_slots += len(inst.child_values)
+            views = set(agg._pristine_clusters.values())
+            views |= views_built.get(agg, set())
+            assert set(agg._view_links) <= views
+        # The run exercises what the bound is about.
+        assert views_built and settled and pruned_slots
+
+
+class TestSettledInstances:
+    """Once an instance has sent its value up it keeps only its pruned
+    slots, and its guards still raise and drop as before (DESIGN.md §10)."""
+
+    def _relay(self, sent):
+        # A relay between parent 9 and children 1 and 2.
+        return ClusterAggregateModule(
+            0, {0: ClusterView(0, parent=9, children=(1, 2))},
+            lambda to, payload, priority: sent.append((to, payload)),
+            lambda *a: None, min_merge, lambda tag: (0,),
+        )
+
+    def _settle(self, module, tag="t"):
+        key = pack_key(0, tag)
+        module.contribute(0, tag, 4)
+        module.handle_up(1, (OP_AGG_UP, key, 2))
+        module.handle_up(2, (OP_AGG_UP, key, 3))
+        assert module._instances[key].sent_up
+        return key
+
+    def test_second_value_from_a_child_is_a_duplicate(self):
+        sent = []
+        module = self._relay(sent)
+        key = self._settle(module)
+        with pytest.raises(ValueError, match="duplicate convergecast value from 1"):
+            module.handle_up(1, (OP_AGG_UP, key, 0))
+        assert sent == [(9, (OP_AGG_UP, key, 2))]
+
+    def test_value_from_a_non_child_is_rejected(self):
+        module = self._relay([])
+        key = self._settle(module)
+        with pytest.raises(ValueError, match="value from non-child 5"):
+            module.handle_up(5, (OP_AGG_UP, key, 0))
+
+    def test_readmitted_childs_late_value_is_dropped(self):
+        sent = []
+        module = self._relay(sent)
+        key = pack_key(0, "t")
+        module.contribute(0, "t", 4)
+        module.handle_up(2, (OP_AGG_UP, key, 3))
+        module.prune_child(1)  # the barrier re-closes and forwards up
+        instance = module._instances[key]
+        assert instance.sent_up
+        assert instance.child_values == {1: _PRUNED}
+        module.readmit_child(1)
+        module.handle_up(1, (OP_AGG_UP, key, 0))  # dropped, not raised
+        assert sent == [(9, (OP_AGG_UP, key, 3))]
+        with pytest.raises(ValueError, match="duplicate convergecast value from 2"):
+            module.handle_up(2, (OP_AGG_UP, key, 0))
+
+    def test_prune_filters_the_broadcast_and_the_instance_retires(self):
+        sent = []
+        module = self._relay(sent)
+        key = self._settle(module)
+        module.prune_child(2)  # owed nothing: only the broadcast changes
+        assert module._instances[key].child_values is _NO_CHILD_VALUES
+        module.handle_down(9, (OP_AGG_DOWN, key, 2))
+        assert sent == [(9, (OP_AGG_UP, key, 2)), (1, (OP_AGG_DOWN, key, 2))]
+        assert module._instances == {key: _RETIRED}
+
+    def test_fault_free_settle_shares_the_empty_mapping(self):
+        module = self._relay([])
+        a = module._instances[self._settle(module, "t")]
+        b = module._instances[self._settle(module, "u")]
+        assert a.child_values is _NO_CHILD_VALUES
+        assert b.child_values is _NO_CHILD_VALUES
+        # Both instances ride the one resolved link tuple of their view.
+        assert a.children_links is b.children_links == (1, 2)
+        assert len(module._view_links) == 1
 
 
 def make_gather_driver(cover, done_delays, completions, num_stages):

@@ -18,11 +18,24 @@ from repro.apps.programs import (
     standard_programs,
 )
 from repro.net.program import sampled_initiators
-from repro.core import pulse_bound_for, registry_for_threshold, run_synchronized
+from repro.core import (
+    RecoverySynchronizerProcess,
+    pulse_bound_for,
+    registry_for_threshold,
+    run_synchronized,
+)
+from repro.core.gate import RELEASED_FLOW
+from repro.core.synchronizer import (
+    OP_VFLOW,
+    SynchronizerNode,
+    SynchronizerProcess,
+)
 from repro.net import (
+    AsyncRuntime,
     ConstantDelay,
     NodeProgram,
     ProgramSpec,
+    UniformDelay,
     all_nodes_initiate,
     run_synchronous,
     standard_adversaries,
@@ -283,3 +296,52 @@ class TestDeterminism:
             sdereg = [cid for cid, tag in gate.agg.calls
                       if tag == q << 2 | AGG_SDEREG]
             assert sdereg == [low, high], q
+
+
+class TestReleasedFlows:
+    """A flow whose Go-Ahead has walked past its vnode keeps only the
+    shared released-flow tombstone (DESIGN.md §10)."""
+
+    def _run(self, graph, process=SynchronizerProcess):
+        runtime = AsyncRuntime(
+            graph, process.bind(graph, bfs_spec(0)), UniformDelay(seed=5))
+        assert runtime.run().stop_reason == "quiescent"
+        return [p.node for p in runtime.processes.values()]
+
+    @pytest.mark.parametrize("graph", [
+        topology.cycle_graph(32), topology.grid_graph(6, 6)], ids=repr)
+    def test_every_released_flow_is_the_tombstone(self, graph, monkeypatch):
+        release_down = SynchronizerNode._release_down
+        released = []
+
+        def recording_release_down(self, vnode, q):
+            released.append((vnode, q))
+            release_down(self, vnode, q)
+
+        monkeypatch.setattr(
+            SynchronizerNode, "_release_down", recording_release_down)
+        self._run(graph)
+        assert released
+        assert all(vnode.flows[q] is RELEASED_FLOW for vnode, q in released)
+
+    def test_late_report_for_a_released_flow_is_a_duplicate(self):
+        node, vnode, q = next(
+            (node, vnode, q) for node in self._run(topology.cycle_graph(32))
+            for vnode in node.vnodes.values() if vnode.children
+            for q, flow in sorted(vnode.flows.items())
+            if flow is RELEASED_FLOW and q > vnode.pulse + 1)
+        with pytest.raises(AssertionError, match="duplicate flow report"):
+            node._handle_vflow(
+                vnode.children[0], (OP_VFLOW, vnode.pulse, q, False))
+
+    def test_recovery_prune_skips_tombstones(self):
+        nodes = self._run(topology.cycle_graph(32), RecoverySynchronizerProcess)
+        node, vnode = next(
+            (node, vnode) for node in nodes
+            for vnode in node.vnodes.values()
+            if vnode.children and RELEASED_FLOW in vnode.flows.values())
+        released = {q: f for q, f in vnode.flows.items() if f is RELEASED_FLOW}
+        dead = vnode.children[0]
+        node.prune_neighbor(dead)
+        assert dead not in vnode.children
+        assert {q: vnode.flows[q] for q in released} == released
