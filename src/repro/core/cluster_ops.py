@@ -28,15 +28,28 @@ and the root broadcasts the combined result down.  Cost: exactly two
 messages per tree edge per instance and one round trip of the tree height —
 the counts Theorem 3.1 charges.
 
-At each node an instance is *live* until it forwards up, *settled* (holding
-only what its guards still read) until the broadcast reaches it, and then
-*retired* to a shared tombstone (DESIGN.md §10).
+At each node an instance is *live* until it forwards up, *settled* until
+the broadcast reaches it, and then *retired* to a shared tombstone
+(DESIGN.md §10).  Only a live instance has a record of its own.  A
+settled one is the immutable :class:`_TreeLinks` record of its cluster
+view, shared by every settled instance on that view, unless a prune gave
+it a pruned slot or filtered its broadcast links; then it holds a small
+private copy.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from ..net.graph import NodeId
 from .registration import (
@@ -68,54 +81,62 @@ _PRUNED = object()
 #: still raises (DESIGN.md §10).
 _RETIRED = object()
 
-#: The one shared, read-only ``child_values`` of every leaf instance and of
-#: every settled instance that holds no pruned child.
+#: The one shared, read-only ``child_values`` of every live leaf instance.
 _NO_CHILD_VALUES: Mapping[NodeId, Any] = MappingProxyType({})
 
-#: A tree view's resolved destinations: the parent link (None at the root)
-#: and the child links in child order.
-TreeLinks = Tuple[Optional[int], Tuple[int, ...]]
+#: The pruned children of every record that has none.
+_NO_PRUNED: FrozenSet[NodeId] = frozenset()
+
+
+class _TreeLinks(NamedTuple):
+    """A tree view's resolved links, and the settled form of an instance.
+
+    The module resolves one record per cluster view: the view, its parent
+    link (None at the root), its child links in child order and no pruned
+    child.  A live instance emits on its view's record, and a settled
+    instance *is* that record in ``_instances``: the key supplies the
+    cluster id, the tag and (through the pure ``priority_fn``) the
+    priority.  A prune never edits a record; it gives the affected
+    instance a private copy, with the dead child's link filtered out of
+    ``children_links`` or the children whose late value must be dropped
+    in ``pruned`` (DESIGN.md §10, §15).
+    """
+
+    #: The tree view the instance was created on; its children are the
+    #: ones the convergecast guards accept a value from.
+    view: ClusterView
+    parent_link: Optional[int]
+    children_links: Tuple[int, ...]
+    pruned: FrozenSet[NodeId]
 
 
 class _InstanceState:
-    """Per-(cluster, tag) aggregation state at one node (plain slots).
+    """A live per-(cluster, tag) aggregation instance at one node.
 
-    An instance is *live* until it sends its value up, then *settled*
-    until the broadcast reaches it, then *retired* (DESIGN.md §10).  On
-    settling ``child_values`` shrinks to the :data:`_PRUNED` slots, the
-    only entries a guard still reads; an orphan whose broadcast never
-    comes (DESIGN.md §11) stalls in this settled form.
+    Live until it sends its value up (plain slots); the module then
+    replaces it by its settled :class:`_TreeLinks` record (DESIGN.md §10).
     """
 
-    __slots__ = ("key", "cluster_id", "tag", "view", "contributed", "value",
-                 "child_values", "missing", "sent_up", "priority",
-                 "parent_link", "children_links")
+    __slots__ = ("key", "links", "priority", "contributed", "value",
+                 "child_values", "missing")
 
-    def __init__(self, key: Key, cluster_id: int, tag: Tag,
-                 view: "ClusterView", priority: Any,
-                 tree_links: TreeLinks) -> None:
-        # The identity travels with the instance so emits reuse the packed
-        # wire key and ``on_result`` never decodes.
+    def __init__(self, key: Key, links: _TreeLinks, priority: Any) -> None:
+        # The packed wire key travels with the instance so emits reuse it.
         self.key = key
-        self.cluster_id = cluster_id
-        self.tag = tag
-        self.view = view  # this node's tree view, bound at creation
+        # The view's shared record until a prune gives this instance a
+        # filtered copy.
+        self.links = links
+        self.priority = priority
         self.contributed = False
         self.value: Any = None
         # Child values still owed before this node may forward up; counted
         # down as they arrive so the forward check is one attribute test.
-        children = view.children
+        children = links.view.children
         self.missing = len(children)
         # Most instances are leaves, which never store a child value.
         self.child_values: Mapping[NodeId, Any] = (
             {} if children else _NO_CHILD_VALUES
         )
-        self.sent_up = False
-        # The instance's link priority and tree destinations; the links
-        # are the module's per-view tuples, shared until a prune filters
-        # this instance's own copy.
-        self.priority = priority
-        self.parent_link, self.children_links = tree_links
 
 
 class ClusterAggregateModule(ClusterTreeModule):
@@ -127,10 +148,11 @@ class ClusterAggregateModule(ClusterTreeModule):
     identical across nodes, that combines two values of any instance.
     ``on_result(cluster_id, tag, result)`` fires on every tree node once
     the broadcast reaches it.  The node then retires the instance: its
-    state is dropped for the :data:`_RETIRED` tombstone, and any later
+    entry becomes the :data:`_RETIRED` tombstone, and any later
     contribution or message for it raises (DESIGN.md §10).  Before that,
-    an instance that has sent its value up is *settled*: it keeps only
-    the pruned-child slots its guards still read.
+    an instance that has sent its value up is *settled*: its entry is its
+    view's shared :class:`_TreeLinks` record, or a private copy that keeps
+    the pruned children and filtered links its guards and broadcast read.
     """
 
     def __init__(
@@ -147,12 +169,13 @@ class ClusterAggregateModule(ClusterTreeModule):
         super().__init__(node_id, clusters, send, priority_fn, links, send_link)
         self.on_result = on_result
         self.merge = merge
-        # Live and settled instances, and the :data:`_RETIRED` tombstone of
-        # each finished one.
+        # Live instances, settled records and the :data:`_RETIRED`
+        # tombstone of each finished instance.
         self._instances: Dict[Key, Any] = {}
-        # Each cluster view's tree links, resolved once.  A prune or a
-        # readmission builds new views, which miss and resolve afresh.
-        self._view_links: Dict[ClusterView, TreeLinks] = {}
+        # Each cluster view's shared :class:`_TreeLinks`, resolved once.  A
+        # prune or a readmission builds new views, which miss and resolve
+        # afresh.
+        self._view_links: Dict[ClusterView, _TreeLinks] = {}
         # Whether any child was ever pruned: until then no instance holds a
         # :data:`_PRUNED` slot, so settling keeps nothing.
         self._pruned_any = False
@@ -167,13 +190,13 @@ class ClusterAggregateModule(ClusterTreeModule):
         if tree_links is None:
             links = self._links
             parent = view.parent
-            tree_links = self._view_links[view] = (
+            tree_links = self._view_links[view] = _TreeLinks(
+                view,
                 None if parent is None else links[parent],
                 tuple([links[child] for child in view.children]),
+                _NO_PRUNED,
             )
-        instance = _InstanceState(
-            key, cluster_id, tag, view, self.priority_fn(tag), tree_links
-        )
+        instance = _InstanceState(key, tree_links, self.priority_fn(tag))
         self._instances[key] = instance
         return instance
 
@@ -196,7 +219,8 @@ class ClusterAggregateModule(ClusterTreeModule):
         instance = self._instances.get(key)
         if instance is None:
             instance = self._make_instance(key, cluster_id, tag)
-        if instance is _RETIRED or instance.contributed:
+        # Settled and retired entries have contributed already.
+        elif instance.__class__ is not _InstanceState or instance.contributed:
             raise ValueError(
                 f"node {self.node_id} double-contributes to {cluster_id}/{tag}"
             )
@@ -206,11 +230,10 @@ class ClusterAggregateModule(ClusterTreeModule):
 
     # ------------------------------------------------------------------
     def _maybe_forward(self, instance: _InstanceState) -> None:
-        if instance.sent_up or not instance.contributed:
+        if instance.missing or not instance.contributed:
             return
-        if instance.missing:
-            return
-        view = instance.view
+        links = instance.links
+        view = links.view
         combined = instance.value
         children = view.children
         if children:
@@ -221,35 +244,62 @@ class ClusterAggregateModule(ClusterTreeModule):
                 if cv is _PRUNED:
                     continue
                 combined = merge(combined, cv)
-            # Settle: from here on the guards read only the pruned slots,
-            # and there are none before the module's first prune.
-            pruned = self._pruned_any and {
-                c: v for c, v in child_values.items() if v is _PRUNED}
-            instance.child_values = pruned or _NO_CHILD_VALUES
-        instance.sent_up = True
+            # Settle: the guards still read the pruned slots, and there are
+            # none before the module's first prune.
+            if self._pruned_any:
+                pruned = frozenset(
+                    [c for c, v in child_values.items() if v is _PRUNED])
+                if pruned:
+                    links = links._replace(pruned=pruned)
+        key = instance.key
         if view.parent is None:
-            self._finish(instance, combined)
+            # The root finishes at once; it retires unless a pruned child's
+            # slot is still needed to drop that child's late value (§15).
+            self._instances[key] = links if links.pruned else _RETIRED
+            self._broadcast(key, links.children_links, combined)
         else:
+            self._instances[key] = links
             self.messages_sent += 1
             self._send_link(
-                instance.parent_link, (OP_AGG_UP, instance.key, combined),
+                links.parent_link, (OP_AGG_UP, key, combined),
                 instance.priority,
             )
 
-    def _finish(self, instance: _InstanceState, result: Any) -> None:
-        # Retire the instance unless a pruned child's slot is still needed
-        # to drop that child's late value (DESIGN.md §15).
-        if _PRUNED not in instance.child_values.values():
-            self._instances[instance.key] = _RETIRED
-        children_links = instance.children_links
+    def _broadcast(self, key: Key, children_links: Tuple[int, ...],
+                   result: Any) -> None:
+        """Send the result down the tree and report it to the host."""
+        cluster_id, tag = unpack_key(key)
         if children_links:
-            priority = instance.priority
+            priority = self.priority_fn(tag)
             send_link = self._send_link
-            payload = (OP_AGG_DOWN, instance.key, result)
+            payload = (OP_AGG_DOWN, key, result)
             for child_link in children_links:
                 self.messages_sent += 1
                 send_link(child_link, payload, priority)
-        self.on_result(instance.cluster_id, instance.tag, result)
+        self.on_result(cluster_id, tag, result)
+
+    def _stray_up(self, key: Key, sender: NodeId,
+                  children: Tuple[NodeId, ...], pruned: bool) -> None:
+        """A convergecast value the instance no longer owes a slot for."""
+        if pruned:
+            # A re-joined child's late value: this barrier already
+            # re-closed over the survivors when the crash was detected,
+            # so the fresh incarnation's word is dropped (degrade
+            # semantics, DESIGN.md §15) — it participates from the next
+            # instance onward.
+            return
+        cluster_id, tag = unpack_key(key)
+        # Every child of a settled instance has been heard from, so a word
+        # from a child is a duplicate there too.
+        if sender in children:
+            raise ValueError(
+                f"duplicate convergecast value from {sender} in"
+                f" {cluster_id}/{tag}"
+            )
+        raise ValueError(
+            f"convergecast value from non-child {sender} in"
+            f" {cluster_id}/{tag}"
+        )
 
     # ------------------------------------------------------------------
     def handle_up(self, sender: NodeId, payload: Tuple) -> None:
@@ -258,31 +308,19 @@ class ClusterAggregateModule(ClusterTreeModule):
         instance = self._instances.get(key)
         if instance is None:
             instance = self._instance_from_wire(key)
-        elif instance is _RETIRED:
-            raise self._finished_error(key, f"a convergecast value from {sender}")
+        elif instance.__class__ is not _InstanceState:
+            if instance is _RETIRED:
+                raise self._finished_error(
+                    key, f"a convergecast value from {sender}")
+            self._stray_up(key, sender, instance.view.children,
+                           sender in instance.pruned)
+            return
         child_values = instance.child_values
-        children = instance.view.children
-        # A settled instance has heard from every child: a slot it dropped
-        # on settling held a value, so a second word from that child is a
-        # duplicate.
-        if sender in child_values or instance.sent_up:
-            if child_values.get(sender) is _PRUNED:
-                # A re-joined child's late value: this barrier already
-                # re-closed over the survivors when the crash was detected,
-                # so the fresh incarnation's word is dropped (degrade
-                # semantics, DESIGN.md §15) — it participates from the next
-                # instance onward.
-                return
-            if sender in children:
-                raise ValueError(
-                    f"duplicate convergecast value from {sender} in"
-                    f" {instance.cluster_id}/{instance.tag}"
-                )
-        if sender not in children:
-            raise ValueError(
-                f"convergecast value from non-child {sender} in"
-                f" {instance.cluster_id}/{instance.tag}"
-            )
+        children = instance.links.view.children
+        if sender in child_values or sender not in children:
+            self._stray_up(key, sender, children,
+                           child_values.get(sender) is _PRUNED)
+            return
         child_values[sender] = payload[2]
         instance.missing -= 1
         self._maybe_forward(instance)
@@ -295,7 +333,17 @@ class ClusterAggregateModule(ClusterTreeModule):
             instance = self._instance_from_wire(key)
         elif instance is _RETIRED:
             raise self._finished_error(key, f"a broadcast result from {sender}")
-        self._finish(instance, payload[2])
+        # Retire the instance unless a pruned child's slot is still needed
+        # to drop that child's late value (DESIGN.md §15).
+        if instance.__class__ is _InstanceState:
+            links = instance.links
+            if _PRUNED not in instance.child_values.values():
+                self._instances[key] = _RETIRED
+        else:
+            links = instance
+            if not links.pruned:
+                self._instances[key] = _RETIRED
+        self._broadcast(key, links.children_links, payload[2])
 
     # ------------------------------------------------------------------
     def prune_child(self, dead: NodeId) -> None:
@@ -312,19 +360,30 @@ class ClusterAggregateModule(ClusterTreeModule):
         returned child's late values for instances that re-closed without
         it are dropped by the ``_PRUNED`` guard in :meth:`handle_up`.  A
         settled instance owes the dead child nothing; only its broadcast
-        stops addressing it.
+        stops addressing it, through a private copy of its record.
         """
         dead_link = self._links[dead]
         self._prune_views(dead)
         self._pruned_any = True
-        for instance in list(self._instances.values()):
-            if instance is _RETIRED or dead not in instance.view.children:
+        instances = self._instances
+        # By key: a forward below may settle or retire another instance
+        # (through ``on_result``), and the loop must see its current entry.
+        for key in list(instances):
+            instance = instances[key]
+            if instance is _RETIRED:
                 continue
-            if instance.children_links:
-                instance.children_links = tuple(
-                    lnk for lnk in instance.children_links if lnk != dead_link
-                )
-            if not instance.sent_up and dead not in instance.child_values:
+            live = instance.__class__ is _InstanceState
+            links = instance.links if live else instance
+            if dead not in links.view.children:
+                continue
+            # A copy, never an edit: the view's record is shared.
+            links = links._replace(children_links=tuple(
+                lnk for lnk in links.children_links if lnk != dead_link))
+            if not live:
+                instances[key] = links
+                continue
+            instance.links = links
+            if dead not in instance.child_values:
                 instance.child_values[dead] = _PRUNED
                 instance.missing -= 1
                 self._maybe_forward(instance)

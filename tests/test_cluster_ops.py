@@ -7,9 +7,10 @@ import pytest
 from repro.apps.programs import bfs_spec
 from repro.core import SynchronizerSweep
 from repro.core.cluster_ops import (
-    _NO_CHILD_VALUES,
     _PRUNED,
     _RETIRED,
+    _InstanceState,
+    _TreeLinks,
     OP_AGG_DOWN,
     OP_AGG_UP,
     ClusterAggregateModule,
@@ -216,25 +217,17 @@ class TestInstanceRetirement:
 
         monkeypatch.setattr(
             ClusterAggregateModule, "_set_children", recording_set_children)
-        graph = topology.cycle_graph(64)
-        faults = FaultSchedule(
-            seed=3, crash_rate=0.1, rejoin_rate=1.0, down_rate=0.05,
-            recurrent=True, protect=[v % 64 for v in range(-4, 5)],
-        )
-        runtime = AsyncRuntime(
-            graph, RecoverySynchronizerProcess.bind(graph, bfs_spec(0)),
-            UniformDelay(seed=5), faults=faults,
-        )
+        runtime = _churn_cycle64_runtime(None)
         assert runtime.run().stop_reason == "quiescent"
         aggs = [p.node.agg for p in runtime.processes.values()]
         settled = pruned_slots = 0
         for agg in aggs:
             for inst in agg._instances.values():
-                if inst is _RETIRED or not inst.sent_up:
+                if inst is _RETIRED or type(inst) is _InstanceState:
                     continue
                 settled += 1
-                assert all(v is _PRUNED for v in inst.child_values.values())
-                pruned_slots += len(inst.child_values)
+                assert type(inst) is _TreeLinks
+                pruned_slots += len(inst.pruned)
             views = set(agg._pristine_clusters.values())
             views |= views_built.get(agg, set())
             assert set(agg._view_links) <= views
@@ -259,7 +252,7 @@ class TestSettledInstances:
         module.contribute(0, tag, 4)
         module.handle_up(1, (OP_AGG_UP, key, 2))
         module.handle_up(2, (OP_AGG_UP, key, 3))
-        assert module._instances[key].sent_up
+        assert type(module._instances[key]) is _TreeLinks
         return key
 
     def test_second_value_from_a_child_is_a_duplicate(self):
@@ -284,8 +277,8 @@ class TestSettledInstances:
         module.handle_up(2, (OP_AGG_UP, key, 3))
         module.prune_child(1)  # the barrier re-closes and forwards up
         instance = module._instances[key]
-        assert instance.sent_up
-        assert instance.child_values == {1: _PRUNED}
+        assert type(instance) is _TreeLinks
+        assert instance.pruned == {1}
         module.readmit_child(1)
         module.handle_up(1, (OP_AGG_UP, key, 0))  # dropped, not raised
         assert sent == [(9, (OP_AGG_UP, key, 3))]
@@ -297,7 +290,7 @@ class TestSettledInstances:
         module = self._relay(sent)
         key = self._settle(module)
         module.prune_child(2)  # owed nothing: only the broadcast changes
-        assert module._instances[key].child_values is _NO_CHILD_VALUES
+        assert not module._instances[key].pruned
         module.handle_down(9, (OP_AGG_DOWN, key, 2))
         assert sent == [(9, (OP_AGG_UP, key, 2)), (1, (OP_AGG_DOWN, key, 2))]
         assert module._instances == {key: _RETIRED}
@@ -306,11 +299,126 @@ class TestSettledInstances:
         module = self._relay([])
         a = module._instances[self._settle(module, "t")]
         b = module._instances[self._settle(module, "u")]
-        assert a.child_values is _NO_CHILD_VALUES
-        assert b.child_values is _NO_CHILD_VALUES
+        assert not a.pruned
+        assert not b.pruned
         # Both instances ride the one resolved link tuple of their view.
         assert a.children_links is b.children_links == (1, 2)
         assert len(module._view_links) == 1
+
+    def test_settled_instances_on_one_view_share_one_record(self):
+        module = self._relay([])
+        a = module._instances[self._settle(module, "t")]
+        b = module._instances[self._settle(module, "u")]
+        assert a is b is module._view_links[module.clusters[0]]
+
+    def test_prune_gives_a_private_copy_and_leaves_the_shared_record(self):
+        sent = []
+        module = self._relay(sent)
+        t = self._settle(module, "t")
+        shared = module._instances[t]
+        module.prune_child(2)
+        private = module._instances[t]
+        assert private is not shared
+        assert private.children_links == (1,)
+        # The readmitted view resolves to the same, unedited record.
+        module.readmit_child(2)
+        u = self._settle(module, "u")
+        assert module._instances[u] is shared
+        del sent[:]
+        module.handle_down(9, (OP_AGG_DOWN, t, 2))
+        module.handle_down(9, (OP_AGG_DOWN, u, 3))
+        assert sent == [
+            (1, (OP_AGG_DOWN, t, 2)),
+            (1, (OP_AGG_DOWN, u, 3)), (2, (OP_AGG_DOWN, u, 3)),
+        ]
+
+    def test_shared_record_keeps_every_guard(self):
+        sent, results = [], []
+        module = ClusterAggregateModule(
+            0, {0: ClusterView(0, parent=9, children=(1, 2))},
+            lambda to, payload, priority: sent.append((to, payload)),
+            lambda cid, tag, result: results.append((cid, tag, result)),
+            min_merge, lambda tag: (0,),
+        )
+        t = self._settle(module, "t")
+        u = self._settle(module, "u")
+        assert module._instances[t] is module._instances[u]
+        with pytest.raises(ValueError, match="double-contributes to 0/t"):
+            module.contribute(0, "t", 5)
+        with pytest.raises(
+                ValueError, match="duplicate convergecast value from 2 in 0/t"):
+            module.handle_up(2, (OP_AGG_UP, t, 0))
+        with pytest.raises(
+                ValueError, match="convergecast value from non-child 5 in 0/t"):
+            module.handle_up(5, (OP_AGG_UP, t, 0))
+        module.handle_down(9, (OP_AGG_DOWN, t, 2))
+        with pytest.raises(ValueError, match="broadcast result from 9 for"
+                           " finished instance 0/t"):
+            module.handle_down(9, (OP_AGG_DOWN, t, 2))
+        assert results == [(0, "t", 2)]
+        assert module._instances[t] is _RETIRED
+        assert module._instances[u] is module._view_links[module.clusters[0]]
+
+
+def _churn_cycle64_runtime(trace):
+    """cycle(64) with crashes, certain rejoins and flapping links, the
+    root's 4-ball protected."""
+    graph = topology.cycle_graph(64)
+    faults = FaultSchedule(
+        seed=3, crash_rate=0.1, rejoin_rate=1.0, down_rate=0.05,
+        recurrent=True, protect=[v % 64 for v in range(-4, 5)],
+    )
+    return AsyncRuntime(
+        graph, RecoverySynchronizerProcess.bind(graph, bfs_spec(0)),
+        UniformDelay(seed=5), faults=faults, trace=trace,
+    )
+
+
+def _sync_runtime(graph):
+    return lambda trace: SynchronizerSweep(graph, bfs_spec(0))._sweep.runtime(
+        UniformDelay(seed=5), trace=trace)
+
+
+@pytest.mark.parametrize("build, churn", [
+    (_sync_runtime(topology.cycle_graph(64)), False),
+    (_sync_runtime(topology.grid_graph(8, 8)), False),
+    (_churn_cycle64_runtime, True),
+], ids=["sync-cycle64", "sync-grid8x8", "churn-cycle64"])
+def test_run_census_settled_instances_share_their_view_record(build, churn):
+    """Sampled every 500 deliveries: an instance that has forwarded its
+    value up holds no record of its own unless a prune gave it a pruned
+    child or filtered links (DESIGN.md §10)."""
+    tally = {"samples": 0, "shared": 0, "private": 0}
+    deliveries = [0]
+
+    def census():
+        tally["samples"] += 1
+        for process in runtime.processes.values():
+            agg = process.node.agg
+            for inst in agg._instances.values():
+                if inst is _RETIRED:
+                    continue
+                if type(inst) is _InstanceState:
+                    # Live: it has not forwarded up yet.
+                    assert inst.missing or not inst.contributed
+                    continue
+                shared = agg._view_links[inst.view]
+                if inst.pruned or inst.children_links != shared.children_links:
+                    tally["private"] += 1
+                else:
+                    assert inst is shared
+                    tally["shared"] += 1
+
+    def trace(now, src, dst, payload):
+        deliveries[0] += 1
+        if deliveries[0] % 500 == 0:
+            census()
+
+    runtime = build(trace)
+    assert runtime.run().stop_reason == "quiescent"
+    census()
+    assert tally["samples"] > 1 and tally["shared"]
+    assert bool(tally["private"]) == churn
 
 
 def make_gather_driver(cover, done_delays, completions, num_stages):
@@ -523,6 +631,6 @@ def test_readmit_does_not_resurrect_evicted_flow_reports():
     # The readmitted child is addressed again by the *next* instance.
     module.contribute(0, 2, 9)
     assert results == [(0, 1, 5)]  # waiting on child 1's fresh value
-    key2 = next(k for k, inst in module._instances.items() if inst.tag == 2)
+    key2 = pack_key(0, 2)
     module.handle_up(1, (0, key2, 3))
     assert results == [(0, 1, 5), (0, 2, 3)]
