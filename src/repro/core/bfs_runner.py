@@ -47,14 +47,23 @@ def bfs_outcome(graph: Graph, result: AsyncResult) -> BFSOutcome:
     return BFSOutcome(distances=distances, parents=parents, result=result)
 
 
-def source_set(sources: Iterable[NodeId] | NodeId) -> FrozenSet[NodeId]:
+def source_set(
+    sources: Iterable[NodeId] | NodeId, graph: Graph
+) -> FrozenSet[NodeId]:
     """A BFS's sources as a frozenset (one node id or an iterable of them);
-    raises on an empty set."""
+    raises on an empty set and on a source that is not a node of
+    ``graph``."""
     nodes = (
         frozenset((sources,)) if isinstance(sources, int) else frozenset(sources)
     )
     if not nodes:
         raise ValueError("at least one source required")
+    outside = sorted(v for v in nodes if v not in graph.nodes)
+    if outside:
+        raise ValueError(
+            f"source {outside[0]!r} is not a node of the graph"
+            f" (nodes 0..{graph.num_nodes - 1})"
+        )
     return nodes
 
 
@@ -113,7 +122,7 @@ class ThresholdedBFSProcess(Process):
         """This class bound to one run's sources (normalized by
         :func:`source_set`), threshold and cover registry (built when not
         given), with the levels a node reads loaded."""
-        sources = source_set(sources)
+        sources = source_set(sources, graph)
         if registry is None:
             registry = registry_for_threshold(graph, threshold, builder)
         registry.load(ThresholdedBFSCore.cover_levels(registry, threshold))

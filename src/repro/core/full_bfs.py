@@ -309,7 +309,7 @@ def run_full_bfs(
     radius the doubling can need; the paper's asynchronous per-iteration
     cover construction is not implemented (DESIGN.md, Substitution 5).
     """
-    sources = source_set(sources)
+    sources = source_set(sources, graph)
     dist = graph.bfs_distances(sources)
     reach = max(d for d in dist if d != UNREACHED)
     max_iterations = max(1, math.ceil(math.log2(max(reach, 1))) + 2)

@@ -29,6 +29,10 @@ A host subclasses :class:`PulseGate` and supplies the hooks named in its
 docstring.  Execution-structure vertices are :class:`Vertex` objects: the
 synchronizer's virtual nodes, or the thresholded-BFS node itself, which is
 the only vertex of its join tree.
+
+The gate assumes the paper's fault-free network and takes no recovery
+option.  Pruning a crashed neighbor and readmitting a returned one are the
+recovery synchronizer's (:mod:`repro.core.recovery`, DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -117,8 +121,6 @@ class PulseGate:
     * ``_report_up(at, q, flow)`` — pass the assembled flow-``q`` report to
       ``at``'s parent;
     * ``_release_down(at, q)`` — Go-Ahead(q) reached ``at``; walk it down;
-    * ``_prune_execution(dead)`` — detach a crashed neighbor from the
-      execution structure (recovery mode);
 
     and may override ``_on_source_safe`` and ``_on_other_result``.
     """
@@ -132,7 +134,6 @@ class PulseGate:
         send,  # (to, payload, priority) -> None
         links=None,  # neighbor -> dense link id (ProcessContext.links)
         send_link=None,  # (link_id, payload, priority) -> None
-        recovery: bool = False,
     ) -> None:
         links, send_link = resolve_link_pair(
             type(self).__name__, send, links, send_link
@@ -164,11 +165,6 @@ class PulseGate:
             links=links,
             send_link=send_link,
         )
-        # Recovery mode (DESIGN.md §11): the host tracks which acks/answers
-        # are outstanding so :meth:`prune_neighbor` can cancel exactly the
-        # ones a crashed neighbor still owed.
-        self.recovery = recovery
-        self._pruned: Set[NodeId] = set()
         self._sreg_pending: Dict[int, Set[int]] = {}
         self._sdereg_pending: Dict[int, Set[int]] = {}
         self._reg_pending: Dict[int, int] = {}
@@ -325,50 +321,6 @@ class PulseGate:
         pending.discard(cid)
         if not pending:
             self._release_down(self._vertex(prev_prev(q)), q)
-
-    # ------------------------------------------------------------------
-    # churn recovery (DESIGN.md §11, §15)
-    # ------------------------------------------------------------------
-    def _require_recovery(self, what: str) -> None:
-        if not self.recovery:
-            raise RuntimeError(
-                f"{what} requires recovery mode ({type(self).__name__}"
-                " was built with recovery=False)"
-            )
-
-    def prune_neighbor(self, dead: NodeId) -> None:
-        """Detach a crashed neighbor: the prune is forwarded to the
-        registration and aggregation modules so cluster convergecasts
-        re-close over the survivors, then the host drops it from the
-        execution structure (``_prune_execution``).  Idempotent."""
-        self._require_recovery("prune_neighbor")
-        if dead in self._pruned:
-            return
-        self._pruned.add(dead)
-        self.reg.prune_child(dead)
-        self.agg.prune_child(dead)
-        self._prune_execution(dead)
-
-    def readmit_neighbor(self, returned: NodeId) -> None:
-        """Re-admit a re-joined neighbor into the protocol stacks (§15).
-
-        Inverse of :meth:`prune_neighbor`, restricted to what is sound
-        going *forward*: the neighbor leaves the pruned set (its messages
-        reach the modules again), and the registration and aggregation
-        views are restored so stages and barrier instances created after
-        the readmission address it in its original deterministic position.
-        Nothing is rewound — execution state that already re-closed its
-        waits over the survivors stays closed (the fresh incarnation never
-        answers for pulses it did not witness), and poisoned registration
-        stages stay poisoned, so they are never retired.  Idempotent per
-        neighbor; a no-op for a neighbor that was never pruned.
-        """
-        self._require_recovery("readmit_neighbor")
-        if returned not in self._pruned:
-            return
-        self._pruned.discard(returned)
-        self.reg.readmit_child(returned)
-        self.agg.readmit_child(returned)
 
     # ------------------------------------------------------------------
     def handle(self, sender: NodeId, payload: Tuple) -> None:

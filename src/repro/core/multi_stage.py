@@ -148,7 +148,7 @@ def run_multi_stage_bfs(
 
     ``distance_filter`` implements Remark 4.18: any d <= 2^t * num_stages.
     """
-    sources = source_set(sources)
+    sources = source_set(sources, graph)
     if num_stages < 1:
         raise ValueError("need at least one stage")
     if distance_filter is not None and distance_filter > stage_threshold * num_stages:

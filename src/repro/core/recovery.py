@@ -5,13 +5,19 @@ acknowledgments and chosen/not-chosen answers, so a single crashed neighbor
 stalls its whole subtree forever.  This module layers the recovery
 semantics on top:
 
-* :class:`RecoverySynchronizerProcess` runs the synchronizer with
-  ``recovery=True`` bookkeeping, reacts to the transport's failure
-  detectors (``on_neighbor_dead``) by pruning the dead neighbor out of
-  every local wait set, and drops any straggler message from a pruned
-  sender (a pre-crash message deferred across a link-down interval would
-  otherwise trip the Lemma 5.1 oracle — under fail-stop semantics a dead
-  node's words are void from the moment the crash is *detected*).
+* :class:`RecoverySynchronizerNode` is the synchronizer node plus
+  everything a node does when a neighbor crashes or returns: the ack and
+  answer identity sets, pruning a dead neighbor out of every local wait
+  set, readmitting a returned one, and tolerating traffic that addresses
+  state a fresh incarnation never held.  The fault-free
+  :class:`~repro.core.synchronizer.SynchronizerNode` has none of this.
+* :class:`RecoverySynchronizerProcess` runs the synchronizer on that
+  node, reacts to the transport's failure detectors
+  (``on_neighbor_dead``) by pruning the dead neighbor, and drops any
+  straggler message from a pruned sender (a pre-crash message deferred
+  across a link-down interval would otherwise trip the Lemma 5.1 oracle —
+  under fail-stop semantics a dead node's words are void from the moment
+  the crash is *detected*).
 * :func:`run_churn` drives a full experiment in one of three modes:
 
   - ``"degrade"`` — one pass: survivors prune dead subtrees on detection
@@ -46,7 +52,7 @@ output from the re-anchoring wave.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..net.async_runtime import AsyncRuntime
 from ..net.delays import DelayModel
@@ -60,12 +66,139 @@ from ..net.program import (
     PulseApi,
     fixed_initiators,
 )
-from .synchronizer import SynchronizerProcess, run_synchronized
+from .gate import RELEASED_FLOW
+from .synchronizer import (
+    OP_APP,
+    SynchronizerNode,
+    SynchronizerProcess,
+    _VNode,
+    run_synchronized,
+)
 
 #: ``spec_factory(root)`` builds the program spec for a given root/source
 #: node id, so the rebuild pass can re-instantiate the same algorithm on the
 #: remapped surviving component.
 SpecFactory = Callable[[NodeId], ProgramSpec]
+
+
+class RecoverySynchronizerNode(SynchronizerNode):
+    """Synchronizer node that survives crashed and returning neighbors.
+
+    Beside the fault-free machine's counters it keeps, per vnode pulse,
+    the identities behind them: the neighbors whose acknowledgment
+    (``_ack_wait``) and chosen/not-chosen answer (``_ans_wait``) are still
+    outstanding.  :meth:`prune_neighbor` cancels exactly what a crashed
+    neighbor still owed, once, and not again for what resolved before the
+    crash was detected.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._pruned: Set[NodeId] = set()
+        self._ack_wait: Dict[int, Set[NodeId]] = {}
+        self._ans_wait: Dict[int, Set[NodeId]] = {}
+
+    def _bind_sends(
+        self, vnode: _VNode, sends: List[Tuple[NodeId, Any]]
+    ) -> None:
+        super()._bind_sends(vnode, sends)
+        recipients = {to for to, _ in sends}
+        self._ack_wait[vnode.pulse] = recipients
+        self._ans_wait[vnode.pulse] = set(recipients)
+
+    def on_delivered(self, to: NodeId, payload: Tuple) -> None:
+        if payload[0] != OP_APP or to in self._pruned:
+            # A pruned neighbor's ack was cancelled when it was pruned; a
+            # late transport ack (delivered just before the crash, deferred
+            # across a down interval) must not count twice.
+            return
+        self._ack_wait[payload[1]].discard(to)
+        super().on_delivered(to, payload)
+
+    def _child_answer(self, vnode: _VNode, who: Any, chosen: bool) -> None:
+        self._ans_wait[vnode.pulse].discard(who)
+        super()._child_answer(vnode, who, chosen)
+
+    def _stale_vnode(self, p: int) -> Optional[_VNode]:
+        """Vnode lookup tolerating re-join staleness (DESIGN.md §15): a
+        neighbor that won the rejoin-vs-detect race never pruned this node
+        and keeps addressing execution-forest state the previous
+        incarnation held.  The fresh incarnation drops such traffic
+        (``None``) instead of crashing; it stays passive for epochs it did
+        not witness."""
+        return self.vnodes.get(p)
+
+    def prune_neighbor(self, dead: NodeId) -> None:
+        """Detach a crashed neighbor.  Idempotent.
+
+        The registration and aggregation modules re-close their
+        convergecasts over the survivors.  In the execution forest the
+        neighbor's outstanding acknowledgments and answers are cancelled
+        (a crashed child is not-chosen by fiat), it leaves child sets and
+        flow reports, and unsent emit lists stop addressing it.
+        """
+        if dead in self._pruned:
+            return
+        self._pruned.add(dead)
+        self.reg.prune_child(dead)
+        self.agg.prune_child(dead)
+        dead_link = self._links[dead]
+        for vnode in list(self.vnodes.values()):
+            ack_wait = self._ack_wait[vnode.pulse]
+            ans_wait = self._ans_wait[vnode.pulse]
+            if not vnode.sent:
+                # Not yet emitted: stop addressing the dead node.  The
+                # counters stay consistent because ``_do_sends`` derives
+                # both from the (now filtered) emit list.
+                if dead in ack_wait:
+                    vnode.emits = tuple(
+                        (lid, w) for lid, w in vnode.emits if lid != dead_link
+                    )
+                    vnode.release_links = tuple(
+                        lid for lid in vnode.release_links if lid != dead_link
+                    )
+                    ack_wait.discard(dead)
+                    ans_wait.discard(dead)
+                continue
+            if dead in ack_wait:
+                # A send into a crashed receiver is never acknowledged:
+                # count it as resolved.
+                ack_wait.discard(dead)
+                vnode.sends_pending -= 1
+                if vnode.sends_pending == 0:
+                    self._vnode_safe(vnode)
+            if dead in ans_wait:
+                self._child_answer(vnode, dead, False)
+            if dead in vnode.children:
+                # Answered chosen before crashing: drop the subtree.  Any
+                # flow already waiting on its report re-closes over the
+                # surviving children.
+                vnode.children.remove(dead)
+                for flow in vnode.flows.values():
+                    if flow is not RELEASED_FLOW:
+                        flow.reports.pop(dead, None)
+                if vnode.answers_missing == 0:
+                    self._reassemble(vnode)
+
+    def readmit_neighbor(self, returned: NodeId) -> None:
+        """Re-admit a re-joined neighbor (DESIGN.md §15).
+
+        Inverse of :meth:`prune_neighbor`, restricted to what is sound
+        going *forward*: the neighbor leaves the pruned set (its messages
+        reach the modules again), and the registration and aggregation
+        views are restored so stages and barrier instances created after
+        the readmission address it in its original deterministic position.
+        Nothing is rewound — execution state that already re-closed its
+        waits over the survivors stays closed (the fresh incarnation never
+        answers for pulses it did not witness), and poisoned registration
+        stages stay poisoned, so they are never retired.  Idempotent per
+        neighbor; a no-op for a neighbor that was never pruned.
+        """
+        if returned not in self._pruned:
+            return
+        self._pruned.discard(returned)
+        self.reg.readmit_child(returned)
+        self.agg.readmit_child(returned)
 
 
 class RecoverySynchronizerProcess(SynchronizerProcess):
@@ -79,7 +212,7 @@ class RecoverySynchronizerProcess(SynchronizerProcess):
     costs nothing per delivered message.
     """
 
-    recovery = True
+    node_class = RecoverySynchronizerNode
 
     def on_start(self) -> None:
         if self.ctx.now > 0.0:

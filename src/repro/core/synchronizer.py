@@ -77,7 +77,7 @@ class _VNode(Vertex):
     __slots__ = ("pulse", "parent", "parent_link", "parent_is_self",
                  "emits", "release_links",
                  "sends_pending", "sent", "answers_missing", "children",
-                 "self_child", "flows", "ans_wait", "ack_wait")
+                 "self_child", "flows")
 
     def __init__(
         self, pulse: int, parent: Optional[NodeId], parent_is_self: bool,
@@ -104,13 +104,6 @@ class _VNode(Vertex):
         self.self_child = False
         # A released flow's entry is the shared ``RELEASED_FLOW``.
         self.flows: Dict[int, Flow] = {}
-        # Recovery mode only (DESIGN.md §11): the identities behind the two
-        # counters above, so a crashed neighbor's outstanding ack/answer can
-        # be cancelled exactly once (and not cancelled again if it already
-        # resolved before the crash was detected).  None outside recovery —
-        # the bare counters carry the fault-free protocol.
-        self.ans_wait: Optional[Set[Any]] = None
-        self.ack_wait: Optional[Set[NodeId]] = None
 
 
 class SynchronizerNode(PulseGate):
@@ -137,13 +130,10 @@ class SynchronizerNode(PulseGate):
         set_output,  # (value) -> None
         links=None,  # neighbor -> dense link id (ProcessContext.links)
         send_link=None,  # (link_id, payload, priority) -> None
-        recovery: bool = False,  # track ack/answer identities for pruning
     ) -> None:
-        if max_pulse < 1 or max_pulse & (max_pulse - 1):
-            raise ValueError("max_pulse must be a power of two")
         super().__init__(
             node_id, registry, max_pulse, self.cover_levels(registry), send,
-            links, send_link, recovery,
+            links, send_link,
         )
         self.info = info
         self.program = program_factory(info)
@@ -205,7 +195,6 @@ class SynchronizerNode(PulseGate):
         wire payloads, link ids, and the release fan-out order."""
         links = self._links
         pulse = vnode.pulse
-        recipients = tuple(to for to, _ in sends)
         vnode.emits = tuple(
             (links[to], (OP_APP, pulse, payload)) for to, payload in sends
         )
@@ -213,13 +202,8 @@ class SynchronizerNode(PulseGate):
         # release emit order is part of the pinned schedule; recipients are
         # distinct by the CONGEST discipline, the set() is belt-and-braces).
         vnode.release_links = tuple(
-            links[to] for to in sorted(set(recipients))
+            links[to] for to in sorted({to for to, _ in sends})
         )
-        if self.recovery:
-            ans_wait = set(recipients)
-            ans_wait.add(self.SELF)
-            vnode.ans_wait = ans_wait
-            vnode.ack_wait = set(recipients)
 
     def _do_sends(self, vnode: _VNode) -> None:
         if vnode.sent:
@@ -239,15 +223,7 @@ class SynchronizerNode(PulseGate):
     def on_delivered(self, to: NodeId, payload: Tuple) -> None:
         if payload[0] != OP_APP:
             return
-        if self._pruned and to in self._pruned:
-            # The ack was already cancelled synthetically when ``to`` was
-            # pruned; a late transport ack (delivered just before the crash,
-            # deferred across a down interval) must not double-count.
-            return
         vnode = self.vnodes[payload[1]]
-        aw = vnode.ack_wait
-        if aw is not None:
-            aw.discard(to)
         vnode.sends_pending -= 1
         if vnode.sends_pending == 0:
             self._vnode_safe(vnode)
@@ -338,92 +314,31 @@ class SynchronizerNode(PulseGate):
                 f" {vnode.pulse})"
             )
         vnode.answers_missing = left
-        answ = vnode.ans_wait
-        if answ is not None:
-            answ.discard(who)
         if chosen:
             if who == self.SELF:
                 vnode.self_child = True
             else:
                 vnode.children.append(who)
         if left == 0:
-            for q in list(vnode.flows):
-                self._try_assemble(vnode, q)
-            for q in assemble_pulses(vnode.pulse, self.max_pulse):
-                self._try_assemble(vnode, q)
+            self._reassemble(vnode)
 
-    # ------------------------------------------------------------------
-    # churn recovery (DESIGN.md §11)
-    # ------------------------------------------------------------------
-    def _prune_execution(self, dead: NodeId) -> None:
-        """Detach a crashed neighbor from the execution forest.
-
-        Called from :meth:`prune_neighbor` once the modules are pruned.
-        Cancels exactly the acknowledgments and chosen/not-chosen answers
-        ``dead`` still owed (the ``ack_wait``/``ans_wait`` identity sets
-        make the cancellation idempotent against answers that resolved
-        before the crash was detected), removes ``dead`` from child sets
-        and flow reports, and strips it from unsent emit lists.
-        """
-        dead_link = self._links[dead]
-        for vnode in list(self.vnodes.values()):
-            if not vnode.sent:
-                # Not yet emitted: simply stop addressing the dead node.
-                # The waits stay consistent because ``_do_sends`` derives
-                # both counters from the (now filtered) emit list.
-                if any(lid == dead_link for lid, _ in vnode.emits):
-                    vnode.emits = tuple(
-                        (lid, w) for lid, w in vnode.emits if lid != dead_link
-                    )
-                    vnode.release_links = tuple(
-                        lid for lid in vnode.release_links if lid != dead_link
-                    )
-                    vnode.ans_wait.discard(dead)
-                    vnode.ack_wait.discard(dead)
-                continue
-            aw = vnode.ack_wait
-            if aw is not None and dead in aw:
-                # The dead node never acknowledged: count the send as
-                # resolved (it can never arrive — the transport jams
-                # messages into a crashed receiver without acking).
-                aw.discard(dead)
-                vnode.sends_pending -= 1
-                if vnode.sends_pending == 0:
-                    self._vnode_safe(vnode)
-            answ = vnode.ans_wait
-            if answ is not None and dead in answ:
-                # The dead node never answered chosen/not-chosen: a crashed
-                # child is not-chosen by fiat.
-                self._child_answer(vnode, dead, False)
-            if dead in vnode.children:
-                # Answered chosen before crashing: drop the subtree.  Any
-                # flow already waiting on its report re-closes over the
-                # surviving children.
-                vnode.children.remove(dead)
-                for flow in vnode.flows.values():
-                    if flow is not RELEASED_FLOW:
-                        flow.reports.pop(dead, None)
-                if vnode.answers_missing == 0:
-                    for q in list(vnode.flows):
-                        self._try_assemble(vnode, q)
-                    for q in assemble_pulses(vnode.pulse, self.max_pulse):
-                        self._try_assemble(vnode, q)
+    def _reassemble(self, vnode: _VNode) -> None:
+        """Retry every flow that may assemble at ``vnode`` once its answers
+        are in: the flows it already holds, then the ones it closes."""
+        for q in list(vnode.flows):
+            self._try_assemble(vnode, q)
+        for q in assemble_pulses(vnode.pulse, self.max_pulse):
+            self._try_assemble(vnode, q)
 
     def _stale_vnode(self, p: int) -> Optional[_VNode]:
-        """Vnode lookup tolerating re-join staleness (DESIGN.md §15).
+        """The vnode of pulse ``p`` a neighbor's message addresses.
 
-        In recovery mode a neighbor that won the rejoin-vs-detect race
-        never pruned this node and keeps addressing execution-forest
-        state the previous incarnation held; the fresh incarnation drops
-        such traffic (``None``) instead of crashing — it stays passive
-        for epochs it did not witness.  Outside recovery mode nodes are
-        never rebuilt, so a missing vnode is a protocol bug and raises
-        exactly as the plain indexing did.
+        Fault-free nodes are never rebuilt, so a missing vnode is a
+        protocol bug and raises ``KeyError``.  The recovery node
+        (:mod:`repro.core.recovery`) returns None for traffic its fresh
+        incarnation never witnessed, and the handlers drop it.
         """
-        vnode = self.vnodes.get(p)
-        if vnode is None and not self.recovery:
-            raise KeyError(p)
-        return vnode
+        return self.vnodes[p]
 
     def _handle_vflow(self, sender: NodeId, payload: Tuple) -> None:
         vnode = self._stale_vnode(payload[1])
@@ -539,10 +454,9 @@ class SynchronizerProcess(Process):
     #: the transport validates the table against this at wiring time.
     NUM_OPCODES = OP_VRELEASE + 1
 
-    #: Track ack/answer identities for churn pruning (DESIGN.md §11).  The
-    #: recovery subclass in :mod:`repro.core.recovery` sets True; the
-    #: fault-free schedule is unchanged either way.
-    recovery: bool = False
+    #: The per-node engine class.  The recovery process in
+    #: :mod:`repro.core.recovery` swaps in its churn-tolerant subclass.
+    node_class = SynchronizerNode
 
     @classmethod
     def bind(
@@ -560,6 +474,9 @@ class SynchronizerProcess(Process):
         mutants) bind the same way."""
         if max_pulse is None:
             max_pulse = pulse_bound_for(graph, spec)
+        elif max_pulse < 1 or max_pulse & (max_pulse - 1):
+            raise ValueError(
+                f"max_pulse must be a power of two, got {max_pulse}")
         if registry is None:
             registry = registry_for_threshold(graph, max_pulse, builder)
         registry.load(SynchronizerNode.cover_levels(registry))
@@ -573,7 +490,7 @@ class SynchronizerProcess(Process):
 
     def __init__(self, ctx: ProcessContext) -> None:
         super().__init__(ctx)
-        self.node = SynchronizerNode(
+        self.node = self.node_class(
             node_id=ctx.node_id,
             info=self.infos[ctx.node_id],
             program_factory=self.spec.node_factory,
@@ -587,7 +504,6 @@ class SynchronizerProcess(Process):
             # node-id sends (the identity link map).
             links=getattr(ctx, "links", None),
             send_link=getattr(ctx, "send_link", None),
-            recovery=self.recovery,
         )
         # Instance-level binds shadow the class methods below so the
         # transport calls straight into the node engine (one frame less per

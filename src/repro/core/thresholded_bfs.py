@@ -32,6 +32,11 @@ gate module's code, shared with the synchronizer.
 The threshold must be a power of two; arbitrary thresholds are provided by
 the multi-stage wrapper (Section 4.3 / Remark 4.18) in
 :mod:`repro.core.multi_stage`.
+
+The core assumes the paper's fault-free network and has no churn mode: no
+caller ever ran it under crashes.  Churn recovery is the synchronizer's
+(:mod:`repro.core.recovery`, DESIGN.md §11), which runs BFS as a
+synchronized program.
 """
 
 from __future__ import annotations
@@ -84,7 +89,6 @@ class ThresholdedBFSCore(PulseGate, Vertex):
         on_complete: Callable[[Optional[int]], None],
         links=None,  # neighbor -> dense link id (ProcessContext.links)
         send_link=None,  # (link_id, payload, priority) -> None
-        recovery: bool = False,  # track join answers for churn pruning
     ) -> None:
         if threshold < 1 or threshold & (threshold - 1):
             raise ValueError(f"threshold must be a power of two, got {threshold}")
@@ -97,7 +101,7 @@ class ThresholdedBFSCore(PulseGate, Vertex):
             )
         super().__init__(
             node_id, registry, threshold, self.cover_levels(registry, threshold),
-            send, links, send_link, recovery,
+            send, links, send_link,
         )
         self.neighbors = tuple(neighbors)
         self.threshold = threshold
@@ -138,11 +142,6 @@ class ThresholdedBFSCore(PulseGate, Vertex):
         self.flows: Dict[int, Flow] = {}
         self._released: Set[int] = set()
         self._check_pending: Set[int] = set()
-        # Recovery mode (DESIGN.md §11): remember which neighbors still owe
-        # a join answer so :meth:`prune_neighbor` can count a crashed
-        # neighbor's unanswered proposal as a decline.  None outside
-        # recovery — the bare counter carries the fault-free protocol.
-        self._answer_wait: Optional[Set[NodeId]] = None
 
     @staticmethod
     def cover_levels(registry: CoverRegistry, threshold: int) -> Tuple[int, ...]:
@@ -204,22 +203,8 @@ class ThresholdedBFSCore(PulseGate, Vertex):
         self.answers_pending = len(self.neighbors)
         send_link = self._send_link
         payload = (OP_JOIN, self.pulse)
-        if not self.recovery:
-            for lid in self._neighbor_links:
-                send_link(lid, payload, stage)
-        else:
-            # Recovery mode: never propose to a neighbor already known
-            # dead, and remember who still owes an answer so a later crash
-            # counts as a declined proposal (DESIGN.md §11).
-            pruned = self._pruned
-            wait = set()
-            for v, lid in zip(self.neighbors, self._neighbor_links):
-                if v in pruned:
-                    self.answers_pending -= 1
-                    continue
-                wait.add(v)
-                send_link(lid, payload, stage)
-            self._answer_wait = wait
+        for lid in self._neighbor_links:
+            send_link(lid, payload, stage)
         if self.answers_pending == 0:
             self._answers_complete()
 
@@ -244,9 +229,6 @@ class ThresholdedBFSCore(PulseGate, Vertex):
         if payload[1]:
             self.children.append(sender)
             self._children_links.append(self._links[sender])
-        aw = self._answer_wait
-        if aw is not None:
-            aw.discard(sender)
         self.answers_pending -= 1
         if self.answers_pending == 0:
             self._answers_complete()
@@ -265,34 +247,6 @@ class ThresholdedBFSCore(PulseGate, Vertex):
             # (prev_prev(q) <= pulse always holds on the memoized table).
             for q in assemble_pulses(self.pulse, self.threshold):
                 self._flow_assembled(self, q, empty=True)
-
-    # ------------------------------------------------------------------
-    # churn recovery (DESIGN.md §11, best-effort)
-    # ------------------------------------------------------------------
-    def _prune_execution(self, dead: NodeId) -> None:
-        """Detach a crashed neighbor from the execution tree: its
-        unanswered join proposal counts as a decline and its subtree is
-        dropped."""
-        aw = self._answer_wait
-        if aw is not None and dead in aw:
-            aw.discard(dead)
-            self.answers_pending -= 1
-            if self.answers_pending == 0:
-                self._answers_complete()
-        if dead in self.children:
-            i = self.children.index(dead)
-            del self.children[i]
-            del self._children_links[i]
-            for flow in self.flows.values():
-                flow.reports.pop(dead, None)
-            if self.answered:
-                self._child_pairs = tuple(
-                    zip(self.children, self._children_links)
-                )
-                for q in list(self.flows):
-                    self._try_assemble(q)
-                for q in assemble_pulses(self.pulse, self.threshold):
-                    self._try_assemble(q)
 
     # ------------------------------------------------------------------
     # safety/emptiness flows

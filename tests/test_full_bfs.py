@@ -85,6 +85,10 @@ class TestShape:
         assert a.distances == b.distances
         assert a.messages == b.messages
 
+    def test_source_outside_graph_rejected(self):
+        with pytest.raises(ValueError, match="not a node of the graph"):
+            run_full_bfs(topology.path_graph(4), [4], ConstantDelay(1.0))
+
     def test_requires_sources(self):
         with pytest.raises(ValueError, match="source"):
             run_full_bfs(topology.path_graph(4), set(), ConstantDelay(1.0))

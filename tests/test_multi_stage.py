@@ -83,6 +83,12 @@ class TestCoverEconomy:
         # much more than double the traffic.
         assert m8 <= 3 * m4
 
+    @pytest.mark.parametrize("sources", ([99], [-1]))
+    def test_source_outside_graph_rejected(self, sources):
+        g = topology.cycle_graph(16)
+        with pytest.raises(ValueError, match="not a node of the graph"):
+            run_multi_stage_bfs(g, sources, 4, 2, ConstantDelay(1.0))
+
     def test_errors(self):
         g = topology.path_graph(4)
         with pytest.raises(ValueError, match="stage"):

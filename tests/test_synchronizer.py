@@ -20,6 +20,7 @@ from repro.apps.programs import (
 from repro.net.program import sampled_initiators
 from repro.core import (
     RecoverySynchronizerProcess,
+    SynchronizerSweep,
     pulse_bound_for,
     registry_for_threshold,
     run_synchronized,
@@ -147,6 +148,11 @@ class TestContractEnforcement:
         g = topology.path_graph(4)
         with pytest.raises(ValueError, match="power of two"):
             run_synchronized(g, bfs_spec(0), ConstantDelay(1.0), max_pulse=3)
+        # Checked once at bind: a sweep fails at construction, not at the
+        # first run.
+        for bad in (3, 0):
+            with pytest.raises(ValueError, match="power of two"):
+                SynchronizerSweep(g, bfs_spec(0), max_pulse=bad)
 
     def test_pulse_bound_exceeded_raises(self):
         g = topology.path_graph(10)

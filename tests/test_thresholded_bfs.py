@@ -123,6 +123,12 @@ class TestApiErrors:
         with pytest.raises(ValueError, match="source"):
             run_thresholded_bfs(g, set(), 4, ConstantDelay(1.0))
 
+    @pytest.mark.parametrize("sources", ([99], [-1], [0, 16]))
+    def test_source_outside_graph_rejected(self, sources):
+        g = topology.cycle_graph(16)
+        with pytest.raises(ValueError, match="not a node of the graph"):
+            run_thresholded_bfs(g, sources, 4, ConstantDelay(1.0))
+
     def test_core_rejects_double_activation(self):
         g = topology.path_graph(4)
         registry = registry_for_threshold(g, 2)
