@@ -200,7 +200,7 @@ class SynchronizerNode(PulseGate):
         )
         # Distinct recipients in ascending node-id order (the Go-Ahead
         # release emit order is part of the pinned schedule; recipients are
-        # distinct by the CONGEST discipline, the set() is belt-and-braces).
+        # distinct by the CONGEST discipline, the set is belt-and-braces).
         vnode.release_links = tuple(
             links[to] for to in sorted({to for to, _ in sends})
         )

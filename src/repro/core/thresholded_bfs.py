@@ -103,9 +103,8 @@ class ThresholdedBFSCore(PulseGate, Vertex):
             node_id, registry, threshold, self.cover_levels(registry, threshold),
             send, links, send_link,
         )
-        self.neighbors = tuple(neighbors)
         self.threshold = threshold
-        self._neighbor_links = tuple(self._links[v] for v in self.neighbors)
+        self._neighbor_links = tuple(self._links[v] for v in neighbors)
         self.on_complete = on_complete
         self._check_tag = (threshold + 1) << 2 | _AGG_KIND_CHECK
         # Opcode-indexed dispatch table (DESIGN.md §6): one tuple index per
@@ -200,7 +199,7 @@ class ThresholdedBFSCore(PulseGate, Vertex):
             return
         self.joins_sent = True
         stage = self.pulse + 1
-        self.answers_pending = len(self.neighbors)
+        self.answers_pending = len(self._neighbor_links)
         send_link = self._send_link
         payload = (OP_JOIN, self.pulse)
         for lid in self._neighbor_links:

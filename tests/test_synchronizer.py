@@ -27,6 +27,7 @@ from repro.core import (
 )
 from repro.core.gate import RELEASED_FLOW
 from repro.core.synchronizer import (
+    OP_APP,
     OP_VFLOW,
     SynchronizerNode,
     SynchronizerProcess,
@@ -351,3 +352,32 @@ class TestReleasedFlows:
         node.prune_neighbor(dead)
         assert dead not in vnode.children
         assert {q: vnode.flows[q] for q in released} == released
+
+
+class TestRecoveryNodePrune:
+    """``RecoverySynchronizerNode.prune_neighbor`` on a vnode whose sends
+    still wait for the dead neighbor's acknowledgment (DESIGN.md §11)."""
+
+    def test_prune_cancels_an_outstanding_ack_once(self):
+        graph = topology.cycle_graph(16)
+        runtime = AsyncRuntime(
+            graph, RecoverySynchronizerProcess.bind(graph, bfs_spec(0)),
+            UniformDelay(seed=5))
+        assert runtime.run(max_events=1000).stop_reason == "max_events"
+        node, pulse = next(
+            (p.node, pulse) for p in runtime.processes.values()
+            for pulse, vnode in p.node.vnodes.items()
+            if vnode.sent and p.node._ack_wait[pulse])
+        vnode = node.vnodes[pulse]
+        dead = min(node._ack_wait[pulse])
+        pending = vnode.sends_pending
+        node.prune_neighbor(dead)
+        assert dead not in node._ack_wait[pulse]
+        assert dead not in node._ans_wait[pulse]
+        assert vnode.sends_pending == pending - 1
+        state = (vnode.sends_pending, vnode.answers_missing)
+        # Idempotent, and a late transport ack from the pruned neighbor
+        # does not count a second time.
+        node.prune_neighbor(dead)
+        node.on_delivered(dead, (OP_APP, pulse, None))
+        assert (vnode.sends_pending, vnode.answers_missing) == state
