@@ -67,6 +67,19 @@ def source_set(
     return nodes
 
 
+def check_threshold(threshold: int, registry: Optional[CoverRegistry]) -> None:
+    """Reject a threshold ``2^t`` that is not a power of two, or a given
+    registry whose cover tops out below level ``t`` (the level of the
+    threshold check): once per run, before any registry is built."""
+    if threshold < 1 or threshold & (threshold - 1):
+        raise ValueError(f"threshold must be a power of two, got {threshold}")
+    if registry is not None and registry.top_level < threshold.bit_length() - 1:
+        raise ValueError(
+            f"layered cover top level {registry.top_level} too small for"
+            f" threshold {threshold}"
+        )
+
+
 def required_cover_radius(threshold: int) -> int:
     """Top cover radius a 2^t-thresholded BFS needs: 2^(t + 5)."""
     t = max(threshold.bit_length() - 1, 0)
@@ -123,6 +136,7 @@ class ThresholdedBFSProcess(Process):
         :func:`source_set`), threshold and cover registry (built when not
         given), with the levels a node reads loaded."""
         sources = source_set(sources, graph)
+        check_threshold(threshold, registry)
         if registry is None:
             registry = registry_for_threshold(graph, threshold, builder)
         registry.load(ThresholdedBFSCore.cover_levels(registry, threshold))

@@ -35,7 +35,9 @@ from ..net.async_runtime import Process, ProcessContext
 from ..net.delays import DelayModel
 from ..net.graph import Graph, NodeId
 from ..net.sweep import bound_process_class
-from .bfs_runner import BFSOutcome, BFSSweep, registry_for_threshold, source_set
+from .bfs_runner import (
+    BFSOutcome, BFSSweep, check_threshold, registry_for_threshold, source_set,
+)
 from .cluster_ops import ClusterAggregateModule, and_merge
 from .registry import CoverRegistry
 from .thresholded_bfs import UNREACHED, ThresholdedBFSCore
@@ -313,8 +315,10 @@ def run_full_bfs(
     dist = graph.bfs_distances(sources)
     reach = max(d for d in dist if d != UNREACHED)
     max_iterations = max(1, math.ceil(math.log2(max(reach, 1))) + 2)
+    top = 1 << (max_iterations - 1)
+    check_threshold(top, registry)
     if registry is None:
-        registry = registry_for_threshold(graph, 1 << (max_iterations - 1), builder)
+        registry = registry_for_threshold(graph, top, builder)
     process_cls = bound_process_class("BoundFullBFS", FullBFSProcess, dict(
         registry=registry, sources=sources, max_iterations=max_iterations
     ))

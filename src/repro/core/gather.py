@@ -91,10 +91,6 @@ class GatherModule:
     def handle(self, sender: NodeId, payload: Tuple) -> bool:
         return self.agg.handle(sender, payload)
 
-    @property
-    def stage_reached(self) -> int:
-        return self._stage_reached
-
     # ------------------------------------------------------------------
     def _contribute(self, cid: int, stage: int) -> None:
         if (cid, stage) in self._contributed:

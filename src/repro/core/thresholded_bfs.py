@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..net.graph import NodeId
 from .gate import Flow, PulseGate, Vertex
-from .pulse import COVER_LEVEL_OFFSET, assemble_pulses, cover_level
+from .pulse import COVER_LEVEL_OFFSET, assemble_pulses
 from .registry import CoverRegistry
 
 UNREACHED = float("inf")
@@ -90,15 +90,7 @@ class ThresholdedBFSCore(PulseGate, Vertex):
         links=None,  # neighbor -> dense link id (ProcessContext.links)
         send_link=None,  # (link_id, payload, priority) -> None
     ) -> None:
-        if threshold < 1 or threshold & (threshold - 1):
-            raise ValueError(f"threshold must be a power of two, got {threshold}")
         self.t = threshold.bit_length() - 1
-        required = cover_level(threshold)
-        if registry.top_level < min(required, self.t):
-            raise ValueError(
-                f"layered cover top level {registry.top_level} too small for"
-                f" threshold {threshold}"
-            )
         super().__init__(
             node_id, registry, threshold, self.cover_levels(registry, threshold),
             send, links, send_link,

@@ -203,12 +203,6 @@ class LayeredCover:
     def covers_radius(self, d: int) -> bool:
         return (1 << self.top_level) >= d
 
-    def all_cluster_trees(self) -> List[Tuple[int, ClusterTree]]:
-        """(level, tree) pairs across all levels."""
-        return [
-            (j, c) for j in sorted(self.levels) for c in self.levels[j].clusters
-        ]
-
 
 def require_connected(graph: Graph) -> None:
     if not graph.is_connected():

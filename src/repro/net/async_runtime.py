@@ -478,14 +478,6 @@ class AsyncResult:
     dropped: int = 0
 
     @property
-    def time_complexity(self) -> float:
-        return self.time_to_output
-
-    @property
-    def message_complexity(self) -> int:
-        return self.messages
-
-    @property
     def messages_with_acks(self) -> int:
         return self.messages + self.acks
 

@@ -23,7 +23,7 @@ the same diagnostic on both engines instead of an engine-specific error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
+from math import ceil, inf
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .faults import FaultSchedule
@@ -44,14 +44,6 @@ class SyncResult:
     #: Messages lost to faults (crashed receiver or per-link drop).
     #: Always 0 without a fault schedule.
     dropped: int = 0
-
-    @property
-    def time_complexity(self) -> int:
-        return self.rounds_to_output
-
-    @property
-    def message_complexity(self) -> int:
-        return self.messages
 
 
 class SyncRuntime:
@@ -78,74 +70,8 @@ class SyncRuntime:
         }
 
     def run(self, max_rounds: int = 1_000_000) -> SyncResult:
-        if self.faults is not None:
-            return self._run_faulty(max_rounds)
-        graph = self.graph
-        outputs: Dict[NodeId, Any] = {}
-        output_round: Dict[NodeId, int] = {}
-        message_log: List[Tuple[int, NodeId, NodeId, Payload]] = []
-        messages = 0
-        rounds_to_output = 0
-
-        # Pulse 0: initiators act.
-        in_flight: Dict[NodeId, List[Tuple[NodeId, Payload]]] = {}
-        sent_last: Set[NodeId] = set()
-        for v in sorted(self.spec.initiators(graph)):
-            api = PulseApi(self._infos[v])
-            self.programs[v].on_start(api)
-            sends, has_output, value = api.collect()
-            if has_output:
-                outputs[v] = value
-                output_round[v] = 0
-            if sends:
-                sent_last.add(v)
-            for to, payload in sends:
-                in_flight.setdefault(to, []).append((v, payload))
-                messages += 1
-                if self.record_messages:
-                    message_log.append((0, v, to, payload))
-
-        pulse = 0
-        while in_flight or sent_last:
-            pulse += 1
-            if pulse > max_rounds:
-                raise RuntimeError(
-                    f"synchronous execution of {self.spec.name!r} exceeded"
-                    f" {max_rounds} rounds"
-                )
-            triggered = set(in_flight) | sent_last
-            arrivals = in_flight
-            in_flight = {}
-            sent_last = set()
-            for v in sorted(triggered):
-                batch: ArrivedBatch = tuple(sorted(arrivals.get(v, ())))
-                api = PulseApi(self._infos[v])
-                self.programs[v].on_pulse(api, batch)
-                sends, has_output, value = api.collect()
-                if has_output:
-                    outputs[v] = value
-                    output_round[v] = pulse
-                    rounds_to_output = max(rounds_to_output, pulse)
-                if sends:
-                    sent_last.add(v)
-                for to, payload in sends:
-                    in_flight.setdefault(to, []).append((v, payload))
-                    messages += 1
-                    if self.record_messages:
-                        message_log.append((pulse, v, to, payload))
-
-        rounds_to_output = max(output_round.values(), default=0)
-        return SyncResult(
-            rounds_to_output=rounds_to_output,
-            rounds_total=pulse,
-            messages=messages,
-            outputs=outputs,
-            output_round=output_round,
-            pulse_messages=message_log,
-        )
-
-    def _run_faulty(self, max_rounds: int) -> SyncResult:
-        """The fault-mode round loop (round-granular reading of DESIGN.md §11).
+        """Run to quiescence; a fault schedule is read round-granularly
+        (DESIGN.md §11).
 
         A node is dead at round ``r`` iff ``crash_time(v) <= r <
         rejoin_time(v)`` (dead nodes are never activated; their queued
@@ -169,134 +95,123 @@ class SyncRuntime:
         fresh incarnation rather than voided.  Deterministic on both
         readings; they are documented as different clocks over the same
         schedule.
+
+        Every fault step sits behind one flag fixed for the run, so a
+        fault-free run pays one bool test per send and per activation.
         """
-        graph = self.graph
+        spec = self.spec
+        infos = self._infos
+        programs = self.programs
+        record = self.record_messages
         faults = self.faults
-        crash = faults.crash_time
-        rejoin = faults.rejoin_time
-        down_of = faults.down_checker
-        drop_of = faults.drop_checker
+        faulty = faults is not None
         outputs: Dict[NodeId, Any] = {}
         output_round: Dict[NodeId, int] = {}
         message_log: List[Tuple[int, NodeId, NodeId, Payload]] = []
         messages = 0
         dropped = 0
-        # Arrival batches keyed by round: down-interval deferrals can push
-        # a message several rounds past the lockstep ``p + 1``.
+        # Arrival batches keyed by round.  Without faults only ``p + 1`` is
+        # ever filled; a down-interval deferral can push a message further.
         future: Dict[int, Dict[NodeId, List[Tuple[NodeId, Payload]]]] = {}
         # Per-directed-link injection counters for the drop keying (1-based,
         # matching the asynchronous engine's injection numbers).
         inj: Dict[Tuple[NodeId, NodeId], int] = {}
+        # Rebirth rounds: the first integer round at or after each rejoin
+        # time.
+        rebirth: Dict[int, List[NodeId]] = {}
+        if faulty:
+            crash = faults.crash_time
+            rejoin = faults.rejoin_time
+            down_of = faults.down_checker
+            drop_of = faults.drop_checker
+            for v in self.graph.nodes:
+                if rejoin(v) < inf:
+                    rebirth.setdefault(ceil(rejoin(v)), []).append(v)
+        initiators = set(spec.initiators(self.graph))
+        sent_last: Set[NodeId] = set()
 
-        def dispatch(pulse: int, v: NodeId,
-                     sends: List[Tuple[NodeId, Payload]]) -> None:
+        def post(pulse: int, v: NodeId,
+                 sends: List[Tuple[NodeId, Payload]]) -> None:
             nonlocal messages, dropped
+            sent_last.add(v)
+            messages += len(sends)
+            at = future.get(pulse + 1)
+            if at is None:
+                at = future[pulse + 1] = {}
             for to, payload in sends:
-                messages += 1
-                lk = (v, to)
-                seq = inj.get(lk, 0) + 1
-                inj[lk] = seq
-                drop = drop_of(v, to)
-                if drop is not None and drop(seq):
-                    dropped += 1
-                    continue
-                arrive = pulse + 1
-                down = down_of(v, to)
-                if down is not None:
-                    while True:
-                        end = down(float(arrive))
-                        if end <= 0.0:
-                            break
+                if faulty:
+                    arrive = pulse + 1
+                    lk = (v, to)
+                    seq = inj[lk] = inj.get(lk, 0) + 1
+                    drop = drop_of(v, to)
+                    if drop is not None and drop(seq):
+                        dropped += 1
+                        continue
+                    down = down_of(v, to)
+                    if down is not None:
                         # First round at or after the interval's end (the
-                        # edge is up at ``end`` — half-open intervals).
-                        nxt = int(end)
-                        if nxt < end:
-                            nxt += 1
-                        arrive = nxt if nxt > arrive else arrive + 1
-                if crash(to) <= arrive < rejoin(to):
-                    dropped += 1
-                    continue
-                future.setdefault(arrive, {}).setdefault(to, []).append(
-                    (v, payload)
-                )
-                if self.record_messages:
+                        # edge is up at ``end``: half-open intervals).
+                        end = down(float(arrive))
+                        while end > 0.0:
+                            arrive = max(ceil(end), arrive + 1)
+                            end = down(float(arrive))
+                    if crash(to) <= arrive < rejoin(to):
+                        dropped += 1
+                        continue
+                    at = future.setdefault(arrive, {})
+                at.setdefault(to, []).append((v, payload))
+                if record:
                     message_log.append((pulse, v, to, payload))
 
-        initiators = set(self.spec.initiators(graph))
-        # Rebirth rounds: the first integer round at or after each rejoin
-        # time (ascending node order within a round, like every other
-        # per-round iteration here).
-        rebirth: Dict[int, List[NodeId]] = {}
-        for v in graph.nodes:
-            t_rejoin = rejoin(v)
-            if t_rejoin < inf:
-                r = int(t_rejoin)
-                if r < t_rejoin:
-                    r += 1
-                rebirth.setdefault(r, []).append(v)
-
-        sent_last: Set[NodeId] = set()
-        for v in sorted(initiators):
-            if crash(v) <= 0.0:
-                continue
-            api = PulseApi(self._infos[v])
-            self.programs[v].on_start(api)
+        def start(v: NodeId, pulse: int) -> None:
+            api = PulseApi(infos[v])
+            programs[v].on_start(api)
             sends, has_output, value = api.collect()
             if has_output:
                 outputs[v] = value
-                output_round[v] = 0
+                output_round[v] = pulse
             if sends:
-                sent_last.add(v)
-            dispatch(0, v, sends)
+                post(pulse, v, sends)
 
+        for v in sorted(initiators):
+            if not (faulty and crash(v) <= 0.0):
+                start(v, 0)
         pulse = 0
         while future or sent_last or rebirth:
             pulse += 1
             if pulse > max_rounds:
                 raise RuntimeError(
-                    f"synchronous execution of {self.spec.name!r} exceeded"
+                    f"synchronous execution of {spec.name!r} exceeded"
                     f" {max_rounds} rounds"
                 )
             arrivals = future.pop(pulse, {})
-            triggered = set(arrivals) | sent_last
-            sent_last = set()
-            for v in sorted(rebirth.pop(pulse, [])):
-                # The returned node gets fresh protocol state; an
-                # initiator re-runs on_start at its rebirth round (then
-                # receives any same-round arrivals below, like a pulse-0
-                # start compressed into its first live round).
-                self.programs[v] = self.spec.node_factory(self._infos[v])
-                # Blank state includes the output register: the previous
-                # incarnation's answer died with it.
-                outputs.pop(v, None)
-                output_round.pop(v, None)
-                if v not in initiators:
-                    continue
-                api = PulseApi(self._infos[v])
-                self.programs[v].on_start(api)
-                sends, has_output, value = api.collect()
-                if has_output:
-                    outputs[v] = value
-                    output_round[v] = pulse
-                if sends:
-                    sent_last.add(v)
-                dispatch(pulse, v, sends)
-            for v in sorted(triggered):
-                if crash(v) <= pulse < rejoin(v):
-                    # Dead at this round: never activated, and anything it
-                    # would have sent dies with it.  Arrivals addressed to
-                    # it were already dropped at send time.
+            triggered = sorted(sent_last.union(arrivals))
+            sent_last.clear()
+            if faulty:
+                for v in sorted(rebirth.pop(pulse, ())):
+                    # Fresh protocol state, output register included: the
+                    # previous incarnation's answer died with it.  An
+                    # initiator re-runs on_start, then receives any
+                    # same-round arrivals below.
+                    programs[v] = spec.node_factory(infos[v])
+                    outputs.pop(v, None)
+                    output_round.pop(v, None)
+                    if v in initiators:
+                        start(v, pulse)
+            for v in triggered:
+                if faulty and crash(v) <= pulse < rejoin(v):
+                    # Dead: never activated.  Arrivals addressed to it
+                    # were already dropped at send time.
                     continue
                 batch: ArrivedBatch = tuple(sorted(arrivals.get(v, ())))
-                api = PulseApi(self._infos[v])
-                self.programs[v].on_pulse(api, batch)
+                api = PulseApi(infos[v])
+                programs[v].on_pulse(api, batch)
                 sends, has_output, value = api.collect()
                 if has_output:
                     outputs[v] = value
                     output_round[v] = pulse
                 if sends:
-                    sent_last.add(v)
-                dispatch(pulse, v, sends)
+                    post(pulse, v, sends)
 
         return SyncResult(
             rounds_to_output=max(output_round.values(), default=0),

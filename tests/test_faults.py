@@ -14,13 +14,15 @@ from math import inf, nan
 import pytest
 
 from repro.apps.programs import bfs_spec
-from repro.core.recovery import run_churn
+from repro.core.recovery import RecoverySynchronizerProcess, run_churn
 from repro.core.registration import ClusterView, RegistrationModule
+from repro.core.synchronizer import OP_APP
 from repro.net import topology
 from repro.net.async_runtime import AsyncRuntime, Process
 from repro.net.delays import ConstantDelay, InvalidDelayError, standard_adversaries
 from repro.net.faults import DETECT_TIMEOUT, FaultSchedule, FaultScheduleError
 from repro.net.graph import UnknownLinkError
+from repro.net.shard import digest_outputs
 from repro.net.sweep import AsyncSweep
 from repro.net.sync_runtime import run_synchronous
 
@@ -1044,6 +1046,44 @@ class TestRunChurn:
         c = run_churn(graph, bfs_spec, model, faults, mode="reanchor")
         d = run_churn(graph, bfs_spec, model, faults, mode="reanchor")
         assert c == d
+
+    def test_ack_deferred_past_detection_counts_once(self):
+        """An ack held back by a down interval until after its receiver's
+        crash is detected must not count a second time.
+
+        Under ``ConstantDelay(1.0)`` root 0's pulse-0 program message
+        reaches node 1 at t=31.  Its ack, due at 32, falls inside the down
+        interval [31.5, 36) of edge {0, 1}, so it fires at 36.  Node 1
+        crashes at 31.5, and node 0 prunes it at 31.5 + DETECT_TIMEOUT,
+        which already cancels the ack node 1 owed.  The down interval on
+        edge {0, 7} holds node 7's ack until 38, so pulse 0 still waits on
+        it when node 1's late ack arrives: counted again, it would release
+        pulse 0's leaf report at 36 instead of 38.
+        """
+        graph = topology.cycle_graph(8)
+        crash, ack_at = 31.5, 36.0
+        assert crash + DETECT_TIMEOUT < ack_at
+        faults = FaultSchedule(
+            crashes={1: crash},
+            downs={(0, 1): [(crash, ack_at)], (0, 7): [(crash, 38.0)]},
+        )
+        app_to_1 = []
+
+        def trace(t, src, dst, payload):
+            if (src, dst) == (0, 1) and payload[0] == OP_APP:
+                app_to_1.append(t)
+
+        runtime = AsyncRuntime(
+            graph, RecoverySynchronizerProcess.bind(graph, bfs_spec(0)),
+            ConstantDelay(1.0), faults=faults, trace=trace,
+        )
+        result = runtime.run()
+        assert app_to_1 == [31.0]
+        assert result.stop_reason == "quiescent"
+        vnodes = runtime.processes[0].node.vnodes
+        assert [vn.sends_pending for vn in vnodes.values()] == [0]
+        assert (result.messages, result.events_fired,
+                digest_outputs(result.outputs)) == (217, 357, "e82a80a1bd092813")
 
     def test_link_churn_only_matches_fault_free_outputs(self):
         """Down intervals defer but never lose: a crash-free churn run must

@@ -7,7 +7,9 @@ nodes output infinity.
 
 import pytest
 
-from repro.core import registry_for_threshold, run_thresholded_bfs
+from repro.core import (
+    ThresholdedBFSSweep, registry_for_threshold, run_thresholded_bfs,
+)
 from repro.core.thresholded_bfs import UNREACHED, ThresholdedBFSCore
 from repro.net import ConstantDelay, standard_adversaries, topology
 from repro.net.graph import INFINITY, validate_tree
@@ -117,6 +119,11 @@ class TestApiErrors:
         g = topology.path_graph(4)
         with pytest.raises(ValueError, match="power of two"):
             run_thresholded_bfs(g, 0, 3, ConstantDelay(1.0))
+        # Checked once at bind: a sweep fails at construction, not at the
+        # first run.
+        for bad in (0, -1, 3):
+            with pytest.raises(ValueError, match="power of two"):
+                ThresholdedBFSSweep(topology.cycle_graph(16), [0], bad)
 
     def test_requires_sources(self):
         g = topology.path_graph(4)
