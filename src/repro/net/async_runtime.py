@@ -953,12 +953,12 @@ class AsyncRuntime(EventQueue):
         missing acknowledgment/Go-Ahead timeout: any message in flight
         toward (or from) a node that crashes at ``t`` resolves by
         ``t + 2*TAU``, so a timeout strictly greater than ``2*TAU`` never
-        accuses a live node and never fires while pre-crash traffic from
-        the corpse can still arrive.  Detectors are elided for observers
-        that are themselves dead by the fire time and for processes that do
-        not override ``on_neighbor_dead``.  Iteration order (crashed nodes
-        ascending, neighbors sorted) is part of the determinism contract
-        the reference engine mirrors.
+        accuses a live node.  Only a down interval, which defers messages
+        and acks, lets pre-crash traffic arrive after it fires.  Detectors
+        are elided for observers that are themselves dead by the fire time
+        and for processes that do not override ``on_neighbor_dead``.
+        Iteration order (crashed nodes ascending, neighbors sorted) is part
+        of the determinism contract the reference engine mirrors.
         """
         crash_t = self._crash_t
         rejoin_t = self._rejoin_t

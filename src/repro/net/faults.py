@@ -61,10 +61,11 @@ class FaultScheduleError(ValueError):
 #: abstraction (DESIGN.md §11).  Any message in flight toward a node that
 #: crashes at time ``t`` was injected before ``t`` and therefore resolves —
 #: delivery plus acknowledgment — by ``t + 2*TAU``.  A timeout strictly
-#: greater than ``2*TAU`` after the crash is thus *sound*: once it fires, no
-#: pre-crash traffic from the dead neighbor can still arrive, so pruning is
-#: safe (this is exactly the missing-ack bound a real implementation would
-#: time out on).
+#: greater than ``2*TAU`` after the crash is thus *sound*: it never accuses
+#: a live node (this is exactly the missing-ack bound a real implementation
+#: would time out on).  On a link that stays up, no pre-crash traffic can
+#: arrive after it fires; a down interval defers messages and acks past it
+#: (link-layer retention), and the recovery process drops such stragglers.
 DETECT_TIMEOUT = 2.25
 
 _DownFn = Callable[[float], float]

@@ -8,9 +8,9 @@ pulse-``p`` messages.
 
 The runtime reports the two quantities the paper's bounds are stated in:
 
-* time complexity ``T(A)`` — rounds until the last node produces its output
-  (the "time to output" definition of Appendix B);
-* message complexity ``M(A)`` — total messages sent.
+* time complexity ``T(A)`` (``rounds_to_output``) — rounds until the last
+  node produces its output (the "time to output" definition of Appendix B);
+* message complexity ``M(A)`` (``messages``) — total messages sent.
 
 Error parity with the asynchronous engine: a send to a non-neighbor fails
 at the send site with :class:`~repro.net.graph.UnknownLinkError` naming
@@ -61,7 +61,8 @@ class SyncRuntime:
         self.record_messages = record_messages
         if faults is not None and faults.is_empty():
             # Same normalization as the asynchronous engine: an empty
-            # schedule provably cannot perturb the fault-free round loop.
+            # schedule provably perturbs nothing, so it runs with the
+            # fault steps off.
             faults = None
         self.faults = faults
         self._infos = spec.make_infos(graph)
