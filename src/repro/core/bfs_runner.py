@@ -67,17 +67,28 @@ def source_set(
     return nodes
 
 
-def check_threshold(threshold: int, registry: Optional[CoverRegistry]) -> None:
-    """Reject a threshold ``2^t`` that is not a power of two, or a given
-    registry whose cover tops out below level ``t`` (the level of the
-    threshold check): once per run, before any registry is built."""
+def threshold_registry(
+    graph: Graph,
+    threshold: int,
+    registry: Optional[CoverRegistry],
+    builder: str,
+) -> CoverRegistry:
+    """The registry a ``2^t``-thresholded run reads: ``registry`` when
+    given, else :func:`registry_for_threshold`'s.  Once per run, before
+    any registry is built, rejects a threshold that is not a power of two,
+    and a given registry built for another graph or whose cover tops out
+    below level ``t`` (the level of the threshold check)."""
     if threshold < 1 or threshold & (threshold - 1):
         raise ValueError(f"threshold must be a power of two, got {threshold}")
-    if registry is not None and registry.top_level < threshold.bit_length() - 1:
+    if registry is None:
+        return registry_for_threshold(graph, threshold, builder)
+    registry.check_graph(graph)
+    if registry.top_level < threshold.bit_length() - 1:
         raise ValueError(
             f"layered cover top level {registry.top_level} too small for"
             f" threshold {threshold}"
         )
+    return registry
 
 
 def required_cover_radius(threshold: int) -> int:
@@ -136,9 +147,7 @@ class ThresholdedBFSProcess(Process):
         :func:`source_set`), threshold and cover registry (built when not
         given), with the levels a node reads loaded."""
         sources = source_set(sources, graph)
-        check_threshold(threshold, registry)
-        if registry is None:
-            registry = registry_for_threshold(graph, threshold, builder)
+        registry = threshold_registry(graph, threshold, registry, builder)
         registry.load(ThresholdedBFSCore.cover_levels(registry, threshold))
         return bound_process_class("Bound" + cls.__name__, cls, dict(
             registry=registry, sources=sources, threshold=threshold

@@ -36,7 +36,7 @@ from ..net.delays import DelayModel
 from ..net.graph import Graph, NodeId
 from ..net.sweep import bound_process_class
 from .bfs_runner import (
-    BFSOutcome, BFSSweep, check_threshold, registry_for_threshold, source_set,
+    BFSOutcome, BFSSweep, source_set, threshold_registry,
 )
 from .cluster_ops import ClusterAggregateModule, and_merge
 from .registry import CoverRegistry
@@ -316,9 +316,7 @@ def run_full_bfs(
     reach = max(d for d in dist if d != UNREACHED)
     max_iterations = max(1, math.ceil(math.log2(max(reach, 1))) + 2)
     top = 1 << (max_iterations - 1)
-    check_threshold(top, registry)
-    if registry is None:
-        registry = registry_for_threshold(graph, top, builder)
+    registry = threshold_registry(graph, top, registry, builder)
     process_cls = bound_process_class("BoundFullBFS", FullBFSProcess, dict(
         registry=registry, sources=sources, max_iterations=max_iterations
     ))

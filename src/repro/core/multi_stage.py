@@ -28,7 +28,7 @@ from ..net.delays import DelayModel
 from ..net.graph import Graph, NodeId
 from ..net.sweep import bound_process_class
 from .bfs_runner import (
-    BFSOutcome, BFSSweep, check_threshold, registry_for_threshold, source_set,
+    BFSOutcome, BFSSweep, source_set, threshold_registry,
 )
 from .registry import CoverRegistry
 from .thresholded_bfs import UNREACHED, ThresholdedBFSCore
@@ -155,9 +155,7 @@ def run_multi_stage_bfs(
         raise ValueError("need at least one stage")
     if distance_filter is not None and distance_filter > stage_threshold * num_stages:
         raise ValueError("distance_filter exceeds the covered range")
-    check_threshold(stage_threshold, registry)
-    if registry is None:
-        registry = registry_for_threshold(graph, stage_threshold, builder)
+    registry = threshold_registry(graph, stage_threshold, registry, builder)
     process_cls = bound_process_class(
         "BoundMultiStageBFS", MultiStageBFSProcess, dict(
             registry=registry,

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from ..covers.cluster import ClusterTree
 from ..covers.cover import LayeredCover
 from ..gcpause import paused_gc
-from ..net.graph import NodeId
+from ..net.graph import Graph, NodeId
 from .registration import ClusterView
 
 #: The global id of the ``i``-th cluster of level ``j`` is
@@ -68,6 +68,19 @@ class CoverRegistry:
     @property
     def top_level(self) -> int:
         return self._top_level
+
+    def check_graph(self, graph: Graph) -> None:
+        """Raise ``ValueError`` unless the cover was built for ``graph`` or
+        an equal graph: one comparison (:meth:`Graph.same_links`), made
+        once by each runner given a registry.  A hand-built cover records
+        no graph and is taken as given."""
+        built_for = self.layered.graph
+        if built_for is not None and not built_for.same_links(graph):
+            raise ValueError(
+                "the cover registry was built for another graph"
+                f" ({built_for.num_nodes} nodes, {built_for.num_edges} edges),"
+                f" not this one ({graph.num_nodes} nodes,"
+                f" {graph.num_edges} edges)")
 
     @property
     def loaded_levels(self) -> Tuple[int, ...]:

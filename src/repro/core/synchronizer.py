@@ -479,6 +479,8 @@ class SynchronizerProcess(Process):
                 f"max_pulse must be a power of two, got {max_pulse}")
         if registry is None:
             registry = registry_for_threshold(graph, max_pulse, builder)
+        else:
+            registry.check_graph(graph)
         registry.load(SynchronizerNode.cover_levels(registry))
         return bound_process_class("Bound" + cls.__name__, cls, dict(
             spec=spec,

@@ -34,6 +34,7 @@ from .cluster import ClusterTree, bfs_cluster_tree
 from .cover import (
     LayeredCover,
     LazyLevels,
+    SharedLevels,
     SparseCover,
     require_connected,
     required_top_level,
@@ -52,11 +53,17 @@ def build_ap_layered_cover(graph: Graph, d: int) -> LayeredCover:
     """Layered sparse d-cover: one AP cover per power of two up to d.
 
     Level ``j`` is ``_grow_cover(graph, 2^j)``, built on its first read
-    (:class:`LazyLevels`); bad inputs raise here, not at that read.
+    (:class:`LazyLevels`); bad inputs raise here, not at that read.  Once
+    ``2^j`` reaches the eccentricity of node 0, the growth loop's seed,
+    the cover no longer depends on ``j`` (DESIGN.md §2), so those levels
+    share one build (:class:`SharedLevels`).
     """
     top = required_top_level(d)
     require_connected(graph)
-    return LayeredCover(levels=LazyLevels(partial(_grow_level, graph.twin()), top))
+    twin = graph.twin()
+    shared_from = required_top_level(max(int(graph.eccentricity(0)), 1))
+    build = SharedLevels(partial(_grow_level, twin), shared_from)
+    return LayeredCover(levels=LazyLevels(build, top), graph=twin)
 
 
 def _grow_level(graph: Graph, j: int) -> SparseCover:

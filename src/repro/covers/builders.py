@@ -21,6 +21,7 @@ from .cluster import bfs_cluster_tree
 from .cover import (
     LayeredCover,
     LazyLevels,
+    SharedLevels,
     SparseCover,
     require_connected,
     required_top_level,
@@ -60,10 +61,12 @@ def build_layered_cover(graph: Graph, d: int, builder: str = "ap") -> LayeredCov
     scratch sets die by refcount, so collector passes free nothing.
 
     The ``"ap"`` and ``"trivial"`` levels are built on their first read,
-    each under its own pause (:class:`LazyLevels`); ``"rg"`` builds every
-    level here, because its cost account sums over all of them.  Bad
-    inputs (a disconnected graph, ``d < 1``, an unknown builder) raise
-    here for every builder.
+    each under its own pause (:class:`LazyLevels`); levels that are one
+    cover up to their radius share one build (every ``"trivial"`` level,
+    and the ``"ap"`` levels with ``2^j`` at least node 0's eccentricity).
+    ``"rg"`` builds every level here, because its cost account sums over
+    all of them.  Bad inputs (a disconnected graph, ``d < 1``, an unknown
+    builder) raise here for every builder.
     """
     if builder == "ap":
         return build_ap_layered_cover(graph, d)
@@ -73,6 +76,7 @@ def build_layered_cover(graph: Graph, d: int, builder: str = "ap") -> LayeredCov
     if builder == "trivial":
         top = required_top_level(d)
         require_connected(graph)
-        return LayeredCover(
-            levels=LazyLevels(partial(_trivial_level, graph.twin()), top))
+        twin = graph.twin()
+        build = SharedLevels(partial(_trivial_level, twin), 0)
+        return LayeredCover(levels=LazyLevels(build, top), graph=twin)
     raise ValueError(f"unknown cover builder {builder!r}")

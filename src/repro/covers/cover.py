@@ -11,16 +11,18 @@ A *sparse d-cover with stretch s* is a set of clusters such that
 A *layered sparse d-cover* is one sparse ``2^j``-cover for every
 ``j <= ceil(log2 d)``.  The AP and trivial builders hand its levels out as
 :class:`LazyLevels`: each level is built the first time it is read, so a
-consumer that reads only some levels never pays for the rest (DESIGN.md
-§2).  :func:`validate_cover` checks every property and is used both in
-tests and as a guard when experiments build covers.
+consumer that reads only some levels never pays for the rest, and levels
+that are one cover up to their radius share one build
+(:class:`SharedLevels`; DESIGN.md §2).  :func:`validate_cover` checks every
+property and is used both in tests and as a guard when experiments build
+covers.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
 )
@@ -182,15 +184,47 @@ class LazyLevels(Mapping[int, SparseCover]):
         return f"LazyLevels(top={self._top}, built={self.built})"
 
 
+class SharedLevels:
+    """``build`` for :class:`LazyLevels` when every level ``j >= first`` is
+    one cover up to its radius.
+
+    A level below ``first`` is ``build(j)``.  So is the first level at or
+    above ``first`` that is read; every later one is that cover at radius
+    ``2^j``, sharing its cluster trees, ``clusters_of`` and home map.
+    """
+
+    __slots__ = ("_build", "_first", "_shared")
+
+    def __init__(
+        self, build: Callable[[int], SparseCover], first: int
+    ) -> None:
+        self._build = build
+        self._first = first
+        self._shared: Optional[SparseCover] = None
+
+    def __call__(self, j: int) -> SparseCover:
+        if j < self._first:
+            return self._build(j)
+        shared = self._shared
+        if shared is None:
+            shared = self._shared = self._build(j)
+            return shared
+        return replace(shared, radius=1 << j)
+
+
 @dataclass(frozen=True)
 class LayeredCover:
     """Sparse ``2^j``-covers for every ``j`` in ``0..top_level``.
 
     ``levels`` is a plain dict (the RG builder, hand-built covers) or a
-    :class:`LazyLevels` (the AP and trivial builders).
+    :class:`LazyLevels` (the AP and trivial builders).  ``graph`` is the
+    graph the builder was given (its :meth:`~repro.net.graph.Graph.twin`,
+    so a cover cached under that graph does not pin it); a hand-built
+    cover records none.
     """
 
     levels: Mapping[int, SparseCover]
+    graph: Optional[Graph] = field(default=None, compare=False, repr=False)
 
     @property
     def top_level(self) -> int:

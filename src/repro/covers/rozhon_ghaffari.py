@@ -353,4 +353,4 @@ def build_rg_layered_cover(graph: Graph, d: int) -> Tuple[LayeredCover, CostAcco
         total.rounds += cost.rounds
         total.messages += cost.messages
         levels[j] = cover
-    return LayeredCover(levels=levels), total
+    return LayeredCover(levels=levels, graph=graph.twin()), total

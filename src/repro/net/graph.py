@@ -118,6 +118,12 @@ class Graph:
         twin._ecc_cache = self._ecc_cache
         return twin
 
+    def same_links(self, other: "Graph") -> bool:
+        """Whether ``other`` has this graph's nodes and edges (weights
+        aside): an identity test for a twin, else one comparison of the
+        adjacency tuples."""
+        return self._adj is other._adj or self._adj == other._adj
+
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 import hashlib
 import math
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.covers import (
     ClusterTree,
@@ -436,3 +437,40 @@ def test_layered_levels_equal_single_level_builds(n, p, seed, d):
         single = build_ap_cover(g, 1 << j)
         assert cover == single
         assert cover_digest(cover) == cover_digest(single)
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=1, p=0.0, seed=0, order=random.Random(0))
+@example(n=2, p=0.0, seed=0, order=random.Random(0))
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    p=st.floats(min_value=0.0, max_value=0.3),
+    seed=st.integers(min_value=0, max_value=500),
+    order=st.randoms(use_true_random=False),
+)
+def test_levels_past_eccentricity_share_one_build(n, p, seed, order):
+    """Every level of the lazy AP and trivial builders, read in any order up
+    to past the diameter, equals its standalone build; the AP levels with
+    ``2^j >= ecc(0)``, and all trivial levels, share one tree object."""
+    from repro.covers.awerbuch_peleg import _grow_cover
+
+    g = topology.erdos_renyi_graph(n, p, seed)
+    d = 4 * n
+    shared_from = next(j for j in range(n + 1) if 1 << j >= g.eccentricity(0))
+    levels = list(range(required_top_level(d) + 1))
+    order.shuffle(levels)
+    for builder, single, first in (
+        ("ap", _grow_cover, shared_from),
+        ("trivial", build_trivial_cover, 0),
+    ):
+        layered = build_layered_cover(g, d, builder)
+        for j in levels:
+            cover, alone = layered.levels[j], single(g, 1 << j)
+            assert cover == alone and cover.radius == alone.radius == 1 << j
+            assert cover_digest(cover) == cover_digest(alone)
+        trees = {id(layered.levels[j].clusters[0])
+                 for j in layered.levels if j >= first}
+        assert len(trees) == 1, builder
+        below = [layered.levels[j].clusters[0] for j in layered.levels
+                 if j < first]
+        assert len({id(t) for t in below}) == len(below)

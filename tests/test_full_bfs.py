@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import run_full_bfs
+from repro.core import registry_for_threshold, run_full_bfs
 from repro.net import ConstantDelay, standard_adversaries, topology
 from repro.net.graph import validate_tree
 
@@ -92,3 +92,9 @@ class TestShape:
     def test_requires_sources(self):
         with pytest.raises(ValueError, match="source"):
             run_full_bfs(topology.path_graph(4), set(), ConstantDelay(1.0))
+
+    def test_registry_for_another_graph_rejected(self):
+        registry = registry_for_threshold(topology.cycle_graph(32), 32)
+        with pytest.raises(ValueError, match="built for another graph"):
+            run_full_bfs(topology.cycle_graph(16), 0, ConstantDelay(1.0),
+                         registry=registry)

@@ -88,6 +88,38 @@ class TestLazyCover:
         assert reg.layered.levels[0].radius == 1  # still buildable
 
 
+class TestSharedLevels:
+    @pytest.mark.parametrize("make, spec, builds, levels", [
+        (lambda: topology.cycle_graph(512), None, 4, 10),
+        (lambda: topology.grid_graph(32, 64), multi_bfs_spec(64), 3, 6),
+        (lambda: topology.cycle_graph(256), bfs_spec(0), 3, 9),
+        (lambda: topology.grid_graph(16, 16), bfs_spec(0), 1, 6),
+    ], ids=["cycle512@512", "grid32x64-ms64", "cycle256-bfs", "grid16x16-bfs"])
+    def test_distinct_level_builds(self, monkeypatch, make, spec, builds,
+                                   levels):
+        """The levels a consumer loads past node 0's eccentricity share one
+        cover build: the benchmark's graphs (cycle(512) at threshold 512,
+        as churn-rejoin512 reads it) build each distinct level once."""
+        from repro.covers import awerbuch_peleg
+
+        grown = []
+        grow = awerbuch_peleg._grow_cover
+
+        def counting(graph, d):
+            grown.append(d)
+            return grow(graph, d)
+
+        monkeypatch.setattr(awerbuch_peleg, "_grow_cover", counting)
+        g = make()
+        threshold = 512 if spec is None else pulse_bound_for(g, spec)
+        reg = registry_for_threshold(g, threshold)
+        loaded = reg.loaded_levels
+        assert len(loaded) == levels
+        assert len(grown) == builds
+        assert len({id(reg.layered.levels[j].clusters)
+                    for j in loaded}) == builds
+
+
 def _grid_registry(d=16):
     g = topology.grid_graph(5, 6)
     return g, CoverRegistry(build_layered_cover(g, d))

@@ -155,6 +155,20 @@ class TestContractEnforcement:
             with pytest.raises(ValueError, match="power of two"):
                 SynchronizerSweep(g, bfs_spec(0), max_pulse=bad)
 
+    @pytest.mark.parametrize("other", [32, 8])
+    def test_registry_for_another_graph_rejected(self, other):
+        # Checked once at bind: a registry built for cycle(32) or cycle(8)
+        # used to construct, then raise a bare KeyError at the first run.
+        g = topology.cycle_graph(16)
+        registry = registry_for_threshold(topology.cycle_graph(other), 32)
+        with pytest.raises(ValueError, match="built for another graph"):
+            SynchronizerSweep(g, bfs_spec(0), registry=registry)
+        # A registry built from an equal graph object is accepted.
+        equal = registry_for_threshold(topology.cycle_graph(16), 32)
+        result = SynchronizerSweep(g, bfs_spec(0), registry=equal).run(
+            ConstantDelay(1.0))
+        assert result.outputs == run_synchronous(g, bfs_spec(0)).outputs
+
     def test_pulse_bound_exceeded_raises(self):
         g = topology.path_graph(10)
         with pytest.raises(RuntimeError, match="pulse bound"):

@@ -130,6 +130,17 @@ class TestApiErrors:
         with pytest.raises(ValueError, match="source"):
             run_thresholded_bfs(g, set(), 4, ConstantDelay(1.0))
 
+    def test_registry_for_another_graph_rejected(self):
+        # Checked once at bind, before the first run.
+        g = topology.cycle_graph(16)
+        registry = registry_for_threshold(topology.cycle_graph(32), 32)
+        with pytest.raises(ValueError, match="built for another graph"):
+            ThresholdedBFSSweep(g, [0], 4, registry=registry)
+        equal = registry_for_threshold(topology.cycle_graph(16), 4)
+        outcome = ThresholdedBFSSweep(g, [0], 4, registry=equal).run(
+            ConstantDelay(1.0))
+        assert_correct(g, 0, 4, outcome)
+
     @pytest.mark.parametrize("sources", ([99], [-1], [0, 16]))
     def test_source_outside_graph_rejected(self, sources):
         g = topology.cycle_graph(16)
