@@ -27,10 +27,11 @@ def _run_gather(graph, cover, stages):
             self.module = GatherModule(
                 node_id=ctx.node_id,
                 cover=cover,
-                send=ctx.send,
                 on_complete=lambda stage: completions.__setitem__(
                     (ctx.node_id, stage), ctx.now
                 ),
+                links=ctx.links,
+                send_link=ctx.send_link,
                 num_stages=stages,
             )
 

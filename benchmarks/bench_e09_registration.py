@@ -36,12 +36,13 @@ def _run(module_cls, graph, tree, registrants):
             self.mod = module_cls(
                 ctx.node_id,
                 views,
-                lambda to, p, pr: ctx.send(
-                    to, p, pr if isinstance(pr, tuple) else (pr,)
-                ),
                 self._registered,
                 self._go,
                 lambda tag: (0,),
+                ctx.links,
+                lambda lid, p, pr: ctx.send_link(
+                    lid, p, pr if isinstance(pr, tuple) else (pr,)
+                ),
             )
 
         def _registered(self, c, t):

@@ -73,10 +73,11 @@ class GammaProcess(BaselineProcess):
         self.agg = ClusterAggregateModule(
             node_id=node_id,
             clusters=self.views,
-            send=ctx.send,
             on_result=self._on_result,
             merge=and_merge,
             priority_fn=lambda tag: (tag[1],),
+            links=ctx.links,
+            send_link=ctx.send_link,
         )
         self.xsafe_got: Dict[int, Set[NodeId]] = {}
         self.gsafe_result: Set[int] = set()

@@ -245,10 +245,11 @@ class _RegDriver(Process):
         self.reg = self.module_cls(
             node_id=node,
             clusters=views,
-            send=ctx.send,
             on_registered=self._on_registered,
             on_go_ahead=self._on_go_ahead,
             priority_fn=lambda tag: (0,),
+            links=ctx.links,
+            send_link=ctx.send_link,
         )
         self._done = 0
 

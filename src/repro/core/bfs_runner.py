@@ -164,13 +164,9 @@ class ThresholdedBFSProcess(Process):
             neighbors=ctx.neighbors,
             registry=self.registry,
             threshold=self.threshold,
-            send=ctx.send,
             on_complete=self._on_complete,
-            # getattr: reference/teaching engines run the same process class
-            # without a dense link table; the core then falls back to
-            # node-id sends (the identity link map).
-            links=getattr(ctx, "links", None),
-            send_link=getattr(ctx, "send_link", None),
+            links=ctx.links,
+            send_link=ctx.send_link,
         )
         # Shadow the class method: the transport calls the node engine
         # directly (one frame less per delivered message), and the opcode

@@ -159,14 +159,13 @@ class ClusterAggregateModule(ClusterTreeModule):
         self,
         node_id: NodeId,
         clusters: Dict[int, ClusterView],
-        send: Callable[[NodeId, Tuple, Any], None],
         on_result: Callable[[int, Tag, Any], None],
         merge: MergeFn,
         priority_fn: Callable[[Tag], Any],
-        links: Optional[Mapping[NodeId, int]] = None,
-        send_link: Optional[Callable[[int, Tuple, Any], None]] = None,
+        links: Mapping[NodeId, int],
+        send_link: Callable[[int, Tuple, Any], None],
     ) -> None:
-        super().__init__(node_id, clusters, send, priority_fn, links, send_link)
+        super().__init__(node_id, clusters, priority_fn, links, send_link)
         self.on_result = on_result
         self.merge = merge
         # Live instances, settled records and the :data:`_RETIRED`

@@ -68,6 +68,8 @@ class FullBFSNode:
         is_source: bool,
         max_iterations: int,
         send,  # (to, payload, priority_tuple) -> None
+        links,  # neighbor -> dense link id (ProcessContext.links)
+        send_link,  # (link_id, payload, priority_tuple) -> None
         on_output,  # (distance, parent) -> None
     ) -> None:
         self.node_id = node_id
@@ -76,6 +78,8 @@ class FullBFSNode:
         self.is_source = is_source
         self.max_iterations = max_iterations
         self._send = send
+        self._links = links
+        self._send_link = send_link
         self.on_output = on_output
         self.alive = True
         self.distance: Optional[int] = None
@@ -89,12 +93,13 @@ class FullBFSNode:
         self._alive_agg = ClusterAggregateModule(
             node_id=node_id,
             clusters=registry.views_of(node_id, (registry.top_level,)),
-            send=lambda to, payload, priority: self._send(
-                to, ("fb_alive", payload), priority
-            ),
             on_result=self._on_alive_result,
             merge=and_merge,
             priority_fn=lambda tag: (tag[1], 1 << 30),
+            links=links,
+            send_link=lambda lid, payload, priority: send_link(
+                lid, ("fb_alive", payload), priority
+            ),
         )
         self._alive_members = set(
             registry.member_clusters(node_id, registry.top_level)
@@ -111,10 +116,11 @@ class FullBFSNode:
                 neighbors=self.neighbors,
                 registry=self.registry,
                 threshold=1 << i,
-                send=lambda to, payload, s, i=i: self._send(
-                    to, ("fb", i, payload), (i, s)
-                ),
                 on_complete=lambda pulse, i=i: self._check_done(i, pulse),
+                links=self._links,
+                send_link=lambda lid, payload, s, i=i: self._send_link(
+                    lid, ("fb", i, payload), (i, s)
+                ),
             )
             self.iterations[i] = state
         return state
@@ -285,6 +291,8 @@ class FullBFSProcess(Process):
             is_source=ctx.node_id in self.sources,
             max_iterations=self.max_iterations,
             send=ctx.send,
+            links=ctx.links,
+            send_link=ctx.send_link,
             on_output=lambda dist, parent: ctx.set_output(
                 (dist if dist is not None else UNREACHED, parent)
             ),

@@ -42,7 +42,7 @@ from typing import Any, Dict, Optional, Sequence, Set, Tuple
 from ..net.graph import NodeId
 from .cluster_ops import ClusterAggregateModule, and_merge
 from .pulse import gating_pulses_cached, cover_level, prev, prev_prev, source_pulses
-from .registration import RegistrationModule, resolve_link_pair
+from .registration import RegistrationModule
 from .registry import CoverRegistry
 
 #: Aggregate tag kinds: ``tag = stage << 2 | kind``.
@@ -131,13 +131,9 @@ class PulseGate:
         registry: CoverRegistry,
         last_pulse: int,
         levels: Sequence[int],
-        send,  # (to, payload, priority) -> None
-        links=None,  # neighbor -> dense link id (ProcessContext.links)
-        send_link=None,  # (link_id, payload, priority) -> None
+        links,  # neighbor -> dense link id (ProcessContext.links)
+        send_link,  # (link_id, payload, priority) -> None
     ) -> None:
-        links, send_link = resolve_link_pair(
-            type(self).__name__, send, links, send_link
-        )
         self.node_id = node_id
         self.registry = registry
         self._links = links
@@ -148,7 +144,6 @@ class PulseGate:
         self.reg = RegistrationModule(
             node_id=node_id,
             clusters=views,
-            send=send,
             on_registered=self._on_registered,
             on_go_ahead=self._on_cluster_go_ahead,
             priority_fn=_reg_stage,
@@ -158,7 +153,6 @@ class PulseGate:
         self.agg = ClusterAggregateModule(
             node_id=node_id,
             clusters=views,
-            send=send,
             on_result=self._on_agg_result,
             merge=and_merge,
             priority_fn=_agg_stage,

@@ -11,12 +11,15 @@ the d·l-ball extension of Theorem 3.2.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
 
 from ..covers.cover import SparseCover
 from ..net.graph import NodeId
 from .cluster_ops import ClusterAggregateModule, and_merge
 from .registration import cluster_views_for
+
+#: The first field of every gather aggregation tag ``(GATHER_TAG, stage)``.
+GATHER_TAG = "gather"
 
 
 class GatherModule:
@@ -34,11 +37,11 @@ class GatherModule:
         self,
         node_id: NodeId,
         cover: SparseCover,
-        send: Callable[[NodeId, Tuple, Any], None],
         on_complete: Callable[[int], None],
+        links: Mapping[NodeId, int],
+        send_link: Callable[[int, Tuple, Any], None],
         num_stages: int = 1,
         priority_fn: Optional[Callable[[Any], Any]] = None,
-        name: str = "gather",
     ) -> None:
         if num_stages < 1:
             raise ValueError("need at least one stage")
@@ -46,7 +49,6 @@ class GatherModule:
         self.cover = cover
         self.num_stages = num_stages
         self.on_complete = on_complete
-        self.name = name
         views = cluster_views_for(cover.by_id, node_id)
         self._member_clusters = tuple(
             tree.cluster_id for tree in cover.clusters if node_id in tree.members
@@ -60,10 +62,11 @@ class GatherModule:
         self.agg = ClusterAggregateModule(
             node_id=node_id,
             clusters=views,
-            send=send,
             on_result=self._on_result,
             merge=and_merge,
             priority_fn=priority_fn,
+            links=links,
+            send_link=send_link,
         )
         self._done_local = False
         self._started = False
@@ -96,7 +99,7 @@ class GatherModule:
         if (cid, stage) in self._contributed:
             return
         self._contributed.add((cid, stage))
-        self.agg.contribute(cid, (self.name, stage), True)
+        self.agg.contribute(cid, (GATHER_TAG, stage), True)
 
     def _ready_for_stage(self, stage: int) -> bool:
         """Ready to contribute to stage s = done with stage s-1."""

@@ -45,7 +45,8 @@ class MultiStageBFSNode:
         stage_threshold: int,
         num_stages: int,
         is_original_source: bool,
-        send,  # (to, payload, priority_tuple) -> None
+        links,  # neighbor -> dense link id (ProcessContext.links)
+        send_link,  # (link_id, payload, priority_tuple) -> None
         on_final,  # (distance: float, parent: Optional[NodeId]) -> None
     ) -> None:
         self.node_id = node_id
@@ -54,7 +55,8 @@ class MultiStageBFSNode:
         self.stage_threshold = stage_threshold
         self.num_stages = num_stages
         self.is_original_source = is_original_source
-        self._send = send
+        self._links = links
+        self._send_link = send_link
         self.on_final = on_final
         self.cores: Dict[int, ThresholdedBFSCore] = {}
         self.distance: Optional[int] = None
@@ -68,10 +70,11 @@ class MultiStageBFSNode:
             neighbors=self.neighbors,
             registry=self.registry,
             threshold=self.stage_threshold,
-            send=lambda to, payload, s, stage=stage: self._send(
-                to, ("ms", stage, payload), (stage, s)
-            ),
             on_complete=lambda pulse, stage=stage: self._stage_done(stage, pulse),
+            links=self._links,
+            send_link=lambda lid, payload, s, stage=stage: self._send_link(
+                lid, ("ms", stage, payload), (stage, s)
+            ),
         )
 
     def start(self) -> None:
@@ -117,7 +120,8 @@ class MultiStageBFSProcess(Process):
             stage_threshold=self.stage_threshold,
             num_stages=self.num_stages,
             is_original_source=ctx.node_id in self.sources,
-            send=ctx.send,
+            links=ctx.links,
+            send_link=ctx.send_link,
             on_final=self._on_final,
         )
 

@@ -56,7 +56,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..net.async_runtime import AsyncRuntime
 from ..net.delays import DelayModel
-from ..net.faults import DETECT_TIMEOUT, FaultSchedule
+from ..net.faults import FaultSchedule
 from ..net.graph import Graph, NodeId
 from ..net.program import (
     ArrivedBatch,
@@ -365,7 +365,6 @@ def run_churn(
     faults: FaultSchedule,
     mode: str = "degrade",
     root: NodeId = 0,
-    detect_timeout: float = DETECT_TIMEOUT,
     builder: str = "ap",
     max_pulse: Optional[int] = None,
     max_events: int = 100_000_000,
@@ -388,10 +387,7 @@ def run_churn(
     process_cls = RecoverySynchronizerProcess.bind(
         graph, spec_factory(root), max_pulse=max_pulse, builder=builder
     )
-    runtime = AsyncRuntime(
-        graph, process_cls, delay_model,
-        faults=faults, detect_timeout=detect_timeout,
-    )
+    runtime = AsyncRuntime(graph, process_cls, delay_model, faults=faults)
     result = runtime.run(max_events=max_events)
 
     crashed = tuple(faults.crashed_nodes(graph.nodes))

@@ -40,55 +40,12 @@ shares with :class:`~repro.core.cluster_ops.ClusterAggregateModule`, and
 
 from __future__ import annotations
 
-import warnings
 from typing import (
     Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union,
 )
 
 from ..net.graph import NodeId
 
-
-class _IdentityLinks:
-    """Fallback link map for hosts wired by node id (DESIGN.md §8).
-
-    Resolves every destination to itself, so ``send_link(links[to], ...)``
-    degrades to the node-id ``send`` for hosts that do not run on the
-    transport's dense link table (standalone module tests, the multi-stage
-    and full-BFS wrappers with their tagging send closures).
-    """
-
-    __slots__ = ()
-
-    def __getitem__(self, key: NodeId) -> NodeId:
-        return key
-
-
-IDENTITY_LINKS = _IdentityLinks()
-
-
-def resolve_link_pair(owner: str, send, links, send_link):
-    """Resolve the optional ``links``/``send_link`` pair of a protocol module.
-
-    Returns ``(links, send_link)`` — the supplied pair when both halves are
-    present, else the node-id fallback (``IDENTITY_LINKS`` + ``send``).
-    Supplying exactly one half is almost certainly a wiring bug (the caller
-    meant to use the link-table fast path and silently is not), so that case
-    emits a :class:`RuntimeWarning` naming the missing half instead of
-    degrading invisibly.
-    """
-    if send_link is None or links is None:
-        if (links is None) != (send_link is None):
-            missing = "links" if links is None else "send_link"
-            supplied = "send_link" if links is None else "links"
-            warnings.warn(
-                f"{owner}: {supplied!r} supplied without {missing!r}; the"
-                " link-table fast path needs both, falling back to node-id"
-                " sends (IDENTITY_LINKS)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return IDENTITY_LINKS, send
-    return links, send_link
 
 # Edge marks (our node's view of the edge to parent / to each child).
 CLEAN = "clean"
@@ -114,7 +71,6 @@ OP_REG_GO_AHEAD = 5
 Tag = Any
 #: Packed (cluster_id, tag) wire key — an int for int tags, else a tuple.
 Key = Union[int, Tuple[int, Tag]]
-SendFn = Callable[[NodeId, Tuple, Any], None]
 
 _TAG_BITS = 32
 _TAG_MASK = (1 << _TAG_BITS) - 1
@@ -230,11 +186,11 @@ class ClusterTreeModule:
       :meth:`readmit_child` when it returns (DESIGN.md §11, §15).
 
     ``links``/``send_link`` wire the module onto the transport's dense
-    link table (``ProcessContext.links`` / ``.send_link``): a stage or
-    instance resolves its tree destinations to link ids once and every
-    emit takes the int-indexed fast path.  Hosts that wrap ``send``
-    (payload tagging, standalone tests) omit them and keep node-id sends;
-    supplying exactly one half warns (see :func:`resolve_link_pair`).
+    link table, and are the only wiring: a host passes
+    ``ProcessContext.links`` and ``.send_link`` (DESIGN.md §8).  A stage
+    or instance resolves its tree destinations to link ids once and every
+    emit goes out by link id.  A host that tags payloads wraps
+    ``send_link`` in a closure.
     """
 
     #: Opcode -> handler function, declared by each subclass after its
@@ -245,10 +201,9 @@ class ClusterTreeModule:
         self,
         node_id: NodeId,
         clusters: Dict[int, ClusterView],
-        send: SendFn,
         priority_fn: Callable[[Tag], Any],
-        links: Optional[Mapping[NodeId, int]],
-        send_link: Optional[Callable[[int, Tuple, Any], None]],
+        links: Mapping[NodeId, int],
+        send_link: Callable[[int, Tuple, Any], None],
     ) -> None:
         self.node_id = node_id
         self.clusters = clusters
@@ -256,9 +211,8 @@ class ClusterTreeModule:
         # it doubles as the pristine topology a readmitted child is restored
         # from (DESIGN.md §15).
         self._pristine_clusters = clusters
-        self._links, self._send_link = resolve_link_pair(
-            type(self).__name__, send, links, send_link
-        )
+        self._links = links
+        self._send_link = send_link
         self.priority_fn = priority_fn
         self.messages_sent = 0
 
@@ -331,12 +285,11 @@ class RegistrationModule(ClusterTreeModule):
         self,
         node_id: NodeId,
         clusters: Dict[int, ClusterView],
-        send: SendFn,
         on_registered: Callable[[int, Tag], None],
         on_go_ahead: Callable[[int, Tag], None],
         priority_fn: Callable[[Tag], Any],
-        links: Optional[Mapping[NodeId, int]] = None,
-        send_link: Optional[Callable[[int, Tuple, Any], None]] = None,
+        links: Mapping[NodeId, int],
+        send_link: Callable[[int, Tuple, Any], None],
     ) -> None:
         """A stage is retired once it is *terminal-clean* — every edge mark
         CLEAN, no wave in flight, this node's own register/deregister
@@ -347,7 +300,7 @@ class RegistrationModule(ClusterTreeModule):
         while the stage is live (a contract-violating re-register after
         completion builds a fresh stage instead of raising).
         """
-        super().__init__(node_id, clusters, send, priority_fn, links, send_link)
+        super().__init__(node_id, clusters, priority_fn, links, send_link)
         self.on_registered = on_registered
         self.on_go_ahead = on_go_ahead
         self._stages: Dict[Key, _StageState] = {}

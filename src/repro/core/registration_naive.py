@@ -14,7 +14,7 @@ scheme.  Benchmark E9 measures exactly this gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Set, Tuple
+from typing import Any, Callable, Dict, Mapping, Set, Tuple
 
 from ..net.graph import NodeId
 from .registration import ClusterView
@@ -41,14 +41,16 @@ class NaiveRegistrationModule:
         self,
         node_id: NodeId,
         clusters: Dict[int, ClusterView],
-        send: Callable[[NodeId, Tuple, Any], None],
         on_registered: Callable[[int, Tag], None],
         on_go_ahead: Callable[[int, Tag], None],
         priority_fn: Callable[[Tag], Any],
+        links: Mapping[NodeId, int],
+        send_link: Callable[[int, Tuple, Any], None],
     ) -> None:
         self.node_id = node_id
         self.clusters = clusters
-        self._send = send
+        self._links = links
+        self._send_link = send_link
         self.on_registered = on_registered
         self.on_go_ahead = on_go_ahead
         self.priority_fn = priority_fn
@@ -59,7 +61,7 @@ class NaiveRegistrationModule:
     # ------------------------------------------------------------------
     def _emit(self, to: NodeId, payload: Tuple, tag: Tag) -> None:
         self.messages_sent += 1
-        self._send(to, payload, self.priority_fn(tag))
+        self._send_link(self._links[to], payload, self.priority_fn(tag))
 
     def _route_up(self, cluster_id: int, tag: Tag, kind: str, origin: NodeId, path: Tuple[NodeId, ...]) -> None:
         view = self.clusters[cluster_id]

@@ -70,12 +70,19 @@ class CoverRegistry:
         return self._top_level
 
     def check_graph(self, graph: Graph) -> None:
-        """Raise ``ValueError`` unless the cover was built for ``graph`` or
-        an equal graph: one comparison (:meth:`Graph.same_links`), made
-        once by each runner given a registry.  A hand-built cover records
-        no graph and is taken as given."""
+        """Raise ``ValueError`` unless the cover fits ``graph``, checked
+        once by each runner given a registry.  A built cover must have been
+        built for ``graph`` or an equal graph: one comparison
+        (:meth:`Graph.same_links`).  A hand-built cover records no graph,
+        so every tree of every level is validated against ``graph``
+        (:meth:`ClusterTree.validate`): a tree edge that is no link fails
+        here, not mid-run."""
         built_for = self.layered.graph
-        if built_for is not None and not built_for.same_links(graph):
+        if built_for is None:
+            for cover in self.layered.levels.values():
+                for tree in cover.clusters:
+                    tree.validate(graph)
+        elif not built_for.same_links(graph):
             raise ValueError(
                 "the cover registry was built for another graph"
                 f" ({built_for.num_nodes} nodes, {built_for.num_edges} edges),"

@@ -126,13 +126,12 @@ class SynchronizerNode(PulseGate):
         is_initiator: bool,
         registry: CoverRegistry,
         max_pulse: int,
-        send,  # (to, payload, priority_tuple) -> None
         set_output,  # (value) -> None
-        links=None,  # neighbor -> dense link id (ProcessContext.links)
-        send_link=None,  # (link_id, payload, priority) -> None
+        links,  # neighbor -> dense link id (ProcessContext.links)
+        send_link,  # (link_id, payload, priority) -> None
     ) -> None:
         super().__init__(
-            node_id, registry, max_pulse, self.cover_levels(registry), send,
+            node_id, registry, max_pulse, self.cover_levels(registry),
             links, send_link,
         )
         self.info = info
@@ -499,13 +498,9 @@ class SynchronizerProcess(Process):
             is_initiator=ctx.node_id in self.initiators,
             registry=self.registry,
             max_pulse=self.max_pulse,
-            send=ctx.send,
             set_output=ctx.set_output,
-            # getattr: reference/teaching engines run the same process class
-            # without a dense link table; the node then falls back to
-            # node-id sends (the identity link map).
-            links=getattr(ctx, "links", None),
-            send_link=getattr(ctx, "send_link", None),
+            links=ctx.links,
+            send_link=ctx.send_link,
         )
         # Instance-level binds shadow the class methods below so the
         # transport calls straight into the node engine (one frame less per

@@ -63,8 +63,6 @@ OP_GA = 9
 _ANSWER_YES = (OP_ANSWER, True)
 _ANSWER_NO = (OP_ANSWER, False)
 
-SendFn = Callable[[NodeId, Tuple, int], None]  # (to, payload, stage-priority)
-
 #: The checking stage's aggregate tag kind (DESIGN.md §10): kinds 0 and 1
 #: are the Section 4.2 barriers of :mod:`repro.core.gate`, and the check
 #: tag ``(threshold + 1) << 2 | 3`` carries its stage like theirs.
@@ -85,15 +83,14 @@ class ThresholdedBFSCore(PulseGate, Vertex):
         neighbors: Sequence[NodeId],
         registry: CoverRegistry,
         threshold: int,
-        send: SendFn,
         on_complete: Callable[[Optional[int]], None],
-        links=None,  # neighbor -> dense link id (ProcessContext.links)
-        send_link=None,  # (link_id, payload, priority) -> None
+        links,  # neighbor -> dense link id (ProcessContext.links)
+        send_link,  # (link_id, payload, stage-priority) -> None
     ) -> None:
         self.t = threshold.bit_length() - 1
         super().__init__(
             node_id, registry, threshold, self.cover_levels(registry, threshold),
-            send, links, send_link,
+            links, send_link,
         )
         self.threshold = threshold
         self._neighbor_links = tuple(self._links[v] for v in neighbors)

@@ -313,14 +313,14 @@ class Process:
         """Failure-detector callback: ``neighbor`` crashed and will never
         answer again.
 
-        Fires ``detect_timeout`` after the neighbor's crash, only under a
+        Fires ``DETECT_TIMEOUT`` after the neighbor's crash, only under a
         :class:`~repro.net.faults.FaultSchedule` with crashes and only for
         processes that override the hook (the transport elides detectors
         otherwise, so fault-free schedules stay byte-identical).  Default:
         no-op.
 
         Not fired at all when the neighbor re-joins before the detector
-        would have gone off (``rejoin_time <= crash + detect_timeout``):
+        would have gone off (``rejoin_time <= crash + DETECT_TIMEOUT``):
         a flap faster than the timeout is indistinguishable from slowness
         under the synchrony bound, so the detector stays silent.
         """
@@ -329,10 +329,10 @@ class Process:
         """Recovery-detector callback: ``neighbor`` re-joined the network.
 
         The symmetric hook to :meth:`on_neighbor_dead` (DESIGN.md §15).
-        Fires ``detect_timeout`` after the neighbor's rejoin time, only
+        Fires ``DETECT_TIMEOUT`` after the neighbor's rejoin time, only
         under a schedule with re-joins and only for processes that override
         the hook.  The delay is the same sound bound as detection: by
-        ``rejoin + detect_timeout`` every pre-rejoin transport record on
+        ``rejoin + DETECT_TIMEOUT`` every pre-rejoin transport record on
         the shared link has either fired or been voided, so readmitting the
         neighbor cannot interleave the old incarnation's traffic with the
         new one's.  Default: no-op.
@@ -527,7 +527,7 @@ class AsyncRuntime(EventQueue):
         "_reserved", "_send_on", "_enqueue_from", "_inject_link",
         "messages", "acks", "_fused", "outputs",
         "output_time", "_time_to_output", "processes", "_active_seq",
-        "faults", "detect_timeout", "_crash_t", "_down_fn", "_drop_fn",
+        "faults", "_crash_t", "_down_fn", "_drop_fn",
         "dropped", "controller", "_rejoin_t", "_stale_seq",
         "_process_factory", "rejoined", "_started", "_horizon",
     )
@@ -543,7 +543,6 @@ class AsyncRuntime(EventQueue):
         skeleton: Optional[LinkSkeleton] = None,
         block_buffer: Optional[MutableSequence[float]] = None,
         faults: Optional[FaultSchedule] = None,
-        detect_timeout: float = DETECT_TIMEOUT,
         controller: Optional[Any] = None,
     ) -> None:
         """``count_fused_acks=True`` restores the paper's raw event
@@ -563,9 +562,9 @@ class AsyncRuntime(EventQueue):
         ``faults`` is an optional :class:`~repro.net.faults.FaultSchedule`;
         an empty schedule is normalized to ``None`` so it provably cannot
         perturb the fault-free schedule (the dispatch loop's fault branches
-        are only taken when a schedule is active).  ``detect_timeout`` is
-        how long after a neighbor's crash its failure detector fires (sound
-        for any value > 2*TAU; see :data:`~repro.net.faults.DETECT_TIMEOUT`).
+        are only taken when a schedule is active); a neighbor's failure
+        detector fires :data:`~repro.net.faults.DETECT_TIMEOUT` after its
+        crash.
         ``controller`` is a :class:`repro.check.control.ScheduleController`
         that picks every next record (DESIGN.md §13); it excludes
         ``faults``.
@@ -603,7 +602,6 @@ class AsyncRuntime(EventQueue):
         #: controller-chosen), with the time of the rejoin.
         self.rejoined: Dict[NodeId, float] = {}
         self.faults = faults
-        self.detect_timeout = detect_timeout
         self.dropped = 0
         # Kept for rejoin rebuilds only (a returned node gets a *fresh*
         # process from the same factory); never touched on fault-free runs.
@@ -949,7 +947,7 @@ class AsyncRuntime(EventQueue):
 
         The failure detectors are perfect (DESIGN.md §11): every live
         neighbor of a crashed node learns of the crash exactly
-        ``detect_timeout`` after it happens.  This is the abstraction of a
+        :data:`~repro.net.faults.DETECT_TIMEOUT` after it happens.  This is the abstraction of a
         missing acknowledgment/Go-Ahead timeout: any message in flight
         toward (or from) a node that crashes at ``t`` resolves by
         ``t + 2*TAU``, so a timeout strictly greater than ``2*TAU`` never
@@ -962,15 +960,14 @@ class AsyncRuntime(EventQueue):
         """
         crash_t = self._crash_t
         rejoin_t = self._rejoin_t
-        timeout = self.detect_timeout
         for c in self.graph.nodes:
             t_crash = crash_t[c]
             if t_crash == inf:
                 continue
-            t_fire = t_crash + timeout
+            t_fire = t_crash + DETECT_TIMEOUT
             if rejoin_t[c] <= t_fire:
                 # The corpse is back before the timeout would have gone
-                # off: a flap faster than detect_timeout is
+                # off: a flap faster than DETECT_TIMEOUT is
                 # indistinguishable from slowness under the synchrony
                 # bound, so no observer ever accuses it (DESIGN.md §15).
                 continue
@@ -1038,7 +1035,7 @@ class AsyncRuntime(EventQueue):
         number — strictly above every record currently in the heap — and
         the dispatch loop discards marked records at fire time.  Then the
         fresh incarnation starts (``on_start``) and recovery detectors
-        (``on_neighbor_alive``) are armed ``detect_timeout`` out for live
+        (``on_neighbor_alive``) are armed ``DETECT_TIMEOUT`` out for live
         overriding neighbors, the same sound bound as crash detection: by
         then all pre-rejoin incident traffic has fired or been voided.
         """
@@ -1050,7 +1047,7 @@ class AsyncRuntime(EventQueue):
             stale[out[v][w]] = mark
             stale[out[w][v]] = mark
         self._rewire_node(v).on_start()
-        t_fire = now + self.detect_timeout
+        t_fire = now + DETECT_TIMEOUT
         for u in self._observers(v, "on_neighbor_alive", t_fire):
             self.schedule_at(t_fire, partial(self._fire_alive, u, v))
 
@@ -1312,11 +1309,10 @@ def run_asynchronous(
     max_events: Optional[int] = 50_000_000,
     count_fused_acks: bool = False,
     faults: Optional[FaultSchedule] = None,
-    detect_timeout: float = DETECT_TIMEOUT,
 ) -> AsyncResult:
     """Convenience wrapper: build the runtime and run to quiescence."""
     runtime = AsyncRuntime(
         graph, process_factory, delay_model, count_fused_acks=count_fused_acks,
-        faults=faults, detect_timeout=detect_timeout,
+        faults=faults,
     )
     return runtime.run(max_time=max_time, max_events=max_events)

@@ -15,8 +15,8 @@ What is and is not shared (the contract the equivalence tests pin):
 * shared across replays: the graph, the link-id skeleton (endpoint arrays,
   per-node outgoing maps, per-link block bounds), the process factory
   (a protocol's ``bind`` attaches covers, registry views, pulse tables and
-  node infos to it exactly once), the ``count_fused_acks`` accounting flag,
-  and — as pure scratch — one flat delay-block buffer (DESIGN.md §9) whose
+  node infos to it exactly once), the fault schedule, and — as pure
+  scratch — one flat delay-block buffer (DESIGN.md §9) whose
   *allocation* is amortized across replays while its contents are
   refilled per replay from each model's pure block fills;
 * rebuilt per replay: every piece of mutable state — the link-table
@@ -48,7 +48,7 @@ from .async_runtime import (
     make_block_buffer,
 )
 from .delays import DelayModel
-from .faults import DETECT_TIMEOUT, FaultSchedule
+from .faults import FaultSchedule
 from .graph import Graph, NodeId
 from .shard import CellSummary, run_models, run_sharded, run_timed
 
@@ -58,26 +58,22 @@ TraceFn = Callable[[float, NodeId, NodeId, Payload], None]
 class AsyncSweep:
     """Replay one (graph, protocol) workload under many delay models."""
 
-    __slots__ = ("graph", "process_factory", "count_fused_acks",
-                 "faults", "detect_timeout", "_skeleton", "_block_buffer")
+    __slots__ = ("graph", "process_factory", "faults", "_skeleton",
+                 "_block_buffer")
 
     def __init__(
         self,
         graph: Graph,
         process_factory: Callable[[ProcessContext], Process],
-        count_fused_acks: bool = False,
         faults: Optional[FaultSchedule] = None,
-        detect_timeout: float = DETECT_TIMEOUT,
     ) -> None:
         self.graph = graph
         self.process_factory = process_factory
-        self.count_fused_acks = count_fused_acks
         # One fault schedule across every replay: fault decisions are pure
         # functions of (schedule seed, endpoints, seq), so replays under
         # different delay models observe the *same* adversarial faults —
         # exactly the pinnable-churn contract of DESIGN.md §11.
         self.faults = faults
-        self.detect_timeout = detect_timeout
         # Dense link-id skeleton, derived from the graph once per sweep
         # (and shared with any standalone runtime over the same graph
         # through the per-graph cache).
@@ -102,15 +98,12 @@ class AsyncSweep:
         return (
             self.graph,
             self.process_factory,
-            self.count_fused_acks,
             self.faults,
-            self.detect_timeout,
             self._skeleton,
         )
 
     def __setstate__(self, state) -> None:
-        (self.graph, self.process_factory, self.count_fused_acks,
-         self.faults, self.detect_timeout, skeleton) = state
+        self.graph, self.process_factory, self.faults, skeleton = state
         # Make the shipped assignment authoritative for this graph copy in
         # the unpickling process, then share whichever table the cache holds.
         self._skeleton = adopt_skeleton(self.graph, skeleton)
@@ -123,11 +116,9 @@ class AsyncSweep:
             self.process_factory,
             delay_model,
             trace=trace,
-            count_fused_acks=self.count_fused_acks,
             skeleton=self._skeleton,
             block_buffer=self._block_buffer,
             faults=self.faults,
-            detect_timeout=self.detect_timeout,
         )
 
     def run(

@@ -141,10 +141,11 @@ class TestProbes:
             return RegistrationModule(
                 node_id=0,
                 clusters={0: ClusterView(0, parent=None, children=())},
-                send=lambda *a: None,
                 on_registered=lambda *a: None,
                 on_go_ahead=lambda *a: None,
                 priority_fn=lambda tag: (0,),
+                links={},
+                send_link=lambda *a: None,
             )
 
         used = module()

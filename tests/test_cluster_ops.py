@@ -33,6 +33,10 @@ from repro.net import (
 from repro.net.delays import BimodalDelay
 from repro.net.shard import digest_outputs
 
+#: The link table of a module driven without a transport: the link toward
+#: node ``v`` has id ``v``, so a recorded ``send_link`` reads as node ids.
+LINKS = {v: v for v in range(16)}
+
 
 def make_agg_driver(tree, values, on_results):
     """Every node contributes values[node] after a scripted delay."""
@@ -44,12 +48,13 @@ def make_agg_driver(tree, values, on_results):
             self.module = ClusterAggregateModule(
                 node_id=ctx.node_id,
                 clusters=views,
-                send=ctx.send,
                 on_result=lambda cid, tag, result: on_results.append(
                     (self.ctx.now, ctx.node_id, result)
                 ),
                 merge=min_merge,
                 priority_fn=lambda tag: (0,),
+                links=ctx.links,
+                send_link=ctx.send_link,
             )
 
         def on_start(self):
@@ -106,8 +111,8 @@ class TestAggregate:
     def test_double_contribute_rejected(self):
         view = {0: ClusterView(0, parent=None, children=())}
         module = ClusterAggregateModule(
-            0, view, lambda *a: None, lambda *a: None,
-            min_merge, lambda tag: (0,),
+            0, view, lambda *a: None,
+            min_merge, lambda tag: (0,), LINKS, lambda *a: None,
         )
         module.contribute(0, "t", 1)
         with pytest.raises(ValueError, match="double-contributes"):
@@ -128,9 +133,9 @@ class TestInstanceRetirement:
     def _module(self, views, results, sent):
         return ClusterAggregateModule(
             0, views,
-            lambda to, payload, priority: sent.append((to, payload)),
             lambda cid, tag, result: results.append((cid, tag, result)),
-            min_merge, lambda tag: (0,),
+            min_merge, lambda tag: (0,), LINKS,
+            lambda lid, payload, priority: sent.append((lid, payload)),
         )
 
     def test_finished_instance_leaves_only_the_tombstone(self):
@@ -243,8 +248,8 @@ class TestSettledInstances:
         # A relay between parent 9 and children 1 and 2.
         return ClusterAggregateModule(
             0, {0: ClusterView(0, parent=9, children=(1, 2))},
-            lambda to, payload, priority: sent.append((to, payload)),
-            lambda *a: None, min_merge, lambda tag: (0,),
+            lambda *a: None, min_merge, lambda tag: (0,), LINKS,
+            lambda lid, payload, priority: sent.append((lid, payload)),
         )
 
     def _settle(self, module, tag="t"):
@@ -336,9 +341,9 @@ class TestSettledInstances:
         sent, results = [], []
         module = ClusterAggregateModule(
             0, {0: ClusterView(0, parent=9, children=(1, 2))},
-            lambda to, payload, priority: sent.append((to, payload)),
             lambda cid, tag, result: results.append((cid, tag, result)),
-            min_merge, lambda tag: (0,),
+            min_merge, lambda tag: (0,), LINKS,
+            lambda lid, payload, priority: sent.append((lid, payload)),
         )
         t = self._settle(module, "t")
         u = self._settle(module, "u")
@@ -428,10 +433,11 @@ def make_gather_driver(cover, done_delays, completions, num_stages):
             self.module = GatherModule(
                 node_id=ctx.node_id,
                 cover=cover,
-                send=ctx.send,
                 on_complete=lambda stage: completions.append(
                     (self.ctx.now, ctx.node_id, stage)
                 ),
+                links=ctx.links,
+                send_link=ctx.send_link,
                 num_stages=num_stages,
             )
 
@@ -527,7 +533,7 @@ class TestGather:
     def test_double_done_rejected(self):
         g = topology.path_graph(3)
         cover = build_ap_cover(g, 1)
-        module = GatherModule(0, cover, lambda *a: None, lambda s: None)
+        module = GatherModule(0, cover, lambda s: None, LINKS, lambda *a: None)
         module.start()
         module.mark_done()
         with pytest.raises(ValueError, match="twice"):
@@ -537,7 +543,8 @@ class TestGather:
         g = topology.path_graph(3)
         cover = build_ap_cover(g, 1)
         with pytest.raises(ValueError):
-            GatherModule(0, cover, lambda *a: None, lambda s: None, num_stages=0)
+            GatherModule(0, cover, lambda s: None, LINKS, lambda *a: None,
+                         num_stages=0)
 
 
 GATHER_PIN_GRAPHS = {
@@ -581,31 +588,6 @@ def test_gather_schedule_pinned(cell):
     assert got == GATHER_PINS[cell]
 
 
-class TestLinkPairResolution:
-    """The aggregation module shares the registration module's half-missing
-    links/send_link warning (DESIGN.md §10)."""
-
-    def _make(self, **kwargs):
-        view = {0: ClusterView(0, parent=None, children=())}
-        return ClusterAggregateModule(
-            0, view, lambda *a: None, lambda *a: None,
-            min_merge, lambda tag: (0,), **kwargs,
-        )
-
-    def test_links_without_send_link_warns(self):
-        with pytest.warns(RuntimeWarning, match="'links' supplied without 'send_link'"):
-            self._make(links={0: 0})
-
-    def test_send_link_without_links_warns(self):
-        with pytest.warns(RuntimeWarning, match="'send_link' supplied without 'links'"):
-            self._make(send_link=lambda *a: None)
-
-    def test_both_or_neither_do_not_warn(self, recwarn):
-        self._make()
-        self._make(links={0: 0}, send_link=lambda *a: None)
-        assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
-
-
 def test_readmit_does_not_resurrect_evicted_flow_reports():
     """Re-join hygiene (DESIGN.md §15): a barrier that re-closed over the
     survivors when the crash was detected must not accept the returned
@@ -615,9 +597,9 @@ def test_readmit_does_not_resurrect_evicted_flow_reports():
     results = []
     view = {0: ClusterView(0, parent=None, children=(1,))}
     module = ClusterAggregateModule(
-        0, view, lambda *a: None,
+        0, view,
         lambda cid, tag, result: results.append((cid, tag, result)),
-        min_merge, lambda tag: (0,),
+        min_merge, lambda tag: (0,), LINKS, lambda *a: None,
     )
     module.contribute(0, 1, 5)     # the root waits on child 1
     assert results == []

@@ -48,14 +48,17 @@ class _RefLink:
 
 
 class _RefContext:
-    """Seed-equivalent ProcessContext."""
+    """Seed-equivalent ProcessContext, plus the link table the protocol
+    modules are wired by: a link's id is its ``(sender, receiver)`` pair,
+    so ``send_link`` enqueues on the same link ``send`` resolves."""
 
-    __slots__ = ("_runtime", "node_id", "neighbors")
+    __slots__ = ("_runtime", "node_id", "neighbors", "links")
 
     def __init__(self, runtime, node_id):
         self._runtime = runtime
         self.node_id = node_id
         self.neighbors = runtime.graph.neighbors(node_id)
+        self.links = {v: (node_id, v) for v in self.neighbors}
 
     @property
     def now(self):
@@ -63,6 +66,9 @@ class _RefContext:
 
     def send(self, to, payload, priority=(0,)):
         self._runtime._enqueue(self.node_id, to, payload, priority)
+
+    def send_link(self, lid, payload, priority=(0,)):
+        self._runtime._enqueue(*lid, payload, priority)
 
     def schedule_environment_event(self, delay, callback):
         runtime = self._runtime

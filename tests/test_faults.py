@@ -795,10 +795,12 @@ class TestStagePoisoning:
         return RegistrationModule(
             node_id=0,
             clusters=views,
-            send=lambda to, payload, priority: events.append(("send", to, payload)),
             on_registered=lambda c, t: events.append(("registered", c, t)),
             on_go_ahead=lambda c, t: events.append(("go", c, t)),
             priority_fn=lambda tag: (0,),
+            links={1: 1},
+            send_link=lambda lid, payload, priority: events.append(
+                ("send", lid, payload)),
         )
 
     def test_clean_cycle_recycles_slot(self):
@@ -869,10 +871,12 @@ class TestStagePoisoning:
         module = RegistrationModule(
             node_id=0,
             clusters=views,
-            send=lambda to, payload, priority: events.append(("send", to, payload)),
             on_registered=lambda c, t: events.append(("registered", c, t)),
             on_go_ahead=lambda c, t: events.append(("go", c, t)),
             priority_fn=lambda tag: (0,),
+            links={1: 1},
+            send_link=lambda lid, payload, priority: events.append(
+                ("send", lid, payload)),
         )
         module.register(0, TAG)
         stage = next(iter(module._stages.values()))

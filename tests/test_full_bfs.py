@@ -93,8 +93,11 @@ class TestShape:
         with pytest.raises(ValueError, match="source"):
             run_full_bfs(topology.path_graph(4), set(), ConstantDelay(1.0))
 
-    def test_registry_for_another_graph_rejected(self):
+    def test_registry_for_another_graph_rejected(self, star_registry):
         registry = registry_for_threshold(topology.cycle_graph(32), 32)
         with pytest.raises(ValueError, match="built for another graph"):
             run_full_bfs(topology.cycle_graph(16), 0, ConstantDelay(1.0),
                          registry=registry)
+        g = topology.cycle_graph(16)
+        with pytest.raises(ValueError, match="not in graph"):
+            run_full_bfs(g, 0, ConstantDelay(1.0), registry=star_registry(g))

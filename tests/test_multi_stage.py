@@ -89,12 +89,15 @@ class TestCoverEconomy:
         with pytest.raises(ValueError, match="not a node of the graph"):
             run_multi_stage_bfs(g, sources, 4, 2, ConstantDelay(1.0))
 
-    def test_registry_for_another_graph_rejected(self):
+    def test_registry_for_another_graph_rejected(self, star_registry):
         g = topology.cycle_graph(16)
         registry = registry_for_threshold(topology.cycle_graph(32), 32)
         with pytest.raises(ValueError, match="built for another graph"):
             run_multi_stage_bfs(g, 0, 4, 2, ConstantDelay(1.0),
                                 registry=registry)
+        with pytest.raises(ValueError, match="not in graph"):
+            run_multi_stage_bfs(g, 0, 4, 2, ConstantDelay(1.0),
+                                registry=star_registry(g))
 
     def test_errors(self):
         g = topology.path_graph(4)

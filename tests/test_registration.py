@@ -85,10 +85,11 @@ def make_driver(tree, script, timeline):
             self.module = RegistrationModule(
                 node_id=node,
                 clusters=views,
-                send=ctx.send,
                 on_registered=self._on_registered,
                 on_go_ahead=self._on_go_ahead,
                 priority_fn=lambda tag: (0,),
+                links=ctx.links,
+                send_link=ctx.send_link,
             )
 
         def _on_registered(self, cluster_id, tag):
@@ -256,10 +257,11 @@ class TestApiErrors:
         return RegistrationModule(
             node_id=0,
             clusters=view,
-            send=lambda *a: recorded.append(a),
             on_registered=lambda *a: None,
             on_go_ahead=lambda *a: None,
             priority_fn=lambda tag: (0,),
+            links={1: 1},
+            send_link=lambda *a: recorded.append(a),
         )
 
     def test_double_register_rejected(self):
@@ -289,10 +291,11 @@ class TestApiErrors:
         module = RegistrationModule(
             node_id=0,
             clusters=view,
-            send=lambda *a: events.append(("send", a)),
             on_registered=lambda c, t: events.append(("registered", c, t)),
             on_go_ahead=lambda c, t: events.append(("go", c, t)),
             priority_fn=lambda tag: (0,),
+            links={},
+            send_link=lambda *a: events.append(("send", a)),
         )
         module.register(0, TAG)
         module.deregister(0, TAG)
@@ -311,10 +314,11 @@ class TestStageRetirement:
         module = RegistrationModule(
             node_id=0,
             clusters=view,
-            send=lambda *a: None,
             on_registered=lambda *a: None,
             on_go_ahead=lambda c, t: seen.append(module.state_of(c, t)),
             priority_fn=lambda tag: tag,
+            links={},
+            send_link=lambda *a: None,
         )
         module.register(0, TAG)
         module.deregister(0, TAG)
@@ -347,37 +351,3 @@ class TestStageRetirement:
             regs = [p.core.reg for p in runtime.processes.values()]
             assert sum(reg.messages_sent for reg in regs) > 0
             assert not any(reg._stages for reg in regs)
-
-
-class TestLinkPairResolution:
-    """Supplying exactly one of links/send_link is a wiring bug: the module
-    silently degrades to node-id sends, so it must at least warn, naming
-    the missing half (DESIGN.md §10)."""
-
-    def _make(self, **kwargs):
-        view = {0: ClusterView(cluster_id=0, parent=None, children=())}
-        return RegistrationModule(
-            node_id=0,
-            clusters=view,
-            send=lambda *a: None,
-            on_registered=lambda *a: None,
-            on_go_ahead=lambda *a: None,
-            priority_fn=lambda tag: (0,),
-            **kwargs,
-        )
-
-    def test_links_without_send_link_warns(self):
-        with pytest.warns(RuntimeWarning, match="'links' supplied without 'send_link'"):
-            module = self._make(links={0: 0})
-        # ...and the pair degrades to node-id sends as documented.
-        assert module._send_link is not None
-        module.register(0, TAG)  # runs on the identity fallback
-
-    def test_send_link_without_links_warns(self):
-        with pytest.warns(RuntimeWarning, match="'send_link' supplied without 'links'"):
-            self._make(send_link=lambda *a: None)
-
-    def test_both_or_neither_do_not_warn(self, recwarn):
-        self._make()
-        self._make(links={0: 0}, send_link=lambda *a: None)
-        assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]

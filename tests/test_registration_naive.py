@@ -26,8 +26,8 @@ def run(module_cls, graph, tree, registrants, model):
             views = cluster_views_for({0: tree}, ctx.node_id)
             self.mod = module_cls(
                 ctx.node_id, views,
-                lambda to, p, pr: ctx.send(to, p, pr if isinstance(pr, tuple) else (pr,)),
-                self._registered, self._go, lambda tag: (0,),
+                self._registered, self._go, lambda tag: (0,), ctx.links,
+                lambda lid, p, pr: ctx.send_link(lid, p, pr if isinstance(pr, tuple) else (pr,)),
             )
 
         def _registered(self, c, t):
@@ -81,8 +81,9 @@ class TestNaiveCorrectness:
         from repro.core.registration import ClusterView
 
         module = NaiveRegistrationModule(
-            0, {0: ClusterView(0, None, (1,))}, lambda *a: None,
+            0, {0: ClusterView(0, None, (1,))},
             lambda *a: None, lambda *a: None, lambda tag: (0,),
+            {1: 1}, lambda *a: None,
         )
         module.register(0, 1)
         with pytest.raises(ValueError, match="double"):

@@ -155,13 +155,20 @@ class TestContractEnforcement:
             with pytest.raises(ValueError, match="power of two"):
                 SynchronizerSweep(g, bfs_spec(0), max_pulse=bad)
 
-    @pytest.mark.parametrize("other", [32, 8])
-    def test_registry_for_another_graph_rejected(self, other):
-        # Checked once at bind: a registry built for cycle(32) or cycle(8)
+    @pytest.mark.parametrize("other", [
+        32, 8, pytest.param(None, id="hand-built-star"),
+    ])
+    def test_registry_for_another_graph_rejected(self, other, star_registry):
+        # Checked once at bind: a registry built for cycle(32) or cycle(8),
+        # or a hand-built star whose tree edges are no links of cycle(16),
         # used to construct, then raise a bare KeyError at the first run.
         g = topology.cycle_graph(16)
-        registry = registry_for_threshold(topology.cycle_graph(other), 32)
-        with pytest.raises(ValueError, match="built for another graph"):
+        if other is None:
+            registry, match = star_registry(g), r"tree edge \(2, 0\) not in graph"
+        else:
+            registry = registry_for_threshold(topology.cycle_graph(other), 32)
+            match = "built for another graph"
+        with pytest.raises(ValueError, match=match):
             SynchronizerSweep(g, bfs_spec(0), registry=registry)
         # A registry built from an equal graph object is accepted.
         equal = registry_for_threshold(topology.cycle_graph(16), 32)
@@ -307,7 +314,8 @@ class TestDeterminism:
                 self.pulse = 0
                 self.flows = {}
 
-        gate = PulseGate(0, TwoClusters(), 8, (5,), send=lambda *a: None)
+        gate = PulseGate(0, TwoClusters(), 8, (5,), links={},
+                         send_link=lambda *a: None)
         gate.agg = Recorder()
         gate._start_base_barriers(is_source=True)
         assert list({low, high}) == [high, low]

@@ -130,12 +130,14 @@ class TestApiErrors:
         with pytest.raises(ValueError, match="source"):
             run_thresholded_bfs(g, set(), 4, ConstantDelay(1.0))
 
-    def test_registry_for_another_graph_rejected(self):
+    def test_registry_for_another_graph_rejected(self, star_registry):
         # Checked once at bind, before the first run.
         g = topology.cycle_graph(16)
         registry = registry_for_threshold(topology.cycle_graph(32), 32)
         with pytest.raises(ValueError, match="built for another graph"):
             ThresholdedBFSSweep(g, [0], 4, registry=registry)
+        with pytest.raises(ValueError, match="not in graph"):
+            ThresholdedBFSSweep(g, [0], 4, registry=star_registry(g))
         equal = registry_for_threshold(topology.cycle_graph(16), 4)
         outcome = ThresholdedBFSSweep(g, [0], 4, registry=equal).run(
             ConstantDelay(1.0))
@@ -155,8 +157,9 @@ class TestApiErrors:
             neighbors=g.neighbors(0),
             registry=registry,
             threshold=2,
-            send=lambda *a: None,
             on_complete=lambda *a: None,
+            links={v: v for v in g.neighbors(0)},
+            send_link=lambda *a: None,
         )
         core.activate(False)
         with pytest.raises(ValueError, match="twice"):
@@ -170,8 +173,9 @@ class TestApiErrors:
             neighbors=g.neighbors(0),
             registry=registry,
             threshold=2,
-            send=lambda *a: None,
             on_complete=lambda *a: None,
+            links={v: v for v in g.neighbors(0)},
+            send_link=lambda *a: None,
         )
         with pytest.raises(ValueError, match="covered"):
             core.activate(True, covered=True)
