@@ -7,7 +7,9 @@ of the 2^{l(p)+5}-cover that contain v").  :class:`CoverRegistry` assigns
 globally unique cluster ids across levels and precomputes those views.
 
 A level is indexed the first time it is asked for, which is also when a
-lazily built cover level (:class:`~repro.covers.cover.LazyLevels`) is built.
+lazily built cover level (:class:`~repro.covers.cover.LazyLevels`) is built;
+a one-tree level that shares its tree with one indexed already is re-based
+from it, not walked again.
 Each consumer loads the levels it reads when it is wired (DESIGN.md §2), so
 no level is built while a run dispatches.  All per-(node, level) queries
 return precomputed tuples (DESIGN.md §6): the synchronizer asks for the
@@ -42,7 +44,13 @@ class GlobalCluster:
 
 
 class CoverRegistry:
-    """Level-indexed, globally-id'd view of a :class:`LayeredCover`."""
+    """Level-indexed, globally-id'd view of a :class:`LayeredCover`.
+
+    Each distinct level is walked once: a one-tree level whose
+    ``clusters`` tuple is that of a level indexed already (the shared
+    levels of :class:`~repro.covers.cover.SharedLevels`) takes its twin's
+    tables with the id re-based to its own, ``level << LEVEL_ID_SHIFT``.
+    """
 
     def __init__(self, layered: LayeredCover) -> None:
         if not layered.levels:
@@ -136,17 +144,20 @@ class CoverRegistry:
             unknown = [j for j in levels if j not in self.layered.levels]
             if unknown:
                 raise ValueError(f"the cover has no levels {unknown}")
-            views = {}
+            # One pass over the levels gathers each node's views, in level
+            # order; then one dict per node, keyed by cluster id.
+            gathered: Dict[NodeId, List[ClusterView]] = {}
             for level in levels:
                 self._index_level(level)
-                tree_at = self._tree_at[level]
                 for v, level_views in self._views_at[level].items():
-                    node_views = views.get(v)
+                    node_views = gathered.get(v)
                     if node_views is None:
-                        views[v] = dict(zip(tree_at[v], level_views))
+                        gathered[v] = list(level_views)
                     else:
-                        node_views.update(zip(tree_at[v], level_views))
-            self._views[levels] = views
+                        node_views += level_views
+            views = self._views[levels] = {
+                v: {view.cluster_id: view for view in node_views}
+                for v, node_views in gathered.items()}
         return views
 
     def cluster(self, global_id: int) -> GlobalCluster:
@@ -212,8 +223,12 @@ class CoverRegistry:
         return level
 
     def _index_level(self, level: int) -> None:
-        """Index one level in one pass over its trees (building the cover
-        level on its first read); nothing if loaded already or not a level."""
+        """Index one level (building the cover level on its first read);
+        nothing if loaded already or not a level.  A one-tree level whose
+        tree is that of a level indexed already
+        (:class:`~repro.covers.cover.SharedLevels` hands out one cover at
+        many radii) is re-based from that twin; any other level is indexed
+        in one walk over its trees."""
         if level in self._views_at or level not in self.layered.levels:
             return
         trees = self.layered.levels[level].clusters
@@ -221,6 +236,14 @@ class CoverRegistry:
             raise ValueError(
                 f"level {level} has {len(trees)} clusters; ids fit"
                 f" {1 << LEVEL_ID_SHIFT} per level")
+        if len(trees) == 1:
+            for twin in self._by_level:
+                if self.layered.levels[twin].clusters is trees:
+                    self._rebase_level(level, twin, trees[0])
+                    return
+        self._walk_level(level, trees)
+
+    def _walk_level(self, level: int, trees: Tuple[ClusterTree, ...]) -> None:
         base = level << LEVEL_ID_SHIFT
         ids: List[int] = []
         member_of: Dict[NodeId, List[int]] = {}
@@ -249,3 +272,18 @@ class CoverRegistry:
             for v, vs in views_at.items()}
         self._member_of[level] = {v: tuple(c) for v, c in member_of.items()}
         self._by_level[level] = ids
+
+    def _rebase_level(self, level: int, twin: int, tree: ClusterTree) -> None:
+        """Index ``level`` from ``twin``, an indexed level of the same one
+        ``tree``: the twin's tables under the id ``level << LEVEL_ID_SHIFT``,
+        in the twin's order, which is the order a walk would give."""
+        cid = level << LEVEL_ID_SHIFT
+        self._clusters[cid] = GlobalCluster(cid, level, tree)
+        only = (cid,)
+        twin_views = self._views_at[twin]
+        self._tree_at[level] = dict.fromkeys(twin_views, only)
+        self._member_of[level] = dict.fromkeys(self._member_of[twin], only)
+        self._views_at[level] = {
+            v: (ClusterView(cid, p, children),)
+            for v, ((_, p, children),) in twin_views.items()}
+        self._by_level[level] = [cid]

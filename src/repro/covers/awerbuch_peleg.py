@@ -54,14 +54,16 @@ def build_ap_layered_cover(graph: Graph, d: int) -> LayeredCover:
 
     Level ``j`` is ``_grow_cover(graph, 2^j)``, built on its first read
     (:class:`LazyLevels`); bad inputs raise here, not at that read.  Once
-    ``2^j`` reaches the eccentricity of node 0, the growth loop's seed,
-    the cover no longer depends on ``j`` (DESIGN.md §2), so those levels
-    share one build (:class:`SharedLevels`).
+    ``2^{j+1}`` reaches the eccentricity of node 0, the growth loop's
+    seed, the cover no longer depends on ``j`` (DESIGN.md §2), so those
+    levels share one build (:class:`SharedLevels`).  On one or two nodes
+    every level is one cover, and that bound is level 0.
     """
     top = required_top_level(d)
     require_connected(graph)
     twin = graph.twin()
-    shared_from = required_top_level(max(int(graph.eccentricity(0)), 1))
+    half_ecc = (int(graph.eccentricity(0)) + 1) // 2
+    shared_from = required_top_level(max(half_ecc, 1))
     build = SharedLevels(partial(_grow_level, twin), shared_from)
     return LayeredCover(levels=LazyLevels(build, top), graph=twin)
 

@@ -190,7 +190,10 @@ class SharedLevels:
 
     A level below ``first`` is ``build(j)``.  So is the first level at or
     above ``first`` that is read; every later one is that cover at radius
-    ``2^j``, sharing its cluster trees, ``clusters_of`` and home map.
+    ``2^j``, sharing its cluster trees, ``clusters_of`` and home map.  Its
+    ``clusters`` is the very same tuple, which is how
+    :class:`~repro.core.registry.CoverRegistry` knows to re-base the
+    level's tables from a twin instead of walking its trees again.
     """
 
     __slots__ = ("_build", "_first", "_shared")

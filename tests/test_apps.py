@@ -11,7 +11,7 @@ from repro.apps import (
 )
 from repro.baselines import run_alpha, run_beta, run_gamma
 from repro.core import run_synchronized
-from repro.net import ConstantDelay, run_synchronous, standard_adversaries, topology
+from repro.net import run_synchronous, standard_adversaries, topology
 
 ADVERSARIES = standard_adversaries(seed=61)
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.apps.programs import (
     bfs_spec,
-    broadcast_echo_spec,
     flood_max_spec,
     path_token_spec,
     standard_programs,

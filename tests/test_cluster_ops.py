@@ -7,7 +7,6 @@ import pytest
 from repro.apps.programs import bfs_spec
 from repro.core import SynchronizerSweep
 from repro.core.cluster_ops import (
-    _PRUNED,
     _RETIRED,
     _InstanceState,
     _TreeLinks,

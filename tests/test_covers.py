@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.covers import (
     ClusterTree,
-    LayeredCover,
     SparseCover,
     ap_membership_bound,
     bfs_cluster_tree,
@@ -451,12 +450,13 @@ def test_layered_levels_equal_single_level_builds(n, p, seed, d):
 def test_levels_past_eccentricity_share_one_build(n, p, seed, order):
     """Every level of the lazy AP and trivial builders, read in any order up
     to past the diameter, equals its standalone build; the AP levels with
-    ``2^j >= ecc(0)``, and all trivial levels, share one tree object."""
+    ``2^{j+1} >= ecc(0)``, and all trivial levels, share one tree object,
+    and no level below them does."""
     from repro.covers.awerbuch_peleg import _grow_cover
 
     g = topology.erdos_renyi_graph(n, p, seed)
     d = 4 * n
-    shared_from = next(j for j in range(n + 1) if 1 << j >= g.eccentricity(0))
+    shared_from = next(j for j in range(n + 1) if 2 << j >= g.eccentricity(0))
     levels = list(range(required_top_level(d) + 1))
     order.shuffle(levels)
     for builder, single, first in (

@@ -33,7 +33,6 @@ from repro.net import topology
 from repro.net.async_runtime import AsyncResult, AsyncRuntime, Process
 from repro.net.delays import standard_adversaries
 from repro.net.faults import DETECT_TIMEOUT, FaultSchedule
-from repro.net.graph import Graph
 from repro.net.sweep import AsyncSweep
 
 
@@ -105,7 +104,7 @@ class ReferenceRuntime:
     """Direct port of the seed engine: closure events, two per message."""
 
     def __init__(self, graph, process_factory, delay_model, trace=None,
-                 faults=None, detect_timeout=DETECT_TIMEOUT):
+                 faults=None):
         self.graph = graph
         self.delay_model = delay_model
         self.trace = trace
@@ -125,7 +124,6 @@ class ReferenceRuntime:
         if faults is not None and faults.is_empty():
             faults = None
         self._faults = faults
-        self.detect_timeout = detect_timeout
         # Per-node incarnation counters: a transport closure captures the
         # epochs of both endpoints when it is scheduled and is *void* at
         # fire time if either changed — the reference reading of the
@@ -329,7 +327,7 @@ class ReferenceRuntime:
         crash_t = self._crash_t
         rejoin_t = self._rejoin_t
         base_alive = Process.on_neighbor_alive
-        t_fire = self._now + self.detect_timeout
+        t_fire = self._now + DETECT_TIMEOUT
         for u in sorted(self.graph.neighbors(v)):
             if crash_t[u] <= t_fire < rejoin_t[u]:
                 continue  # observer dead at the fire time
@@ -356,7 +354,7 @@ class ReferenceRuntime:
             t_crash = crash_t[c]
             if t_crash == inf:
                 continue
-            t_fire = t_crash + self.detect_timeout
+            t_fire = t_crash + DETECT_TIMEOUT
             if rejoin_t[c] <= t_fire:
                 continue  # back before the timeout: no accusation
             for u in sorted(self.graph.neighbors(c)):

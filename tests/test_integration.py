@@ -5,8 +5,6 @@ application pipelines, and cross-checks between the independent paths
 through the codebase (dedicated BFS machinery vs. synchronized BFS program).
 """
 
-import pytest
-
 from repro.apps import (
     ElectionStructure,
     bfs_spec,

@@ -3,9 +3,11 @@ levels when it is wired, so no level is built while a run dispatches."""
 
 import gc
 import pickle
+import random
 import weakref
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.programs import bfs_spec, multi_bfs_spec
 from repro.core import (
@@ -90,26 +92,35 @@ class TestLazyCover:
 
 class TestSharedLevels:
     @pytest.mark.parametrize("make, spec, builds, levels", [
-        (lambda: topology.cycle_graph(512), None, 4, 10),
-        (lambda: topology.grid_graph(32, 64), multi_bfs_spec(64), 3, 6),
-        (lambda: topology.cycle_graph(256), bfs_spec(0), 3, 9),
+        (lambda: topology.cycle_graph(512), None, 3, 10),
+        (lambda: topology.grid_graph(32, 64), multi_bfs_spec(64), 2, 6),
+        (lambda: topology.cycle_graph(256), bfs_spec(0), 2, 9),
         (lambda: topology.grid_graph(16, 16), bfs_spec(0), 1, 6),
     ], ids=["cycle512@512", "grid32x64-ms64", "cycle256-bfs", "grid16x16-bfs"])
     def test_distinct_level_builds(self, monkeypatch, make, spec, builds,
                                    levels):
-        """The levels a consumer loads past node 0's eccentricity share one
-        cover build: the benchmark's graphs (cycle(512) at threshold 512,
-        as churn-rejoin512 reads it) build each distinct level once."""
+        """The levels a consumer loads from half node 0's eccentricity up
+        share one cover build: the benchmark's graphs (cycle(512) at
+        threshold 512, as churn-rejoin512 reads it) build each distinct
+        level once, and the registry walks each distinct level's trees
+        once."""
         from repro.covers import awerbuch_peleg
 
         grown = []
+        walked = []
         grow = awerbuch_peleg._grow_cover
+        walk = CoverRegistry._walk_level
 
         def counting(graph, d):
             grown.append(d)
             return grow(graph, d)
 
+        def counting_walk(registry, level, trees):
+            walked.append(level)
+            return walk(registry, level, trees)
+
         monkeypatch.setattr(awerbuch_peleg, "_grow_cover", counting)
+        monkeypatch.setattr(CoverRegistry, "_walk_level", counting_walk)
         g = make()
         threshold = 512 if spec is None else pulse_bound_for(g, spec)
         reg = registry_for_threshold(g, threshold)
@@ -118,6 +129,7 @@ class TestSharedLevels:
         assert len(grown) == builds
         assert len({id(reg.layered.levels[j].clusters)
                     for j in loaded}) == builds
+        assert len(walked) == builds
 
 
 def _grid_registry(d=16):
@@ -134,9 +146,45 @@ def _snapshot(g, reg):
         [reg.cluster(cid) for cid in cids],
         [[reg.member_clusters(v, j) for j in levels] for v in g.nodes],
         [[reg.tree_clusters_of(v, j) for j in levels] for v in g.nodes],
-        [reg.views_of(v) for v in g.nodes],
-        [reg.views_of(v, (1, 3)) for v in g.nodes],
+        [list(reg.views_of(v).items()) for v in g.nodes],
+        [list(reg.views_of(v, (1, 3)).items()) for v in g.nodes],
     )
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=1, p=0.0, seed=0, order=random.Random(0))
+@example(n=2, p=0.0, seed=0, order=random.Random(0))
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    p=st.floats(min_value=0.0, max_value=0.3),
+    seed=st.integers(min_value=0, max_value=500),
+    order=st.randoms(use_true_random=False),
+)
+@pytest.mark.parametrize("builder, single", [
+    ("ap", build_ap_cover), ("trivial", build_trivial_cover),
+])
+def test_shared_levels_index_as_distinct_builds(
+        builder, single, n, p, seed, order):
+    """A registry over a lazy cover, whose top levels share one tree
+    object, reads exactly as a registry over the same levels built one by
+    one as distinct tree objects, whatever order its levels load in, and
+    each node's views come in id order."""
+    g = topology.erdos_renyi_graph(n, p, seed)
+    lazy = CoverRegistry(build_layered_cover(g, max(4 * n, 8), builder))
+    eager = CoverRegistry(LayeredCover(
+        levels={j: single(g, 1 << j) for j in lazy.levels}))
+    levels = list(lazy.levels)
+    order.shuffle(levels)
+    for j in levels:
+        lazy.load((j,))
+    top = lazy.layered.levels[lazy.top_level].clusters
+    assert lazy.layered.levels[lazy.top_level - 1].clusters is top
+    assert _snapshot(g, lazy) == _snapshot(g, eager)
+    # A node's views are keyed in id order: by level, then by index.
+    for v in g.nodes:
+        for level_set in (lazy.levels, (1, 3)):
+            cids = list(lazy.views_of(v, level_set))
+            assert cids == sorted(cids)
 
 
 class TestLazyRegistry:

@@ -428,12 +428,18 @@ LINTED_TREES = ("src", "benchmarks", "examples", "perfbench")
 
 
 def test_linted_trees_have_no_unused_imports():
-    """Every name a module of the linted trees imports is referenced there
-    (package ``__init__.py`` files re-export, so they are skipped)."""
-    found = [
-        f"{path.relative_to(ROOT)}:{line}: {name}"
+    """Every name a module of the linted trees, or a test module, imports
+    is referenced there (package ``__init__.py`` files re-export, so they
+    are skipped; ``tests/fixtures/`` holds deliberate lint inputs, so only
+    the top of ``tests`` is read)."""
+    paths = [
+        path
         for tree in LINTED_TREES
         for path in sorted((ROOT / tree).rglob("*.py"))
+    ] + sorted((ROOT / "tests").glob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in paths
         if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text())
     ]

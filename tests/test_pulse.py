@@ -1,7 +1,5 @@
 """Tests for pulse arithmetic — Definitions 4.3/4.4 and Lemmas 4.7/4.13/4.14/4.16."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -13,7 +13,6 @@ from repro.apps.programs import (
     flood_max_spec,
     multi_bfs_spec,
     neighbor_sum_spec,
-    path_token_spec,
     pulse_wave_spec,
     standard_programs,
 )

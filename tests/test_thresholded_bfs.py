@@ -10,9 +10,9 @@ import pytest
 from repro.core import (
     ThresholdedBFSSweep, registry_for_threshold, run_thresholded_bfs,
 )
-from repro.core.thresholded_bfs import UNREACHED, ThresholdedBFSCore
+from repro.core.thresholded_bfs import ThresholdedBFSCore
 from repro.net import ConstantDelay, standard_adversaries, topology
-from repro.net.graph import INFINITY, validate_tree
+from repro.net.graph import INFINITY
 
 ADVERSARIES = standard_adversaries(seed=13)
 
